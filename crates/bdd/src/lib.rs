@@ -31,7 +31,9 @@
 //!   operation caches whose growth cap auto-tunes from GC-time eviction
 //!   rates,
 //! * cofactors, cubes, existential quantification,
-//! * exact SAT counting with arbitrary-precision results,
+//! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
+//!   127 counted variables, arbitrary precision above, and a memo shared
+//!   by all the counts of one query,
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
 //! * node counting / support / model extraction utilities,
@@ -55,12 +57,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod count;
 mod hash;
 mod manager;
 pub mod pool;
 mod reorder;
 mod shard;
 
+pub use count::ModelCounter;
 pub use hash::{FxBuildHasher, FxHashMap};
 pub use manager::{CacheStats, KernelMode, Manager, ManagerStats, NodeId, RootSlot};
 pub use pool::{default_threads, WorkerPool};

@@ -130,7 +130,7 @@
 //! contention counters (unique-table CAS retries, lost `mk` races, dropped
 //! cache stores) so benchmark harnesses can report kernel behaviour.
 
-use crate::hash::FxHashMap;
+use crate::count::ModelCounter;
 use crate::shard::{
     DirectCache, FreeTable, NodeArena, StatShard, StatShards, SubTable, CACHE_DEFAULT_MAX_LOG2,
     CACHE_HARD_MAX_LOG2,
@@ -2024,122 +2024,22 @@ impl Manager {
     /// is over the variable *set*, so it is independent of the current
     /// order (the counted variables need not occupy contiguous levels).
     ///
-    /// Complemented edges count by subtraction:
-    /// `|¬f| = 2^(remaining vars) − |f|`, memoised per regular node.
+    /// A one-shot [`ModelCounter`], so there is one counting path:
+    ///
+    /// * **Fixed width.**  The count is exact at every width: the traversal
+    ///   runs in `u128` arithmetic while at most 127 variables are counted
+    ///   (the largest count, `2^127`, still fits) and in [`UBig`] from 128
+    ///   on.
+    /// * **Memo.**  Complemented edges count by subtraction,
+    ///   `|¬f| = 2^(remaining vars) − |f|`, and each regular node is
+    ///   counted once, memoised for the length of this call.  The memo
+    ///   borrows `&self`, so no garbage collection or reordering (both
+    ///   `&mut self`) can invalidate an entry while it exists.
+    ///
+    /// To count many functions of one manager, keep one [`ModelCounter`]
+    /// instead: its memo is shared across the counts.
     pub fn sat_count(&self, f: NodeId, nvars: usize) -> UBig {
-        let mut memo: FxHashMap<NodeId, UBig> = FxHashMap::default();
-        let pc = self.counted_prefix(nvars);
-        self.count_edge(f, 0, &pc, &mut memo)
-    }
-
-    /// `pc[l]` = number of counted variables (index `< nvars`) at levels
-    /// `< l`; the exponent of a level gap `[a, b)` is `pc[b] − pc[a]`.
-    fn counted_prefix(&self, nvars: usize) -> Vec<u32> {
-        let n = self.num_vars as usize;
-        let mut pc = vec![0u32; n + 1];
-        for l in 0..n {
-            pc[l + 1] = pc[l] + (self.level_to_var[l] < nvars as u32) as u32;
-        }
-        pc
-    }
-
-    /// Models of the function reached through edge `f` over the counted
-    /// variables at levels `≥ from` (all of which are at or below `f`'s
-    /// level).
-    fn count_edge(
-        &self,
-        f: NodeId,
-        from: u32,
-        pc: &[u32],
-        memo: &mut FxHashMap<NodeId, UBig>,
-    ) -> UBig {
-        let total = *pc.last().expect("prefix array is non-empty");
-        if f.is_true() {
-            return UBig::pow2((total - pc[from as usize]) as usize);
-        }
-        if f.is_false() {
-            return UBig::zero();
-        }
-        let fr = f.regular();
-        let level = self.level(fr);
-        debug_assert!(
-            self.var_of(fr) < pc.len() as u32 - 1 && pc[level as usize + 1] > pc[level as usize],
-            "function depends on variables beyond nvars"
-        );
-        let models = match memo.get(&fr) {
-            Some(c) => c.clone(),
-            None => {
-                let low = self.raw_low(fr);
-                let high = self.raw_high(fr);
-                let cl = self.count_edge(low, level + 1, pc, memo);
-                let ch = self.count_edge(high, level + 1, pc, memo);
-                let total = UBig::add(&cl, &ch);
-                memo.insert(fr, total.clone());
-                total
-            }
-        };
-        let models = if f.is_complemented() {
-            UBig::pow2((total - pc[level as usize]) as usize).sub(&models)
-        } else {
-            models
-        };
-        models.shl((pc[level as usize] - pc[from as usize]) as usize)
-    }
-
-    /// Like [`Manager::sat_count`] but in floating point (may overflow to
-    /// infinity around 2¹⁰²⁴ assignments).
-    pub fn sat_count_f64(&self, f: NodeId, nvars: usize) -> f64 {
-        let mut memo: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let pc = self.counted_prefix(nvars);
-        self.count_edge_f64(f, 0, &pc, &mut memo)
-    }
-
-    fn count_edge_f64(
-        &self,
-        f: NodeId,
-        from: u32,
-        pc: &[u32],
-        memo: &mut FxHashMap<NodeId, f64>,
-    ) -> f64 {
-        let total = *pc.last().expect("prefix array is non-empty");
-        if f.is_true() {
-            return 2f64.powi((total - pc[from as usize]) as i32);
-        }
-        if f.is_false() {
-            return 0.0;
-        }
-        let fr = f.regular();
-        let level = self.level(fr);
-        let models = match memo.get(&fr) {
-            Some(&c) => c,
-            None => {
-                let low = self.raw_low(fr);
-                let high = self.raw_high(fr);
-                let total = self.count_edge_f64(low, level + 1, pc, memo)
-                    + self.count_edge_f64(high, level + 1, pc, memo);
-                memo.insert(fr, total);
-                total
-            }
-        };
-        let models = if f.is_complemented() {
-            // Beyond ~2¹⁰²⁴ assignments the subtraction is inf − inf; the
-            // complement count is astronomically large too, so saturate.
-            let pow = 2f64.powi((total - pc[level as usize]) as i32);
-            if pow.is_finite() {
-                pow - models
-            } else {
-                pow
-            }
-        } else {
-            models
-        };
-        // Guard against `0 × ∞ = NaN` when the model count is zero but the
-        // level gap is enormous.
-        if models == 0.0 {
-            0.0
-        } else {
-            models * 2f64.powi((pc[level as usize] - pc[from as usize]) as i32)
-        }
+        ModelCounter::new(self, nvars).count(f)
     }
 
     /// The number of BDD nodes reachable from `f` (the terminal excluded).
@@ -2662,7 +2562,6 @@ mod tests {
         let y = mgr.var(9);
         let f = mgr.xor(x, y);
         assert_eq!(mgr.sat_count(f, 10), UBig::pow2(9));
-        assert_eq!(mgr.sat_count_f64(f, 10), 512.0);
         // Complemented edges count by subtraction.
         let nf = mgr.not(f);
         assert_eq!(mgr.sat_count(nf, 10), UBig::pow2(9));
@@ -2674,7 +2573,6 @@ mod tests {
             UBig::pow2(10).sub(&UBig::pow2(8)),
             "|¬f| = 2^n − |f|"
         );
-        assert_eq!(mgr.sat_count_f64(ng, 10), 1024.0 - 256.0);
     }
 
     #[test]
@@ -2684,7 +2582,6 @@ mod tests {
         let mgr = Manager::new(4000);
         let x = mgr.var(17);
         assert_eq!(mgr.sat_count(x, 4000), UBig::pow2(3999));
-        assert!(mgr.sat_count_f64(x, 4000).is_infinite());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! edge without any allocation).
 
 use proptest::prelude::*;
-use sliq_bdd::{Manager, NodeId};
+use sliq_bdd::{Manager, ModelCounter, NodeId};
+use sliq_bignum::UBig;
 
 const NVARS: usize = 5;
 
@@ -114,8 +115,7 @@ proptest! {
         let mgr = Manager::new(NVARS);
         let f = build_bdd(&mgr, &e);
         let expected = assignments().filter(|a| eval_expr(&e, a)).count() as u64;
-        prop_assert_eq!(mgr.sat_count(f, NVARS), sliq_bignum::UBig::from(expected));
-        prop_assert_eq!(mgr.sat_count_f64(f, NVARS), expected as f64);
+        prop_assert_eq!(mgr.sat_count(f, NVARS), UBig::from(expected));
     }
 
     #[test]
@@ -347,6 +347,129 @@ proptest! {
         for a in assignments() {
             prop_assert_eq!(mgr.eval(h, &a), eval_expr(&e1, &a) && eval_expr(&e2, &a));
         }
+    }
+}
+
+// ---------------------------------------------------------------------- //
+// Model counter: one memo shared across roots, u128/UBig width switch
+// ---------------------------------------------------------------------- //
+
+/// Moves `var` up to level `to` by adjacent swaps (the relative order of
+/// every other variable is kept).
+fn bubble_up(mgr: &mut Manager, var: usize, to: usize) {
+    while mgr.level_of_var(var) > to {
+        let level = mgr.level_of_var(var);
+        mgr.swap_adjacent_levels(level - 1);
+    }
+}
+
+/// Truth-table model count of `e` over its first `NVARS` variables.
+fn truth_table_count(e: &Expr) -> UBig {
+    UBig::from(assignments().filter(|a| eval_expr(e, a)).count() as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn one_counter_across_many_roots_matches_fresh_counts_and_the_truth_table(
+        exprs in proptest::collection::vec(expr_strategy(), 1..8),
+    ) {
+        let mut mgr = Manager::new(NVARS);
+        let roots: Vec<NodeId> = exprs.iter().map(|e| build_bdd(&mgr, e)).collect();
+        for &f in &roots {
+            mgr.register_root(f);
+        }
+        // Count under a sifted order, forced away from the identity so the
+        // level-gap arithmetic is exercised off the index order.
+        mgr.reorder();
+        if mgr.current_order() == (0..NVARS).collect::<Vec<_>>() {
+            mgr.swap_adjacent_levels(0);
+        }
+        prop_assert!(mgr.current_order() != (0..NVARS).collect::<Vec<_>>());
+        let mut counter = ModelCounter::new(&mgr, NVARS);
+        for (e, &f) in exprs.iter().zip(&roots) {
+            let expected = truth_table_count(e);
+            let complement = UBig::pow2(NVARS).sub(&expected);
+            // Both polarities, twice: the second pass is answered from the
+            // memo filled by every earlier root.
+            for _ in 0..2 {
+                prop_assert_eq!(counter.count(f), expected.clone());
+                prop_assert_eq!(counter.count(f.complement()), complement.clone());
+            }
+            prop_assert_eq!(mgr.sat_count(f, NVARS), expected.clone());
+            prop_assert_eq!(mgr.sat_count(f.complement(), NVARS), complement);
+        }
+    }
+
+    #[test]
+    fn counting_a_variable_subset_at_non_contiguous_levels(
+        e in expr_strategy(),
+        swaps in proptest::collection::vec(0..NVARS + 2, 4..24),
+    ) {
+        // Three uncounted variables (NVARS..NVARS + 3) are shuffled in
+        // among the counted ones; then a counted variable is lifted to the
+        // top with an uncounted one right below it, so the counted levels
+        // have a gap whatever the shuffle did.
+        let mut mgr = Manager::new(NVARS + 3);
+        let f = build_bdd(&mgr, &e);
+        mgr.register_root(f);
+        for &level in &swaps {
+            mgr.swap_adjacent_levels(level);
+        }
+        let top_counted = (0..NVARS + 3)
+            .map(|l| mgr.var_at_level(l))
+            .find(|&v| v < NVARS)
+            .expect("some variable is counted");
+        bubble_up(&mut mgr, top_counted, 0);
+        if mgr.var_at_level(1) < NVARS {
+            bubble_up(&mut mgr, NVARS + 1, 1);
+        }
+        prop_assert!(mgr.var_at_level(0) < NVARS && mgr.var_at_level(1) >= NVARS);
+        let expected = truth_table_count(&e);
+        let mut counter = ModelCounter::new(&mgr, NVARS);
+        prop_assert_eq!(counter.count(f), expected.clone());
+        prop_assert_eq!(counter.count(f.complement()), UBig::pow2(NVARS).sub(&expected));
+        // The same function counted over all variables scales by 2^3.
+        prop_assert_eq!(mgr.sat_count(f, NVARS + 3), expected.shl(3));
+    }
+}
+
+#[test]
+fn counter_width_boundaries_match_power_of_two_arithmetic() {
+    // 127 counted variables is the widest u128 count, 128 the first
+    // UBig one; 4000 is far beyond both.
+    for nvars in [126usize, 127, 128, 129, 4000] {
+        let mut mgr = Manager::new(nvars + 2);
+        let mid = mgr.var(nvars / 2);
+        let last = mgr.var(nvars - 1);
+        let first = mgr.var(0);
+        let both = mgr.and(first, last);
+        mgr.register_root(both);
+        mgr.register_root(mid);
+        // An uncounted variable at the top level offsets every counted one.
+        bubble_up(&mut mgr, nvars + 1, 0);
+        let all = UBig::pow2(nvars);
+        let mut counter = ModelCounter::new(&mgr, nvars);
+        assert_eq!(counter.count(NodeId::TRUE), all, "TRUE over {nvars}");
+        assert_eq!(counter.count(NodeId::FALSE), UBig::zero());
+        assert_eq!(
+            counter.count(mid),
+            UBig::pow2(nvars - 1),
+            "literal over {nvars}"
+        );
+        assert_eq!(
+            counter.count(mid.complement()),
+            all.sub(&UBig::pow2(nvars - 1)),
+            "complemented literal over {nvars}"
+        );
+        assert_eq!(counter.count(both), UBig::pow2(nvars - 2));
+        assert_eq!(
+            counter.count(both.complement()),
+            all.sub(&UBig::pow2(nvars - 2))
+        );
+        assert_eq!(mgr.sat_count(mid, nvars), UBig::pow2(nvars - 1));
+        assert_eq!(mgr.sat_count(NodeId::TRUE, nvars), all);
     }
 }
 

@@ -15,10 +15,19 @@
 //! nothing is ever silently skipped, so a program either simulates with
 //! exactly the semantics written or fails to parse.
 //!
-//! As a documented extension for round-tripping sub-register conditions,
-//! the condition may also name a single classical bit (`if (c[2] == 1) …`)
-//! or a bit range (`if (c[2+:3] == 5) …`, meaning bits `c[2..5]`
-//! little-endian).
+//! Documented extensions, so that every circuit round-trips exactly
+//! (`parse(&emit(c)) == c`):
+//!
+//! * a condition may name a single classical bit (`if (c[2] == 1) …`) or a
+//!   bit range (`if (c[2+:3] == 5) …`, meaning bits `c[2..5]`
+//!   little-endian);
+//! * `mcx c₁, …, cₖ, t` is an X on `t` with any number `k` of controls
+//!   ([`Gate::Toffoli`]), and `mcswap c₁, …, cₖ, a, b` a SWAP of `a` and
+//!   `b` with any number of controls ([`Gate::Fredkin`]).  [`emit`] writes
+//!   `ccx`, `cswap` and `swap` where those fit the control count, and the
+//!   extension otherwise — also for a Toffoli with fewer than two controls,
+//!   which as `x`/`cx` would parse back as a different gate ([`Gate::X`],
+//!   [`Gate::Cnot`]).  Their operands must be distinct qubits.
 
 use crate::circuit::Circuit;
 use crate::error::ParseError;
@@ -409,6 +418,26 @@ fn parse_gate(
         }
     };
 
+    // The variable-arity `mcx`/`mcswap` extensions.
+    let too_few = |n: usize| {
+        ParseError::at(
+            line,
+            column,
+            format!("gate `{head}` expects at least {n} operand(s)"),
+        )
+    };
+    let distinct = |gate: Gate| {
+        if gate.operands_distinct() {
+            Ok(gate)
+        } else {
+            Err(ParseError::at(
+                line,
+                column,
+                format!("gate `{head}` repeats a qubit operand"),
+            ))
+        }
+    };
+
     let (mnemonic, param) = match head.find('(') {
         Some(pos) => {
             // Search for `)` strictly after the `(` so reversed delimiters
@@ -511,6 +540,25 @@ fn parse_gate(
                 target1: operands[0],
                 target2: operands[1],
             }
+        }
+        "mcx" => {
+            let [controls @ .., target] = operands.as_slice() else {
+                return Err(too_few(1));
+            };
+            distinct(Gate::Toffoli {
+                controls: controls.to_vec(),
+                target: *target,
+            })?
+        }
+        "mcswap" => {
+            let [controls @ .., target1, target2] = operands.as_slice() else {
+                return Err(too_few(2));
+            };
+            distinct(Gate::Fredkin {
+                controls: controls.to_vec(),
+                target1: *target1,
+                target2: *target2,
+            })?
         }
         other => {
             return Err(ParseError::at(
@@ -691,8 +739,16 @@ fn emit_statement(gate: &Gate, num_clbits: usize) -> String {
     match gate {
         Gate::RxPi2(_) => format!("rx(pi/2) {}", operands.join(", ")),
         Gate::RyPi2(_) => format!("ry(pi/2) {}", operands.join(", ")),
-        Gate::Fredkin { controls, .. } if controls.is_empty() => {
-            format!("swap {}", operands.join(", "))
+        Gate::Toffoli { controls, .. } if controls.len() != 2 => {
+            format!("mcx {}", operands.join(", "))
+        }
+        Gate::Fredkin { controls, .. } => {
+            let name = match controls.len() {
+                0 => "swap",
+                1 => "cswap",
+                _ => "mcswap",
+            };
+            format!("{name} {}", operands.join(", "))
         }
         Gate::Measure { qubit, clbit } => format!("measure q[{qubit}] -> c[{clbit}]"),
         Gate::Reset { qubit } => format!("reset q[{qubit}]"),
@@ -895,6 +951,63 @@ mod tests {
         let text = emit(&c);
         let back = parse(&text).expect("emitted text parses");
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn multi_controlled_gates_roundtrip_at_every_control_count() {
+        for k in 0..=4usize {
+            let controls: Vec<usize> = (0..k).collect();
+            let mut c = Circuit::with_clbits(k + 2, 1);
+            c.mcx(controls.clone(), k)
+                .mcswap(controls.clone(), k, k + 1)
+                .conditional(
+                    0,
+                    1,
+                    1,
+                    Gate::Toffoli {
+                        controls: controls.clone(),
+                        target: k + 1,
+                    },
+                );
+            let text = emit(&c);
+            let back = parse(&text).unwrap_or_else(|e| panic!("{k} controls: {e}\n{text}"));
+            assert_eq!(back, c, "{k} controls:\n{text}");
+        }
+        // Standard spellings where they fit the control count.
+        let mut c = Circuit::new(5);
+        c.ccx(0, 1, 2).cswap(0, 1, 2).swap(3, 4);
+        assert_eq!(
+            emit(&c).lines().skip(3).collect::<Vec<_>>(),
+            [
+                "ccx q[0], q[1], q[2];",
+                "cswap q[0], q[1], q[2];",
+                "swap q[3], q[4];"
+            ]
+        );
+    }
+
+    #[test]
+    fn multi_controlled_extension_rejects_bad_operand_lists() {
+        let cases: &[(&str, &str)] = &[
+            ("qreg q[3]; mcx q[0], q[1], q[0];", "repeats a qubit"),
+            ("qreg q[3]; mcswap q[0], q[1], q[1];", "repeats a qubit"),
+            ("qreg q[3]; mcswap q[2];", "at least 2"),
+        ];
+        for (src, needle) in cases {
+            let err = parse(src).unwrap_err();
+            assert!(
+                err.to_string().contains(needle),
+                "{src:?}: expected {needle:?} in {err}"
+            );
+        }
+        // The gate-count limit covers the extension like any gate.
+        let limits = ParseLimits {
+            max_gates: 1,
+            ..ParseLimits::default()
+        };
+        let err =
+            parse_with_limits("qreg q[3]; mcx q[0], q[1]; mcx q[1], q[2];", limits).unwrap_err();
+        assert!(err.to_string().contains("gate count"), "{err}");
     }
 
     #[test]

@@ -9,14 +9,36 @@
 //!
 //! restricted to the basis states compatible with the outcome.  Every sum of
 //! products `Σᵢ uᵢ·vᵢ` expands over the bit slices into weighted *SAT counts*
-//! of slice conjunctions, which the BDD package counts exactly; the whole
+//! of slice conjunctions: one query counts `10·r²` conjunctions (four
+//! squares and four cross products, `r²` slice pairs each).  The whole
 //! quantity is accumulated as an exact `x + y·√2` with big-integer
 //! coefficients and only the final division by `2ᵏ` is performed in floating
 //! point.  This computes the same value as the paper's monolithic-BDD
 //! traversal, with the same "only the last step rounds" property.
+//!
+//! # Counting
+//!
+//! Each query builds one [`ModelCounter`] and counts all of its
+//! conjunctions through it:
+//!
+//! * **Fixed width.**  Over at most 127 qubits every model count fits a
+//!   `u128`, so the traversal does machine-word arithmetic and allocates no
+//!   big integers; wider registers switch to arbitrary precision.  Either
+//!   way the count is exact, so the probabilities are bit-identical to
+//!   counting every conjunction separately in big integers.
+//! * **One memo per query.**  The conjunctions of one query share most of
+//!   their nodes, and the counter's memo lets each shared node be counted
+//!   once.  The memo is dropped when the query returns, so it holds only
+//!   the nodes of one query and peak memory stays flat.
+//! * **Why the memo stays valid.**  A memo entry is keyed by a node and
+//!   depends only on that node and the variable order.  The counter borrows
+//!   `&Manager`; garbage collection and reordering need `&mut Manager`, so
+//!   neither can free a node or change the order while it lives.  The
+//!   `and` calls that build the conjunctions mid-query share the borrow,
+//!   and the nodes they create get fresh ids that no memo entry holds.
 
 use crate::state::{shrink_slices, BitSliceState, FAMILIES};
-use sliq_bdd::{Manager, NodeId};
+use sliq_bdd::{Manager, ModelCounter, NodeId};
 use sliq_bignum::{IBig, Sqrt2Big};
 
 /// `Σᵢ uᵢ·vᵢ` over the basis states selected by `restriction` (all states
@@ -26,9 +48,9 @@ use sliq_bignum::{IBig, Sqrt2Big};
 /// implementation — and therefore bit-identical floating-point behaviour.
 fn weighted_inner_product_of(
     mgr: &Manager,
+    counter: &mut ModelCounter<'_>,
     slices: &[Vec<NodeId>; 4],
     r: usize,
-    n: usize,
     u: usize,
     v: usize,
     restriction: Option<NodeId>,
@@ -50,7 +72,7 @@ fn weighted_inner_product_of(
             if conj.is_false() {
                 continue;
             }
-            let count = mgr.sat_count(conj, n);
+            let count = counter.count(conj);
             // Two's-complement weights: the top slice weighs −2^{r−1}.
             let negative = (j == r - 1) != (l == r - 1);
             let term = IBig::from_sign_magnitude(negative, count).shl(j + l);
@@ -61,7 +83,9 @@ fn weighted_inner_product_of(
 }
 
 /// The exact value of `2ᵏ · Σ |αᵢ|²` over the selected basis states as an
-/// `x + y·√2` pair (before the `1/2ᵏ` scaling and the `s²` factor).
+/// `x + y·√2` pair (before the `1/2ᵏ` scaling and the `s²` factor).  All
+/// `10·r²` conjunction counts go through one [`ModelCounter`], dropped on
+/// return (see the module docs).
 fn unscaled_probability_of(
     mgr: &Manager,
     slices: &[Vec<NodeId>; 4],
@@ -70,22 +94,18 @@ fn unscaled_probability_of(
     restriction: Option<NodeId>,
 ) -> Sqrt2Big {
     let [a, b, c, d] = [0usize, 1, 2, 3];
+    let mut counter = ModelCounter::new(mgr, n);
+    let mut inner = |u: usize, v: usize| {
+        weighted_inner_product_of(mgr, &mut counter, slices, r, u, v, restriction)
+    };
     let mut square_sum = IBig::zero();
     for family in FAMILIES {
-        square_sum += weighted_inner_product_of(
-            mgr,
-            slices,
-            r,
-            n,
-            family as usize,
-            family as usize,
-            restriction,
-        );
+        square_sum += inner(family as usize, family as usize);
     }
-    let mut cross = weighted_inner_product_of(mgr, slices, r, n, a, b, restriction);
-    cross += weighted_inner_product_of(mgr, slices, r, n, b, c, restriction);
-    cross += weighted_inner_product_of(mgr, slices, r, n, c, d, restriction);
-    cross += -weighted_inner_product_of(mgr, slices, r, n, a, d, restriction);
+    let mut cross = inner(a, b);
+    cross += inner(b, c);
+    cross += inner(c, d);
+    cross += -inner(a, d);
     Sqrt2Big::new(square_sum, cross)
 }
 
@@ -473,6 +493,178 @@ mod tests {
         state.restore(&snapshot);
         assert!(close(state.total_probability(), 1.0));
         state.release_snapshot(snapshot);
+    }
+
+    /// A seeded random Clifford+T circuit on `n` qubits (splitmix64).
+    fn random_clifford_t(n: usize, gates: usize, seed: u64) -> Vec<Gate> {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        (0..gates)
+            .map(|_| {
+                let q = next(n);
+                let other = (q + 1 + next(n.max(2) - 1)) % n.max(2);
+                match next(if n > 1 { 9 } else { 7 }) {
+                    0 => Gate::H(q),
+                    1 => Gate::T(q),
+                    2 => Gate::Tdg(q),
+                    3 => Gate::S(q),
+                    4 => Gate::Sdg(q),
+                    5 => Gate::X(q),
+                    6 => Gate::Y(q),
+                    7 => Gate::Cnot {
+                        control: q,
+                        target: other,
+                    },
+                    _ => Gate::Cz {
+                        control: q,
+                        target: other,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// The exact `Σ N(i)` over the basis states `select` accepts, where
+    /// `N(i) = (a²+b²+c²+d²) + √2(ab+bc+cd−ad)` and every coefficient is
+    /// the two's-complement value of its slices, read with
+    /// [`Manager::eval`] at basis state `i`.
+    fn brute_force(
+        mgr: &Manager,
+        slices: &[Vec<NodeId>; 4],
+        r: usize,
+        n: usize,
+        select: impl Fn(&[bool]) -> bool,
+    ) -> Sqrt2Big {
+        let (mut int, mut sqrt2) = (0i128, 0i128);
+        for index in 0..1usize << n {
+            let bits: Vec<bool> = (0..n).map(|q| index >> q & 1 == 1).collect();
+            if !select(&bits) {
+                continue;
+            }
+            let [a, b, c, d] = [0, 1, 2, 3].map(|family| {
+                (0..r)
+                    .filter(|&j| mgr.eval(slices[family][j], &bits))
+                    .map(|j| {
+                        if j == r - 1 {
+                            -(1i128 << j)
+                        } else {
+                            1i128 << j
+                        }
+                    })
+                    .sum::<i128>()
+            });
+            int += a * a + b * b + c * c + d * d;
+            sqrt2 += a * b + b * c + c * d - a * d;
+        }
+        Sqrt2Big::new(IBig::from(int), IBig::from(sqrt2))
+    }
+
+    #[test]
+    fn weighted_counts_equal_the_brute_force_sum_exactly() {
+        for n in 1..=6usize {
+            for seed in 0..6u64 {
+                for forced_reorder in [false, true] {
+                    let mut state = BitSliceState::new(n);
+                    for gate in random_clifford_t(n, 8 * n, seed * 31 + n as u64) {
+                        gates::apply(&mut state, &gate);
+                    }
+                    if forced_reorder {
+                        state.reorder();
+                        if n > 1 && state.mgr.current_order() == (0..n).collect::<Vec<_>>() {
+                            state.mgr.swap_adjacent_levels(0);
+                        }
+                    }
+                    check_against_brute_force(&state, &format!("n={n} seed={seed}"));
+                }
+            }
+        }
+    }
+
+    fn check_against_brute_force(state: &BitSliceState, case: &str) {
+        let (mgr, slices, r, n, k) = (
+            &state.mgr,
+            &state.slices,
+            state.r,
+            state.num_qubits,
+            state.k,
+        );
+        let exact = |restriction| unscaled_probability_of(mgr, slices, r, n, restriction);
+
+        // No restriction; the public readings round the same exact value.
+        let all = brute_force(mgr, slices, r, n, |_| true);
+        assert_eq!(exact(None), all, "{case}: total");
+        assert!(
+            state.is_exactly_normalized() && all.eq_pow2(k as usize),
+            "{case}"
+        );
+        assert_eq!(state.total_probability(), all.to_f64_div_pow2(k), "{case}");
+
+        // Every single-qubit literal.
+        for q in 0..n {
+            for value in [false, true] {
+                let literal = if value { mgr.var(q) } else { mgr.nvar(q) };
+                let expected = brute_force(mgr, slices, r, n, |bits| bits[q] == value);
+                assert_eq!(exact(Some(literal)), expected, "{case}: q{q}={value}");
+                assert_eq!(
+                    state.probability_of(q, value),
+                    expected.to_f64_div_pow2(k),
+                    "{case}: Pr[q{q}={value}]"
+                );
+            }
+        }
+
+        // One full minterm.
+        let minterm_bits: Vec<bool> = (0..n).map(|q| q % 3 != 1).collect();
+        let minterm = mgr.cube(&minterm_bits.iter().copied().enumerate().collect::<Vec<_>>());
+        let expected = brute_force(mgr, slices, r, n, |bits| bits == minterm_bits.as_slice());
+        assert_eq!(exact(Some(minterm)), expected, "{case}: minterm");
+        assert_eq!(
+            state.probability_of_basis(&minterm_bits),
+            expected.to_f64_div_pow2(k),
+            "{case}: minterm probability"
+        );
+
+        // A view two conditions deep: its own (shrunk) slices against the
+        // state's slices under both conditions, rescaled by the powers of
+        // two the shrink factored out of the coefficients.
+        let (q1, q2) = (0, n - 1);
+        let view = ConditionedView::of_state(state)
+            .condition(mgr, q1, true)
+            .condition(mgr, q2, false);
+        let rescale = (k - view.k) as usize;
+        let conditioned = |bits: &[bool]| bits[q1] && !bits[q2];
+        let expected = brute_force(mgr, slices, r, n, conditioned);
+        let view_exact = |restriction| {
+            unscaled_probability_of(mgr, &view.slices, view.r, view.num_qubits, restriction)
+        };
+        assert_eq!(
+            view_exact(None).shl(rescale),
+            expected,
+            "{case}: view total"
+        );
+        assert_eq!(
+            view.total_probability(mgr),
+            expected.to_f64_div_pow2(k),
+            "{case}"
+        );
+        let q3 = n / 2;
+        let expected = brute_force(mgr, slices, r, n, |bits| conditioned(bits) && bits[q3]);
+        assert_eq!(
+            view_exact(Some(mgr.var(q3))).shl(rescale),
+            expected,
+            "{case}: view joint q{q3}=1"
+        );
+        assert_eq!(
+            view.joint_probability_of_one(mgr, q3),
+            expected.to_f64_div_pow2(k),
+            "{case}: view joint probability"
+        );
     }
 
     #[test]

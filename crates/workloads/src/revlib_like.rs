@@ -280,6 +280,18 @@ mod tests {
     }
 
     #[test]
+    fn wide_multi_controlled_circuits_round_trip_through_qasm() {
+        // A 16-control Toffoli, plus 3-control Toffolis and Fredkins.
+        for bench in [equality_comparator(16), random_control_logic(24, 200, 11)] {
+            for circuit in [bench.circuit.clone(), bench.with_superposition_inputs()] {
+                let text = sliq_circuit::qasm::emit(&circuit);
+                let parsed = sliq_circuit::qasm::parse(&text).unwrap();
+                assert_eq!(parsed, circuit, "{}", bench.name);
+            }
+        }
+    }
+
+    #[test]
     fn suite_serialises_to_real_format() {
         for bench in table4_suite() {
             let text = sliq_circuit::real::emit(&bench.circuit, &bench.metadata).unwrap();
