@@ -68,12 +68,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// operation caches, where every bit of the index must depend on every bit of
 /// the packed key — a plain multiplicative hash leaves the low bits (the only
 /// ones a power-of-two table uses) too correlated with the node ids.
-///
-/// Both flavours of the phase-typed kernel (the shared CAS/seqlock paths and
-/// the serial fast paths) index through this same function, so a subtable
-/// entry or warm cache line written in one [`crate::KernelMode`] is found at
-/// the same slot by the other — switching modes never requires invalidation
-/// or rehashing.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;

@@ -11,13 +11,13 @@
 //!   complement bit, negation is an O(1) bit flip, a function and its
 //!   negation share one subgraph, and `mk` keeps the representation
 //!   canonical by never storing a complemented low edge,
-//! * **a sharded, concurrency-safe kernel**: apply operations take
-//!   `&Manager` and may run from many threads at once — hash consing
-//!   publishes nodes into per-variable subtable shards with a lock-free
-//!   CAS, the operation caches are per-entry seqlocks, and statistics are
-//!   thread-sharded; GC/reordering take `&mut Manager`, so the borrow
-//!   checker enforces their stop-the-world phases (see the `shard` module
-//!   docs for the full argument),
+//! * **a single-owner kernel**: a [`Manager`] is `Send` but not `Sync`, so
+//!   it always runs on one thread and needs no synchronisation.  Apply
+//!   operations take `&Manager` (so counting memos and views can borrow it
+//!   while nodes are built) and write through cells; GC and reordering take
+//!   `&mut Manager`, so the borrow checker keeps them apart from every
+//!   apply (see the `shard` module docs).  Parallelism comes from
+//!   independent managers, one per session,
 //! * **dynamic variable reordering**: an in-place adjacent-level swap and
 //!   Rudell-style sifting (with a converging option and an automatic
 //!   trigger), plus a root registry so external [`NodeId`] handles survive
@@ -37,11 +37,7 @@
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
 //! * node counting / support / model extraction utilities,
-//! * per-cache hit/miss/eviction and contention statistics
-//!   ([`ManagerStats`]),
-//! * a small persistent [`pool::WorkerPool`] (atomic work claiming, parked
-//!   workers) that the simulator uses to fan the per-gate slice updates
-//!   out over the concurrent kernel.
+//! * per-cache hit/miss/eviction statistics ([`ManagerStats`]).
 //!
 //! ```
 //! use sliq_bdd::Manager;
@@ -52,9 +48,7 @@
 //! assert_eq!(mgr.sat_count(f, 3), sliq_bignum::UBig::from(5u64));
 //! ```
 
-// The only unsafe in the crate is the worker pool's type-erased borrowed
-// job pointer (see `pool.rs` for the containment argument).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod count;
@@ -67,5 +61,5 @@ mod shard;
 pub use count::ModelCounter;
 pub use hash::{FxBuildHasher, FxHashMap};
 pub use manager::{CacheStats, KernelMode, Manager, ManagerStats, NodeId, RootSlot};
-pub use pool::{default_threads, WorkerPool};
+pub use pool::default_threads;
 pub use reorder::ReorderStats;

@@ -7,33 +7,22 @@
 //! mark-and-sweep garbage collection driven by the caller (who knows the
 //! root set).
 //!
-//! # Concurrency
+//! # Ownership
 //!
-//! Since the sharded-kernel rework, every apply recursion (`and`, `xor`,
-//! `ite`, `xor3`, `maj`, `flip_var`, `mux_var`, `cofactor`) and the node
-//! constructor take **`&self`**: any number of threads may share one
-//! manager and apply operations concurrently.  The per-variable unique
-//! subtables are the shards — hash consing publishes nodes with a lock-free
-//! CAS, the operation caches are per-entry seqlocks, and statistics are
-//! thread-sharded.  Garbage collection, variable reordering, cache growth
-//! and root-registry updates remain **`&mut self`**, so the borrow checker
-//! itself guarantees the stop-the-world property: an exclusive phase cannot
-//! overlap an apply recursion.  See [`crate::shard`] for the full
-//! synchronization argument, and [`crate::pool::WorkerPool`] for the
-//! fan-out used by the simulator.
+//! A manager has exactly one owner: it is `Send` but not `Sync`, so a
+//! session can move to a worker thread, but two threads can never share one
+//! manager (see the `compile_fail` example on [`Manager`]).  Parallelism
+//! comes from independent sessions, each with its own manager.
 //!
-//! The kernel is additionally **phase-typed**: every apply recursion and
-//! `mk` are compiled in two flavours through a `const SERIAL: bool`
-//! parameter.  The shared flavour is the machinery above; the serial
-//! flavour — selected per manager with [`Manager::set_kernel_mode`], an
-//! exclusive-phase (`&mut self`) switch — drops the coordination entirely
-//! (no seqlock claim/release on cache stores, no speculate-then-publish
-//! CAS in `mk`, no atomic read-modify-writes on the bump allocator and
-//! counters), so a single-threaded session pays no concurrency tax.  Both
-//! flavours hoist the thread-local stat-shard lookup to the public entry
-//! point and thread it through the recursion.  [`KernelMode::Shared`]
-//! remains the default; see [`crate::shard`] ("The phase-typed serial
-//! flavour") for the soundness argument.
+//! Every apply recursion (`and`, `xor`, `ite`, `xor3`, `maj`, `flip_var`,
+//! `mux_var`, `cofactor`) and the node constructor take **`&self`** and
+//! write through cells, so read-only helpers that borrow the manager — a
+//! [`ModelCounter`] memo, the sampler's conditioned views — stay usable
+//! while new nodes are built.  Garbage collection, variable reordering,
+//! cache growth and root-registry updates take **`&mut self`**, so the
+//! borrow checker guarantees that none of them overlaps an apply recursion
+//! or outlives a borrowed helper.  See [`crate::shard`] for the storage
+//! this rests on.
 //!
 //! # Complement edges
 //!
@@ -81,12 +70,12 @@
 //!   one traversal.
 //!
 //! * **Lossy direct-mapped operation caches.**  Each operation memoises into
-//!   a power-of-two array of seqlock-guarded entries indexed by a strong
-//!   64-bit mix of the operand edges ([`crate::hash::mix64`]; complement
-//!   bits are part of the key wherever they do not fold out).  A colliding
-//!   insert simply overwrites the previous entry (counted as an *eviction*
-//!   in [`CacheStats`]); a lookup compares the stored key words and treats
-//!   any mismatch — including a torn concurrent read — as a miss.
+//!   a power-of-two array of entries indexed by a strong 64-bit mix of the
+//!   operand edges ([`crate::hash::mix64`]; complement bits are part of the
+//!   key wherever they do not fold out).  A colliding insert simply
+//!   overwrites the previous entry (counted as an *eviction* in
+//!   [`CacheStats`]); a lookup compares the stored key words and treats
+//!   any mismatch as a miss.
 //!   Memoisation therefore costs zero allocations on the hot path, and
 //!   losing an entry only costs recomputation — never correctness.  Each
 //!   cache starts at 2¹² entries and doubles (at the next exclusive phase)
@@ -96,9 +85,8 @@
 //!   (`cache_epoch`).
 //!
 //! * **Per-variable unique subtables.**  Hash consing uses one open-addressed
-//!   linear-probed subtable *per variable* whose atomic slots store the node
-//!   id plus a hash tag; concurrent `mk` calls publish fresh nodes with a
-//!   release CAS (see [`crate::shard`]).  Each subtable doubles
+//!   linear-probed subtable *per variable* whose slots store the node id
+//!   (see [`crate::shard`]).  Each subtable doubles
 //!   independently when its load factor exceeds 3/4, supports exact
 //!   backward-shift deletion (needed by reordering), and is rebuilt from the
 //!   mark bitmap during [`Manager::collect_garbage`].
@@ -126,17 +114,16 @@
 //!
 //! [`ManagerStats`] exposes per-cache hit/miss/eviction counters, O(1)
 //! negation and canonical-flip counters, unique table resize counts,
-//! reordering counters (swaps, sizes, time) and — since the sharded kernel —
-//! contention counters (unique-table CAS retries, lost `mk` races, dropped
-//! cache stores) so benchmark harnesses can report kernel behaviour.
+//! and reordering counters (swaps, sizes, time), so benchmark harnesses can
+//! report kernel behaviour.
 
 use crate::count::ModelCounter;
 use crate::shard::{
-    DirectCache, FreeTable, NodeArena, StatShard, StatShards, SubTable, CACHE_DEFAULT_MAX_LOG2,
+    bump, DirectCache, FreeTable, HotCounters, NodeArena, SubTable, CACHE_DEFAULT_MAX_LOG2,
     CACHE_HARD_MAX_LOG2,
 };
 use sliq_bignum::UBig;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 pub(crate) use crate::shard::Node;
 
@@ -251,19 +238,17 @@ pub(crate) fn pack_children(low: NodeId, high: NodeId) -> u64 {
     ((low.0 as u64) << 32) | high.0 as u64
 }
 
-/// Which flavour of the phase-typed kernel a [`Manager`] runs its apply
-/// recursions in (see the module docs and [`crate::shard`]).
+/// The kernel flavour a [`ManagerStats`] snapshot reports.  Every manager
+/// runs the single-owner kernel, so snapshots always read
+/// [`KernelMode::Serial`].  The type is kept only because the repository
+/// benchmark (`sliqbench/`) still compiles against it; the next change to
+/// the benchmark removes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
-    /// The concurrency-safe flavour: CAS publication in `mk`, seqlock
-    /// claim/release on cache stores.  Any number of threads may share the
-    /// manager.  The default.
-    #[default]
+    /// The removed shared (CAS/seqlock) kernel; never reported.
     Shared,
-    /// The unsynchronized fast-path flavour: plain probes and stores, no
-    /// CAS, no seqlock protocol.  The manager must be used from exactly one
-    /// thread at a time while this mode is selected; switching modes is an
-    /// exclusive-phase (`&mut self`) action.
+    /// The single-owner kernel every manager runs.
+    #[default]
     Serial,
 }
 
@@ -300,9 +285,8 @@ impl CacheStats {
 /// Counters describing the work a [`Manager`] has performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Which kernel flavour ([`KernelMode`]) the manager was running when
-    /// the snapshot was taken — makes fast-path regressions visible instead
-    /// of inferred from timings.
+    /// Always [`KernelMode::Serial`]; kept for the repository benchmark
+    /// (see [`KernelMode`]).
     pub kernel_mode: KernelMode,
     /// Number of garbage collections run so far.
     pub gc_runs: usize,
@@ -328,18 +312,13 @@ pub struct ManagerStats {
     pub created_nodes: usize,
     /// Number of times an open-addressed unique subtable doubled.
     pub unique_resizes: usize,
-    /// Number of unique-table shards (one open-addressed subtable per
-    /// variable; threads working at different levels never share a shard).
-    pub unique_shards: usize,
-    /// Unique-table CAS attempts that lost a slot to a racing insert and
-    /// re-probed (a direct measure of same-shard contention).
+    /// Always 0: the single-owner kernel has no unique-table races.  Kept,
+    /// with the two counters below, for the repository benchmark (see
+    /// [`KernelMode`]).
     pub unique_cas_retries: u64,
-    /// `mk` races lost outright: a speculative node was allocated but a
-    /// concurrent thread published the same key first, so the node was
-    /// rolled back and the winner's id adopted.
+    /// Always 0 (see [`ManagerStats::unique_cas_retries`]).
     pub unique_dup_races: u64,
-    /// Operation-cache stores dropped because the entry's seqlock was held
-    /// by a racing writer (lossy by design; never affects correctness).
+    /// Always 0 (see [`ManagerStats::unique_cas_retries`]).
     pub cache_write_skips: u64,
     /// O(1) complement-edge negations served by [`Manager::not`] (each one
     /// replaces a full traversal of the pre-complement-edge kernel).
@@ -362,9 +341,6 @@ pub struct ManagerStats {
     /// Total wall-clock time spent inside [`Manager::reorder`], in
     /// microseconds.
     pub reorder_micros: u64,
-    /// Adjacent-level swaps whose relink batch was fanned over the worker
-    /// pool (a subset of [`ManagerStats::reorder_swaps`]).
-    pub reorder_parallel_batches: u64,
     /// Counters of the `and` apply cache (also serves `or` via De Morgan).
     pub and_cache: CacheStats,
     /// Counters of the `xor` apply cache (complement parity folded out).
@@ -402,19 +378,6 @@ impl ManagerStats {
         ]
     }
 
-    fn caches_mut(&mut self) -> [&mut CacheStats; 8] {
-        [
-            &mut self.and_cache,
-            &mut self.xor_cache,
-            &mut self.ite_cache,
-            &mut self.cofactor_cache,
-            &mut self.xor3_cache,
-            &mut self.maj_cache,
-            &mut self.flip_cache,
-            &mut self.mux_cache,
-        ]
-    }
-
     /// Sum of every operation cache's counters.
     pub fn total_cache(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -442,10 +405,10 @@ impl ManagerStats {
     }
 }
 
-/// Counters mutated only in the exclusive phase (`&mut Manager`), so they
-/// need no atomics.
+/// Counters mutated only in the exclusive phases (`&mut Manager`), so they
+/// need no cells.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SerialStats {
+pub(crate) struct ExclusiveCounters {
     pub(crate) gc_runs: usize,
     pub(crate) cache_cap_log2: u32,
     pub(crate) cache_cap_raises: u32,
@@ -454,10 +417,9 @@ pub(crate) struct SerialStats {
     pub(crate) reorder_last_before: usize,
     pub(crate) reorder_last_after: usize,
     pub(crate) reorder_micros: u64,
-    pub(crate) reorder_parallel_batches: u64,
 }
 
-/// Cache indices into `Manager::caches` and `StatShard::caches` (the same
+/// Cache indices into `Manager::caches` and `HotCounters::caches` (the same
 /// order as [`ManagerStats::caches`]).
 const AND: usize = 0;
 const XOR: usize = 1;
@@ -470,15 +432,26 @@ const MUX: usize = 7;
 
 /// A reduced ordered BDD manager with complement edges.
 ///
-/// Variables are identified by their index `0..num_vars()`, which is also the
-/// variable order (index 0 is the topmost level).  The simulator places qubit
-/// variables first and measurement-encoding variables after them, matching
-/// the ordering requirement of the paper's measurement procedure (§III-E).
+/// Variables are identified by their index `0..num_vars()`, which is also
+/// the initial variable order (index 0 is the topmost level); reordering
+/// may permute it (see [`Manager::reorder`]).
 ///
-/// Apply operations take `&self` and may be called from any number of
-/// threads sharing the manager (e.g. through [`crate::pool::WorkerPool`] or
-/// `std::thread::scope`); garbage collection and reordering take `&mut
-/// self` and therefore cannot overlap them.
+/// Apply operations take `&self`; garbage collection and reordering take
+/// `&mut self` and therefore cannot overlap them.  A manager has a single
+/// owner: it can move between threads but is not `Sync`, so sharing one
+/// across threads does not compile:
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<sliq_bdd::Manager>();
+/// ```
+///
+/// Moving a whole manager to another thread is fine:
+///
+/// ```
+/// fn moved_to_another_thread<T: Send>() {}
+/// moved_to_another_thread::<sliq_bdd::Manager>();
+/// ```
 ///
 /// ```
 /// use sliq_bdd::{Manager, NodeId};
@@ -496,14 +469,14 @@ const MUX: usize = 7;
 /// assert_eq!(mgr.stats().created_nodes, nodes_before);
 /// assert_eq!(mgr.not(nf), f);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Manager {
     pub(crate) arena: NodeArena,
     pub(crate) free: FreeTable,
-    /// One open-addressed unique subtable (shard) per variable.
+    /// One open-addressed unique subtable per variable.
     pub(crate) subtables: Vec<SubTable>,
     /// Total number of live entries across all subtables (= allocated nodes).
-    pub(crate) table_len: AtomicUsize,
+    pub(crate) table_len: Cell<usize>,
     /// `var_to_level[var]` is the current level of `var`; the extra last
     /// entry is the terminal sentinel, pinned at [`TERMINAL_LEVEL`].
     pub(crate) var_to_level: Vec<u32>,
@@ -520,17 +493,13 @@ pub struct Manager {
     /// Caller-configured lower bound the re-armed threshold never drops
     /// below (defaults to [`DEFAULT_REORDER_THRESHOLD`]).
     reorder_threshold_floor: usize,
-    /// Number of top levels eligible for sifting (`usize::MAX` = all).
-    /// Variables below the window never move — used by the simulator to pin
-    /// auxiliary encoding variables underneath the qubit block.
-    pub(crate) reorder_window: usize,
     /// Whether [`Manager::reorder`] repeats sifting passes to convergence.
     pub(crate) converging_sifting: bool,
     /// The eight operation caches, indexed by the `AND..MUX` constants.
     caches: [DirectCache; 8],
     /// Generation stamp giving O(1) cache clear: entries whose `epoch` field
     /// differs are stale.
-    cache_epoch: AtomicU32,
+    cache_epoch: u32,
     num_vars: u32,
     gc_threshold: usize,
     /// Hard allocated-node budget (`None` = unbounded); checked by
@@ -545,69 +514,15 @@ pub struct Manager {
     evictions_at_last_gc: u64,
     /// Consecutive GC intervals whose eviction rate exceeded the threshold.
     high_eviction_streak: u32,
-    /// Unique subtable doublings (shared phase, hence atomic).
-    unique_resizes: AtomicUsize,
+    /// Unique subtable doublings.
+    unique_resizes: Cell<usize>,
     /// Peak allocated nodes; exact because nodes are only freed in the
-    /// exclusive phase, which records the pre-free high-water mark.
-    peak_nodes: AtomicUsize,
-    /// Hot-path counters, sharded by thread.
-    pub(crate) shards: StatShards,
+    /// exclusive phases, which record the pre-free high-water mark.
+    peak_nodes: Cell<usize>,
+    /// Counters the apply operations bump.
+    pub(crate) hot: HotCounters,
     /// Exclusive-phase counters.
-    pub(crate) serial: SerialStats,
-    /// Which flavour of the phase-typed kernel the apply entry points
-    /// dispatch to (see [`KernelMode`]).  Mutated only via `&mut self`.
-    mode: KernelMode,
-    /// Worker threads [`Manager::reorder`] fans the per-swap relink batch
-    /// over (1 = fully serial sifting).
-    pub(crate) reorder_threads: usize,
-}
-
-impl Clone for Manager {
-    fn clone(&self) -> Self {
-        // Clone is for QUIESCENT managers: a clone racing shared-phase
-        // inserts may be structurally inconsistent (an id mid-`mk` — popped
-        // from the free list or awaiting its rollback push — can land in
-        // neither the cloned free list nor a cloned subtable, so node
-        // accounting and `check_integrity` can disagree on the clone).  The
-        // ordering below only guarantees a racy clone never *dangles*:
-        // subtables first (acquire-loaded slots), arena last, so every id a
-        // cloned slot carries was bump-allocated before its publish CAS and
-        // is therefore covered by the later arena snapshot with visible
-        // fields.
-        let subtables = self.subtables.clone();
-        let free = self.free.clone();
-        let arena = self.arena.clone();
-        Self {
-            arena,
-            free,
-            subtables,
-            table_len: AtomicUsize::new(self.table_len.load(Ordering::Relaxed)),
-            var_to_level: self.var_to_level.clone(),
-            level_to_var: self.level_to_var.clone(),
-            roots: self.roots.clone(),
-            free_roots: self.free_roots.clone(),
-            auto_reorder: self.auto_reorder,
-            reorder_threshold: self.reorder_threshold,
-            reorder_threshold_floor: self.reorder_threshold_floor,
-            reorder_window: self.reorder_window,
-            converging_sifting: self.converging_sifting,
-            caches: self.caches.clone(),
-            cache_epoch: AtomicU32::new(self.cache_epoch.load(Ordering::Relaxed)),
-            num_vars: self.num_vars,
-            gc_threshold: self.gc_threshold,
-            node_limit: self.node_limit,
-            cache_max_log2: self.cache_max_log2,
-            misses_at_last_gc: self.misses_at_last_gc,
-            evictions_at_last_gc: self.evictions_at_last_gc,
-            high_eviction_streak: self.high_eviction_streak,
-            unique_resizes: AtomicUsize::new(self.unique_resizes.load(Ordering::Relaxed)),
-            peak_nodes: AtomicUsize::new(self.peak_nodes.load(Ordering::Relaxed)),
-            shards: self.shards.clone(),
-            serial: self.serial,
-            mode: self.mode,
-            reorder_threads: self.reorder_threads,
-        }
-    }
+    pub(crate) exclusive: ExclusiveCounters,
 }
 
 impl Manager {
@@ -622,7 +537,7 @@ impl Manager {
             arena: NodeArena::new(num_vars as u32),
             free: FreeTable::new(num_vars),
             subtables: (0..num_vars).map(|_| SubTable::new()).collect(),
-            table_len: AtomicUsize::new(0),
+            table_len: Cell::new(0),
             var_to_level,
             level_to_var: (0..num_vars as u32).collect(),
             roots: Vec::new(),
@@ -630,7 +545,6 @@ impl Manager {
             auto_reorder: false,
             reorder_threshold: DEFAULT_REORDER_THRESHOLD,
             reorder_threshold_floor: DEFAULT_REORDER_THRESHOLD,
-            reorder_window: usize::MAX,
             converging_sifting: false,
             caches: [
                 DirectCache::new(2), // and
@@ -642,7 +556,7 @@ impl Manager {
                 DirectCache::new(2), // flip
                 DirectCache::new(3), // mux
             ],
-            cache_epoch: AtomicU32::new(1),
+            cache_epoch: 1,
             num_vars: num_vars as u32,
             gc_threshold: 1 << 16,
             node_limit: None,
@@ -650,15 +564,13 @@ impl Manager {
             misses_at_last_gc: 0,
             evictions_at_last_gc: 0,
             high_eviction_streak: 0,
-            unique_resizes: AtomicUsize::new(0),
-            peak_nodes: AtomicUsize::new(0),
-            shards: StatShards::new(),
-            serial: SerialStats {
+            unique_resizes: Cell::new(0),
+            peak_nodes: Cell::new(0),
+            hot: HotCounters::default(),
+            exclusive: ExclusiveCounters {
                 cache_cap_log2: CACHE_DEFAULT_MAX_LOG2,
-                ..SerialStats::default()
+                ..ExclusiveCounters::default()
             },
-            mode: KernelMode::Shared,
-            reorder_threads: 1,
         };
         // Charge the retained footprint the struct literal could not: the
         // fresh subtables' slot arrays and the op-cache word arrays.  (The
@@ -669,55 +581,9 @@ impl Manager {
         mgr
     }
 
-    /// Selects the kernel flavour the apply entry points dispatch to.
-    /// Taking `&mut self` makes the switch an exclusive-phase action: no
-    /// apply recursion can be in flight, so the flavours never interleave
-    /// on one operation.  Callers selecting [`KernelMode::Serial`] promise
-    /// single-threaded use until the mode is switched back.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.mode = mode;
-    }
-
-    /// The currently selected kernel flavour.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Sets how many worker threads [`Manager::reorder`] fans each swap's
-    /// relink batch over (clamped to at least 1).  Orthogonal to the kernel
-    /// mode: the parallel batch always uses the shared `mk` flavour.
-    pub fn set_reorder_threads(&mut self, threads: usize) {
-        self.reorder_threads = threads.max(1);
-    }
-
-    /// The reordering fan-out width.
-    pub fn reorder_threads(&self) -> usize {
-        self.reorder_threads
-    }
-
     /// The number of declared variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars as usize
-    }
-
-    /// Declares `extra` additional variables (appended below the existing
-    /// ones in the order) and returns the index of the first new variable.
-    pub fn add_vars(&mut self, extra: usize) -> usize {
-        let first = self.num_vars as usize;
-        self.num_vars += extra as u32;
-        // The new variables start at the bottom levels; the terminal
-        // sentinel entry moves to the new end of `var_to_level`.
-        self.var_to_level.pop();
-        for i in 0..extra {
-            self.var_to_level.push((first + i) as u32);
-            self.level_to_var.push((first + i) as u32);
-            self.subtables.push(SubTable::new());
-        }
-        self.var_to_level.push(TERMINAL_LEVEL);
-        self.arena.add_vars(extra, self.num_vars);
-        self.free.add_vars(extra);
-        self.arena.mem().add(extra * SubTable::initial_bytes());
-        first
     }
 
     /// The variable currently at `level` (level 0 is the top of the order).
@@ -753,17 +619,23 @@ impl Manager {
     #[inline]
     pub(crate) fn note_peak(&self) {
         self.peak_nodes
-            .fetch_max(self.allocated_nodes(), Ordering::Relaxed);
+            .set(self.peak_nodes.get().max(self.allocated_nodes()));
     }
 
-    /// Operational statistics: a snapshot summed over the thread shards.
+    /// Operational statistics: a snapshot of every counter.
     pub fn stats(&self) -> ManagerStats {
         self.note_peak();
         let (arena_cell_bytes, arena_sidecar_bytes) = self.arena.arena_bytes();
-        let mut stats = ManagerStats {
-            kernel_mode: self.mode,
-            gc_runs: self.serial.gc_runs,
-            peak_nodes: self.peak_nodes.load(Ordering::Relaxed),
+        let hot = &self.hot;
+        let cache = |which: usize| CacheStats {
+            hits: hot.caches[which].hits.get(),
+            misses: hot.caches[which].misses.get(),
+            evictions: hot.caches[which].evictions.get(),
+        };
+        ManagerStats {
+            kernel_mode: KernelMode::Serial,
+            gc_runs: self.exclusive.gc_runs,
+            peak_nodes: self.peak_nodes.get(),
             allocated_nodes: self.allocated_nodes(),
             current_bytes: self.arena.mem().bytes(),
             peak_bytes: self.arena.mem().peak(),
@@ -771,32 +643,29 @@ impl Manager {
             arena_sidecar_bytes,
             subtable_bytes: self.subtables.iter().map(SubTable::slot_bytes).sum(),
             chunks_reclaimed: self.arena.chunks_reclaimed(),
-            unique_resizes: self.unique_resizes.load(Ordering::Relaxed),
-            unique_shards: self.num_vars as usize,
-            cache_cap_log2: self.serial.cache_cap_log2,
-            cache_cap_raises: self.serial.cache_cap_raises,
-            reorders: self.serial.reorders,
-            reorder_swaps: self.serial.reorder_swaps,
-            reorder_last_before: self.serial.reorder_last_before,
-            reorder_last_after: self.serial.reorder_last_after,
-            reorder_micros: self.serial.reorder_micros,
-            reorder_parallel_batches: self.serial.reorder_parallel_batches,
-            ..ManagerStats::default()
-        };
-        for shard in self.shards.iter() {
-            stats.not_ops += shard.not_ops.load(Ordering::Relaxed);
-            stats.complement_flips += shard.complement_flips.load(Ordering::Relaxed);
-            stats.created_nodes += shard.created_nodes.load(Ordering::Relaxed) as usize;
-            stats.unique_cas_retries += shard.unique_cas_retries.load(Ordering::Relaxed);
-            stats.unique_dup_races += shard.unique_dup_races.load(Ordering::Relaxed);
-            stats.cache_write_skips += shard.cache_write_skips.load(Ordering::Relaxed);
-            for (which, totals) in stats.caches_mut().into_iter().enumerate() {
-                totals.hits += shard.caches[which].hits.load(Ordering::Relaxed);
-                totals.misses += shard.caches[which].misses.load(Ordering::Relaxed);
-                totals.evictions += shard.caches[which].evictions.load(Ordering::Relaxed);
-            }
+            created_nodes: hot.created_nodes.get() as usize,
+            unique_resizes: self.unique_resizes.get(),
+            unique_cas_retries: 0,
+            unique_dup_races: 0,
+            cache_write_skips: 0,
+            not_ops: hot.not_ops.get(),
+            complement_flips: hot.complement_flips.get(),
+            cache_cap_log2: self.exclusive.cache_cap_log2,
+            cache_cap_raises: self.exclusive.cache_cap_raises,
+            reorders: self.exclusive.reorders,
+            reorder_swaps: self.exclusive.reorder_swaps,
+            reorder_last_before: self.exclusive.reorder_last_before,
+            reorder_last_after: self.exclusive.reorder_last_after,
+            reorder_micros: self.exclusive.reorder_micros,
+            and_cache: cache(AND),
+            xor_cache: cache(XOR),
+            ite_cache: cache(ITE),
+            cofactor_cache: cache(COFACTOR),
+            xor3_cache: cache(XOR3),
+            maj_cache: cache(MAJ),
+            flip_cache: cache(FLIP),
+            mux_cache: cache(MUX),
         }
-        stats
     }
 
     /// The number of currently allocated (live or garbage, not yet freed)
@@ -804,7 +673,7 @@ impl Manager {
     /// a node is in its variable's subtable from publication until the
     /// exclusive phase frees it.
     pub fn allocated_nodes(&self) -> usize {
-        self.table_len.load(Ordering::Relaxed)
+        self.table_len.get()
     }
 
     /// Sets (or clears) the hard allocated-node budget enforced through
@@ -845,78 +714,20 @@ impl Manager {
         self.arena.mem().limit()
     }
 
-    /// The current cache epoch (relaxed load; changes only in the exclusive
-    /// phase).
+    /// The current cache epoch (changes only in the exclusive phases).
     #[inline]
     fn epoch(&self) -> u32 {
-        self.cache_epoch.load(Ordering::Relaxed)
-    }
-
-    // Flavour-dispatched cache accessors.  The stat shard is *passed in*:
-    // the apply entry points look it up once and thread it through the
-    // recursion, so the thread-local access is paid per apply call, not per
-    // recursive step.
-
-    #[inline]
-    fn cache_probe2<const SERIAL: bool>(
-        &self,
-        which: usize,
-        epoch: u32,
-        key: u64,
-    ) -> Option<NodeId> {
-        if SERIAL {
-            self.caches[which].probe2_serial(epoch, key)
-        } else {
-            self.caches[which].probe2(epoch, key)
-        }
+        self.cache_epoch
     }
 
     #[inline]
-    fn cache_probe3<const SERIAL: bool>(
-        &self,
-        which: usize,
-        epoch: u32,
-        key_fg: u64,
-        key_h: u64,
-    ) -> Option<NodeId> {
-        if SERIAL {
-            self.caches[which].probe3_serial(epoch, key_fg, key_h)
-        } else {
-            self.caches[which].probe3(epoch, key_fg, key_h)
-        }
+    fn cache_store2(&self, which: usize, epoch: u32, key: u64, result: NodeId) {
+        self.caches[which].store2(&self.hot.caches[which], epoch, key, result);
     }
 
     #[inline]
-    fn cache_store2<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        which: usize,
-        epoch: u32,
-        key: u64,
-        result: NodeId,
-    ) {
-        if SERIAL {
-            self.caches[which].store2_serial(&shard.caches[which], epoch, key, result);
-        } else {
-            self.caches[which].store2(&shard.caches[which], shard, epoch, key, result);
-        }
-    }
-
-    #[inline]
-    fn cache_store3<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        which: usize,
-        epoch: u32,
-        key_fg: u64,
-        key_h: u64,
-        result: NodeId,
-    ) {
-        if SERIAL {
-            self.caches[which].store3_serial(&shard.caches[which], epoch, key_fg, key_h, result);
-        } else {
-            self.caches[which].store3(&shard.caches[which], shard, epoch, key_fg, key_h, result);
-        }
+    fn cache_store3(&self, which: usize, epoch: u32, key_fg: u64, key_h: u64, result: NodeId) {
+        self.caches[which].store3(&self.hot.caches[which], epoch, key_fg, key_h, result);
     }
 
     // ----------------------------------------------------------------- //
@@ -1013,7 +824,7 @@ impl Manager {
                 }
             }
         }
-        let table_len = self.table_len.load(Ordering::Relaxed);
+        let table_len = self.table_len.get();
         let slots = self.arena.allocated_slots();
         let free_len = self.free.len();
         if in_table != self.allocated_nodes() || in_table != table_len {
@@ -1150,6 +961,7 @@ impl Manager {
 
     /// Allocates a node id homed under `var`: the variable's free list
     /// first, its active chunk's bump pointer second.
+    #[inline]
     fn alloc_node(&self, var: u32) -> u32 {
         match self.free.pop(var) {
             Some(id) => id,
@@ -1157,213 +969,46 @@ impl Manager {
         }
     }
 
-    /// Serial-flavour allocation: same policy, non-RMW bump.
-    fn alloc_node_serial(&self, var: u32) -> u32 {
-        match self.free.pop(var) {
-            Some(id) => id,
-            None => self.arena.bump_serial(var),
-        }
-    }
-
     /// Hash-consing node constructor (the `MK` operation): finds or creates
     /// the node `(var, low, high)` through `var`'s unique subtable.
     /// Enforces the canonical form — if `low` arrives complemented, both
     /// children are flipped and the returned edge is complemented, so the
-    /// *stored* low edge is always regular.  Safe to call concurrently; see
-    /// [`crate::shard`] for the publication protocol.
+    /// *stored* low edge is always regular.
+    #[inline]
     pub(crate) fn mk(&self, var: u32, low: NodeId, high: NodeId) -> NodeId {
-        let (edge, _created) = self.mk_core(var, low, high);
-        edge
+        self.mk_core(var, low, high).0
     }
 
     /// Like [`Manager::mk`] but for a *level*: labels the node with the
-    /// variable currently at `level` (the flavoured form the apply
-    /// recursions use).
+    /// variable currently at `level` (the form the apply recursions use).
     #[inline]
-    fn mk_level_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        level: u32,
-        low: NodeId,
-        high: NodeId,
-    ) -> NodeId {
-        let var = self.level_to_var[level as usize];
-        self.mk_in::<SERIAL>(shard, var, low, high)
-    }
-
-    /// The flavoured [`Manager::mk`] used inside the apply recursions (the
-    /// stat shard is already hoisted there).
-    #[inline]
-    fn mk_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        var: u32,
-        low: NodeId,
-        high: NodeId,
-    ) -> NodeId {
-        self.mk_core_in::<SERIAL>(shard, var, low, high, || {
-            if SERIAL {
-                self.alloc_node_serial(var)
-            } else {
-                self.alloc_node(var)
-            }
-        })
-        .0
+    fn mk_level(&self, level: u32, low: NodeId, high: NodeId) -> NodeId {
+        self.mk(self.level_to_var[level as usize], low, high)
     }
 
     /// The `mk` workhorse; additionally reports whether a fresh node was
     /// allocated (the reordering swap needs this for its reference counts).
-    /// Dispatches on the manager's [`KernelMode`].
     pub(crate) fn mk_core(&self, var: u32, low: NodeId, high: NodeId) -> (NodeId, bool) {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => {
-                self.mk_core_in::<true>(shard, var, low, high, || self.alloc_node_serial(var))
-            }
-            KernelMode::Shared => {
-                self.mk_core_in::<false>(shard, var, low, high, || self.alloc_node(var))
-            }
-        }
-    }
-
-    /// The shared-flavour `mk` driven through a pre-acquired probe session
-    /// over `var`'s subtable, with a caller-supplied id allocator and every
-    /// per-cons shared-line RMW stripped: no read-guard acquisition, no
-    /// free-list mutex, no subtable length or global `table_len` update
-    /// (the caller batches those from its `created` counts via
-    /// [`SubTable::len_add`](crate::shard::SubTable) and `table_len`).  The
-    /// parallel reordering batch uses this: its worker threads cons
-    /// thousands of nodes into the *same* subtable concurrently, and at
-    /// ~100 ns per cons every shared cache-line RMW serializes the whole
-    /// fan-out.  The caller must have `grow_for`-reserved the batch's
-    /// worst-case insert count first.
-    pub(crate) fn mk_session(
-        &self,
-        prober: &crate::shard::SubTableProber<'_>,
-        var: u32,
-        low: NodeId,
-        high: NodeId,
-        alloc: impl FnOnce() -> u32,
-    ) -> (NodeId, bool) {
-        if low == high {
-            return (low, false);
-        }
-        let shard = self.shards.local();
-        let out_c = low.cmask();
-        if out_c != 0 {
-            crate::shard::bump(&shard.complement_flips);
-        }
-        let low = low.xor_mask(out_c);
-        let high = high.xor_mask(out_c);
-        let children = pack_children(low, high);
-        let (id, created, rollback) = prober.find_or_publish(
-            &self.arena,
-            children,
-            || {
-                let id = alloc();
-                self.arena.write(id, Node { var, low, high });
-                id
-            },
-            shard,
-        );
-        if let Some(speculative) = rollback {
-            // Lost the publication race: the node was never visible, so its
-            // id can be recycled immediately (rare enough that the free-list
-            // mutex is fine here).  `alloc` only hands out ids homed under
-            // `var`, so the push keeps the homing invariant.
-            crate::shard::bump(&shard.unique_dup_races);
-            self.free.push(var, speculative);
-        }
-        if created {
-            crate::shard::bump(&shard.created_nodes);
-        }
-        (NodeId(id ^ out_c), created)
-    }
-
-    fn mk_core_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        var: u32,
-        low: NodeId,
-        high: NodeId,
-        alloc: impl Fn() -> u32,
-    ) -> (NodeId, bool) {
         if low == high {
             return (low, false);
         }
         let out_c = low.cmask();
         if out_c != 0 {
-            crate::shard::bump(&shard.complement_flips);
+            bump(&self.hot.complement_flips);
         }
         let low = low.xor_mask(out_c);
         let high = high.xor_mask(out_c);
-        let children = pack_children(low, high);
         let subtable = &self.subtables[var as usize];
-        let (id, created) = if SERIAL {
-            // Serial flavour: one probe walk, plain store, no speculation.
-            loop {
-                match subtable.find_or_insert_serial(&self.arena, children, || {
-                    let id = alloc();
-                    self.arena.write(id, Node { var, low, high });
-                    id
-                }) {
-                    Some(found) => break found,
-                    None => {
-                        if subtable.grow(&self.arena) {
-                            self.unique_resizes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut speculative: Option<u32> = None;
-            let (id, created, rollback) = loop {
-                match subtable.find_or_publish(
-                    &self.arena,
-                    children,
-                    speculative.take(),
-                    || {
-                        let id = alloc();
-                        self.arena.write(id, Node { var, low, high });
-                        id
-                    },
-                    shard,
-                ) {
-                    crate::shard::Consed::Done {
-                        id,
-                        created,
-                        rollback,
-                    } => break (id, created, rollback),
-                    crate::shard::Consed::TableFull { speculative: spec } => {
-                        // Concurrent inserts filled the table before anyone's
-                        // post-insert growth ran; the probe released its read
-                        // guard, so growing here cannot deadlock.  Keep the
-                        // speculative node for the retry.
-                        speculative = spec;
-                        if subtable.grow(&self.arena) {
-                            self.unique_resizes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            };
-            if let Some(speculative) = rollback {
-                // Lost the publication race: the node was never visible, so
-                // its id can be recycled immediately.
-                crate::shard::bump(&shard.unique_dup_races);
-                self.free.push(var, speculative);
-            }
-            (id, created)
-        };
+        let (id, created) = subtable.find_or_insert(&self.arena, pack_children(low, high), || {
+            let id = self.alloc_node(var);
+            self.arena.write(id, Node { var, low, high });
+            id
+        });
         if created {
-            crate::shard::bump(&shard.created_nodes);
-            if SERIAL {
-                let len = self.table_len.load(Ordering::Relaxed);
-                self.table_len.store(len + 1, Ordering::Relaxed);
-            } else {
-                self.table_len.fetch_add(1, Ordering::Relaxed);
-            }
-            if subtable.overloaded() && subtable.grow(&self.arena) {
-                self.unique_resizes.fetch_add(1, Ordering::Relaxed);
+            bump(&self.hot.created_nodes);
+            self.table_len.set(self.table_len.get() + 1);
+            if subtable.grow(&self.arena) {
+                self.unique_resizes.set(self.unique_resizes.get() + 1);
             }
         }
         (NodeId(id ^ out_c), created)
@@ -1385,7 +1030,7 @@ impl Manager {
             self.subtables[node.var as usize].insert_exclusive(&self.arena, children, id);
         }
         self.free.replace_all(free);
-        self.table_len.store(live.len(), Ordering::Relaxed);
+        self.table_len.set(live.len());
     }
 
     // ----------------------------------------------------------------- //
@@ -1418,21 +1063,13 @@ impl Manager {
     /// Logical negation: with complement edges this is a single bit flip —
     /// no recursion, no cache lookup, no allocation.
     pub fn not(&self, f: NodeId) -> NodeId {
-        crate::shard::bump(&self.shards.local().not_ops);
+        bump(&self.hot.not_ops);
         f.complement()
     }
 
     /// Logical conjunction (dedicated apply recursion; complement bits are
     /// part of the cache key because they do not fold out of AND).
     pub fn and(&self, f: NodeId, g: NodeId) -> NodeId {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.and_in::<true>(shard, f, g),
-            KernelMode::Shared => self.and_in::<false>(shard, f, g),
-        }
-    }
-
-    fn and_in<const SERIAL: bool>(&self, shard: &StatShard, f: NodeId, g: NodeId) -> NodeId {
         if f == g {
             return f;
         }
@@ -1453,19 +1090,19 @@ impl Manager {
         let (a, b) = if f.0 < g.0 { (f, g) } else { (g, f) };
         let key = ((a.0 as u64) << 32) | b.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe2::<SERIAL>(AND, epoch, key) {
-            crate::shard::bump(&shard.caches[AND].hits);
+        if let Some(result) = self.caches[AND].probe2(epoch, key) {
+            bump(&self.hot.caches[AND].hits);
             return result;
         }
-        crate::shard::bump(&shard.caches[AND].misses);
+        bump(&self.hot.caches[AND].misses);
         let (la, lb) = (self.level(a), self.level(b));
         let top = la.min(lb);
         let (a0, a1) = self.split_at(a, la, top);
         let (b0, b1) = self.split_at(b, lb, top);
-        let low = self.and_in::<SERIAL>(shard, a0, b0);
-        let high = self.and_in::<SERIAL>(shard, a1, b1);
-        let result = self.mk_level_in::<SERIAL>(shard, top, low, high);
-        self.cache_store2::<SERIAL>(shard, AND, epoch, key, result);
+        let low = self.and(a0, b0);
+        let high = self.and(a1, b1);
+        let result = self.mk_level(top, low, high);
+        self.cache_store2(AND, epoch, key, result);
         result
     }
 
@@ -1476,24 +1113,10 @@ impl Manager {
         self.and(f.complement(), g.complement()).complement()
     }
 
-    #[inline]
-    fn or_in<const SERIAL: bool>(&self, shard: &StatShard, f: NodeId, g: NodeId) -> NodeId {
-        self.and_in::<SERIAL>(shard, f.complement(), g.complement())
-            .complement()
-    }
-
     /// Exclusive or (dedicated apply recursion).  Complement parity folds
     /// out entirely — `¬f ⊕ g = ¬(f ⊕ g)` — so the cache is probed with
     /// regular operands and one entry serves XOR and XNOR of both phases.
     pub fn xor(&self, f: NodeId, g: NodeId) -> NodeId {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.xor_in::<true>(shard, f, g),
-            KernelMode::Shared => self.xor_in::<false>(shard, f, g),
-        }
-    }
-
-    fn xor_in<const SERIAL: bool>(&self, shard: &StatShard, f: NodeId, g: NodeId) -> NodeId {
         let parity = (f.0 ^ g.0) & COMPLEMENT;
         let (a, b) = (f.regular(), g.regular());
         if a == b {
@@ -1513,19 +1136,19 @@ impl Manager {
         let (a, b) = if a.0 < b.0 { (a, b) } else { (b, a) };
         let key = ((a.0 as u64) << 32) | b.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe2::<SERIAL>(XOR, epoch, key) {
-            crate::shard::bump(&shard.caches[XOR].hits);
+        if let Some(result) = self.caches[XOR].probe2(epoch, key) {
+            bump(&self.hot.caches[XOR].hits);
             return result.xor_mask(parity);
         }
-        crate::shard::bump(&shard.caches[XOR].misses);
+        bump(&self.hot.caches[XOR].misses);
         let (la, lb) = (self.level(a), self.level(b));
         let top = la.min(lb);
         let (a0, a1) = self.split_at(a, la, top);
         let (b0, b1) = self.split_at(b, lb, top);
-        let low = self.xor_in::<SERIAL>(shard, a0, b0);
-        let high = self.xor_in::<SERIAL>(shard, a1, b1);
-        let result = self.mk_level_in::<SERIAL>(shard, top, low, high);
-        self.cache_store2::<SERIAL>(shard, XOR, epoch, key, result);
+        let low = self.xor(a0, b0);
+        let high = self.xor(a1, b1);
+        let result = self.mk_level(top, low, high);
+        self.cache_store2(XOR, epoch, key, result);
         result.xor_mask(parity)
     }
 
@@ -1537,20 +1160,6 @@ impl Manager {
     /// regular edges (`ite(¬f, g, h) = ite(f, h, g)` and
     /// `ite(f, ¬g, ¬h) = ¬ite(f, g, h)`).
     pub fn ite(&self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.ite_in::<true>(shard, f, g, h),
-            KernelMode::Shared => self.ite_in::<false>(shard, f, g, h),
-        }
-    }
-
-    fn ite_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-    ) -> NodeId {
         if f.is_true() {
             return g;
         }
@@ -1569,37 +1178,37 @@ impl Manager {
         if g.0 ^ h.0 == COMPLEMENT {
             // ite(f, g, ¬g) = ¬(f ⊕ g): the XNOR terminal case folds into
             // the XOR recursion via the complement bit.
-            return self.xor_in::<SERIAL>(shard, f, g).complement();
+            return self.xor(f, g).complement();
         }
         // Two-operand shapes: reuse the specialised recursions.
         if g.is_true() {
             if h.is_false() {
                 return f;
             }
-            return self.or_in::<SERIAL>(shard, f, h);
+            return self.or(f, h);
         }
         if g.is_false() {
             if h.is_true() {
                 return f.complement();
             }
-            return self.and_in::<SERIAL>(shard, f.complement(), h);
+            return self.and(f.complement(), h);
         }
         if h.is_false() || f == h {
-            return self.and_in::<SERIAL>(shard, f, g);
+            return self.and(f, g);
         }
         if f == g {
-            return self.or_in::<SERIAL>(shard, f, h);
+            return self.or(f, h);
         }
         if h.is_true() {
-            return self.or_in::<SERIAL>(shard, f.complement(), g);
+            return self.or(f.complement(), g);
         }
         if f.0 ^ g.0 == COMPLEMENT {
             // g = ¬f: ite(f, ¬f, h) = ¬f ∧ h.
-            return self.and_in::<SERIAL>(shard, f.complement(), h);
+            return self.and(f.complement(), h);
         }
         if f.0 ^ h.0 == COMPLEMENT {
             // h = ¬f: ite(f, g, ¬f) = ¬f ∨ g.
-            return self.or_in::<SERIAL>(shard, f.complement(), g);
+            return self.or(f.complement(), g);
         }
         // Then-branch normalisation: regular g, so ite(f, g, h) and
         // ¬ite(f, ¬g, ¬h) probe the same cache line.
@@ -1608,20 +1217,20 @@ impl Manager {
         let key_fg = ((f.0 as u64) << 32) | g.0 as u64;
         let key_h = h.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe3::<SERIAL>(ITE, epoch, key_fg, key_h) {
-            crate::shard::bump(&shard.caches[ITE].hits);
+        if let Some(result) = self.caches[ITE].probe3(epoch, key_fg, key_h) {
+            bump(&self.hot.caches[ITE].hits);
             return result.xor_mask(out_c);
         }
-        crate::shard::bump(&shard.caches[ITE].misses);
+        bump(&self.hot.caches[ITE].misses);
         let (lf, lg, lh) = (self.level(f), self.level(g), self.level(h));
         let top = lf.min(lg).min(lh);
         let (f0, f1) = self.split_at(f, lf, top);
         let (g0, g1) = self.split_at(g, lg, top);
         let (h0, h1) = self.split_at(h, lh, top);
-        let low = self.ite_in::<SERIAL>(shard, f0, g0, h0);
-        let high = self.ite_in::<SERIAL>(shard, f1, g1, h1);
-        let result = self.mk_level_in::<SERIAL>(shard, top, low, high);
-        self.cache_store3::<SERIAL>(shard, ITE, epoch, key_fg, key_h, result);
+        let low = self.ite(f0, g0, h0);
+        let high = self.ite(f1, g1, h1);
+        let result = self.mk_level(top, low, high);
+        self.cache_store3(ITE, epoch, key_fg, key_h, result);
         result.xor_mask(out_c)
     }
 
@@ -1630,20 +1239,6 @@ impl Manager {
     /// Complement parity folds out of all three operands at once, so the
     /// cache is keyed on regular edges only.
     pub fn xor3(&self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.xor3_in::<true>(shard, f, g, h),
-            KernelMode::Shared => self.xor3_in::<false>(shard, f, g, h),
-        }
-    }
-
-    fn xor3_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-    ) -> NodeId {
         let parity = (f.0 ^ g.0 ^ h.0) & COMPLEMENT;
         // Fully commutative: sort the regular edges into canonical order.
         let (mut a, mut b, mut c) = (f.regular(), g.regular(), h.regular());
@@ -1667,28 +1262,25 @@ impl Manager {
         // The only regular terminal is `true`, and it sorts first:
         // true ⊕ b ⊕ c = ¬(b ⊕ c).
         if a.is_terminal() {
-            return self
-                .xor_in::<SERIAL>(shard, b, c)
-                .complement()
-                .xor_mask(parity);
+            return self.xor(b, c).complement().xor_mask(parity);
         }
         let key_ab = ((a.0 as u64) << 32) | b.0 as u64;
         let key_c = c.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe3::<SERIAL>(XOR3, epoch, key_ab, key_c) {
-            crate::shard::bump(&shard.caches[XOR3].hits);
+        if let Some(result) = self.caches[XOR3].probe3(epoch, key_ab, key_c) {
+            bump(&self.hot.caches[XOR3].hits);
             return result.xor_mask(parity);
         }
-        crate::shard::bump(&shard.caches[XOR3].misses);
+        bump(&self.hot.caches[XOR3].misses);
         let (la, lb, lc) = (self.level(a), self.level(b), self.level(c));
         let top = la.min(lb).min(lc);
         let (a0, a1) = self.split_at(a, la, top);
         let (b0, b1) = self.split_at(b, lb, top);
         let (c0, c1) = self.split_at(c, lc, top);
-        let low = self.xor3_in::<SERIAL>(shard, a0, b0, c0);
-        let high = self.xor3_in::<SERIAL>(shard, a1, b1, c1);
-        let result = self.mk_level_in::<SERIAL>(shard, top, low, high);
-        self.cache_store3::<SERIAL>(shard, XOR3, epoch, key_ab, key_c, result);
+        let low = self.xor3(a0, b0, c0);
+        let high = self.xor3(a1, b1, c1);
+        let result = self.mk_level(top, low, high);
+        self.cache_store3(XOR3, epoch, key_ab, key_c, result);
         result.xor_mask(parity)
     }
 
@@ -1698,20 +1290,6 @@ impl Manager {
     /// (`maj(¬f, ¬g, ¬h) = ¬maj(f, g, h)`), which normalises every call to
     /// at most one complemented operand before the cache is probed.
     pub fn maj(&self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.maj_in::<true>(shard, f, g, h),
-            KernelMode::Shared => self.maj_in::<false>(shard, f, g, h),
-        }
-    }
-
-    fn maj_in<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-    ) -> NodeId {
         // A duplicated operand wins the vote; an operand voting against its
         // own complement leaves the third the deciding vote.
         if f == g || f == h {
@@ -1732,23 +1310,23 @@ impl Manager {
         // A constant vote reduces to OR (true) or AND (false).
         if f.is_terminal() {
             return if f.is_true() {
-                self.or_in::<SERIAL>(shard, g, h)
+                self.or(g, h)
             } else {
-                self.and_in::<SERIAL>(shard, g, h)
+                self.and(g, h)
             };
         }
         if g.is_terminal() {
             return if g.is_true() {
-                self.or_in::<SERIAL>(shard, f, h)
+                self.or(f, h)
             } else {
-                self.and_in::<SERIAL>(shard, f, h)
+                self.and(f, h)
             };
         }
         if h.is_terminal() {
             return if h.is_true() {
-                self.or_in::<SERIAL>(shard, f, g)
+                self.or(f, g)
             } else {
-                self.and_in::<SERIAL>(shard, f, g)
+                self.and(f, g)
             };
         }
         // Self-duality: flip all three when two or more are complemented,
@@ -1770,20 +1348,20 @@ impl Manager {
         let key_ab = ((a.0 as u64) << 32) | b.0 as u64;
         let key_c = c.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe3::<SERIAL>(MAJ, epoch, key_ab, key_c) {
-            crate::shard::bump(&shard.caches[MAJ].hits);
+        if let Some(result) = self.caches[MAJ].probe3(epoch, key_ab, key_c) {
+            bump(&self.hot.caches[MAJ].hits);
             return result.xor_mask(out_c);
         }
-        crate::shard::bump(&shard.caches[MAJ].misses);
+        bump(&self.hot.caches[MAJ].misses);
         let (la, lb, lc) = (self.level(a), self.level(b), self.level(c));
         let top = la.min(lb).min(lc);
         let (a0, a1) = self.split_at(a, la, top);
         let (b0, b1) = self.split_at(b, lb, top);
         let (c0, c1) = self.split_at(c, lc, top);
-        let low = self.maj_in::<SERIAL>(shard, a0, b0, c0);
-        let high = self.maj_in::<SERIAL>(shard, a1, b1, c1);
-        let result = self.mk_level_in::<SERIAL>(shard, top, low, high);
-        self.cache_store3::<SERIAL>(shard, MAJ, epoch, key_ab, key_c, result);
+        let low = self.maj(a0, b0, c0);
+        let high = self.maj(a1, b1, c1);
+        let result = self.mk_level(top, low, high);
+        self.cache_store3(MAJ, epoch, key_ab, key_c, result);
         result.xor_mask(out_c)
     }
 
@@ -1793,20 +1371,10 @@ impl Manager {
     /// complementation, so the cache is keyed on the regular edge.
     pub fn flip_var(&self, f: NodeId, var: usize) -> NodeId {
         let vlevel = self.var_to_level[var];
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.flip_var_rec::<true>(shard, f, var as u32, vlevel),
-            KernelMode::Shared => self.flip_var_rec::<false>(shard, f, var as u32, vlevel),
-        }
+        self.flip_var_rec(f, var as u32, vlevel)
     }
 
-    fn flip_var_rec<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        f: NodeId,
-        var: u32,
-        vlevel: u32,
-    ) -> NodeId {
+    fn flip_var_rec(&self, f: NodeId, var: u32, vlevel: u32) -> NodeId {
         let out_c = f.cmask();
         let fr = f.xor_mask(out_c);
         if fr.is_terminal() || self.level(fr) > vlevel {
@@ -1814,21 +1382,21 @@ impl Manager {
         }
         if self.var_of(fr) == var {
             let (low, high) = (self.raw_low(fr), self.raw_high(fr));
-            return self.mk_in::<SERIAL>(shard, var, high, low).xor_mask(out_c);
+            return self.mk(var, high, low).xor_mask(out_c);
         }
         let key = ((fr.0 as u64) << 32) | var as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe2::<SERIAL>(FLIP, epoch, key) {
-            crate::shard::bump(&shard.caches[FLIP].hits);
+        if let Some(result) = self.caches[FLIP].probe2(epoch, key) {
+            bump(&self.hot.caches[FLIP].hits);
             return result.xor_mask(out_c);
         }
-        crate::shard::bump(&shard.caches[FLIP].misses);
+        bump(&self.hot.caches[FLIP].misses);
         let top_var = self.var_of(fr);
         let (f0, f1) = (self.raw_low(fr), self.raw_high(fr));
-        let low = self.flip_var_rec::<SERIAL>(shard, f0, var, vlevel);
-        let high = self.flip_var_rec::<SERIAL>(shard, f1, var, vlevel);
-        let result = self.mk_in::<SERIAL>(shard, top_var, low, high);
-        self.cache_store2::<SERIAL>(shard, FLIP, epoch, key, result);
+        let low = self.flip_var_rec(f0, var, vlevel);
+        let high = self.flip_var_rec(f1, var, vlevel);
+        let result = self.mk(top_var, low, high);
+        self.cache_store2(FLIP, epoch, key, result);
         result.xor_mask(out_c)
     }
 
@@ -1838,21 +1406,10 @@ impl Manager {
     /// (`mux(v, ¬g, ¬h) = ¬mux(v, g, h)`).
     pub fn mux_var(&self, var: usize, g: NodeId, h: NodeId) -> NodeId {
         let vlevel = self.var_to_level[var];
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.mux_var_rec::<true>(shard, var as u32, vlevel, g, h),
-            KernelMode::Shared => self.mux_var_rec::<false>(shard, var as u32, vlevel, g, h),
-        }
+        self.mux_var_rec(var as u32, vlevel, g, h)
     }
 
-    fn mux_var_rec<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        var: u32,
-        vlevel: u32,
-        g: NodeId,
-        h: NodeId,
-    ) -> NodeId {
+    fn mux_var_rec(&self, var: u32, vlevel: u32, g: NodeId, h: NodeId) -> NodeId {
         if g == h {
             return g;
         }
@@ -1861,16 +1418,16 @@ impl Manager {
         let top = self.level(g).min(self.level(h));
         if top > vlevel {
             // Neither operand depends on variables at or above `var`'s level.
-            return self.mk_in::<SERIAL>(shard, var, h, g).xor_mask(out_c);
+            return self.mk(var, h, g).xor_mask(out_c);
         }
         let key_gh = ((g.0 as u64) << 32) | h.0 as u64;
         let key_var = var as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe3::<SERIAL>(MUX, epoch, key_gh, key_var) {
-            crate::shard::bump(&shard.caches[MUX].hits);
+        if let Some(result) = self.caches[MUX].probe3(epoch, key_gh, key_var) {
+            bump(&self.hot.caches[MUX].hits);
             return result.xor_mask(out_c);
         }
-        crate::shard::bump(&shard.caches[MUX].misses);
+        bump(&self.hot.caches[MUX].misses);
         let result = if top == vlevel {
             // At the multiplexer level: low output comes from h, high from g.
             let low = if self.level(h) == vlevel {
@@ -1883,15 +1440,15 @@ impl Manager {
             } else {
                 g
             };
-            self.mk_in::<SERIAL>(shard, var, low, high)
+            self.mk(var, low, high)
         } else {
             let (g0, g1) = self.split(g, top);
             let (h0, h1) = self.split(h, top);
-            let low = self.mux_var_rec::<SERIAL>(shard, var, vlevel, g0, h0);
-            let high = self.mux_var_rec::<SERIAL>(shard, var, vlevel, g1, h1);
-            self.mk_level_in::<SERIAL>(shard, top, low, high)
+            let low = self.mux_var_rec(var, vlevel, g0, h0);
+            let high = self.mux_var_rec(var, vlevel, g1, h1);
+            self.mk_level(top, low, high)
         };
-        self.cache_store3::<SERIAL>(shard, MUX, epoch, key_gh, key_var, result);
+        self.cache_store3(MUX, epoch, key_gh, key_var, result);
         result.xor_mask(out_c)
     }
 
@@ -1941,21 +1498,10 @@ impl Manager {
     /// complementation, so the cache is keyed on the regular edge.
     pub fn cofactor(&self, f: NodeId, var: usize, value: bool) -> NodeId {
         let vlevel = self.var_to_level[var];
-        let shard = self.shards.local();
-        match self.mode {
-            KernelMode::Serial => self.cofactor_rec::<true>(shard, f, var as u32, vlevel, value),
-            KernelMode::Shared => self.cofactor_rec::<false>(shard, f, var as u32, vlevel, value),
-        }
+        self.cofactor_rec(f, var as u32, vlevel, value)
     }
 
-    fn cofactor_rec<const SERIAL: bool>(
-        &self,
-        shard: &StatShard,
-        f: NodeId,
-        var: u32,
-        vlevel: u32,
-        value: bool,
-    ) -> NodeId {
+    fn cofactor_rec(&self, f: NodeId, var: u32, vlevel: u32, value: bool) -> NodeId {
         let out_c = f.cmask();
         let fr = f.xor_mask(out_c);
         if fr.is_terminal() || self.level(fr) > vlevel {
@@ -1968,17 +1514,17 @@ impl Manager {
         let var_value = var | (value as u32) << 31;
         let key = ((fr.0 as u64) << 32) | var_value as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.cache_probe2::<SERIAL>(COFACTOR, epoch, key) {
-            crate::shard::bump(&shard.caches[COFACTOR].hits);
+        if let Some(result) = self.caches[COFACTOR].probe2(epoch, key) {
+            bump(&self.hot.caches[COFACTOR].hits);
             return result.xor_mask(out_c);
         }
-        crate::shard::bump(&shard.caches[COFACTOR].misses);
+        bump(&self.hot.caches[COFACTOR].misses);
         let top_var = self.var_of(fr);
         let (f0, f1) = (self.raw_low(fr), self.raw_high(fr));
-        let low = self.cofactor_rec::<SERIAL>(shard, f0, var, vlevel, value);
-        let high = self.cofactor_rec::<SERIAL>(shard, f1, var, vlevel, value);
-        let result = self.mk_in::<SERIAL>(shard, top_var, low, high);
-        self.cache_store2::<SERIAL>(shard, COFACTOR, epoch, key, result);
+        let low = self.cofactor_rec(f0, var, vlevel, value);
+        let high = self.cofactor_rec(f1, var, vlevel, value);
+        let result = self.mk(top_var, low, high);
+        self.cache_store2(COFACTOR, epoch, key, result);
         result.xor_mask(out_c)
     }
 
@@ -2156,8 +1702,8 @@ impl Manager {
         }
         if self.high_eviction_streak >= 2 && self.cache_max_log2 < CACHE_HARD_MAX_LOG2 {
             self.cache_max_log2 += 1;
-            self.serial.cache_cap_log2 = self.cache_max_log2;
-            self.serial.cache_cap_raises += 1;
+            self.exclusive.cache_cap_log2 = self.cache_max_log2;
+            self.exclusive.cache_cap_raises += 1;
             let cap = self.cache_max_log2;
             for cache in self.caches.iter_mut() {
                 cache.raise_cap(cap);
@@ -2168,7 +1714,7 @@ impl Manager {
 
     /// Applies deferred operation-cache growth: any cache whose miss budget
     /// ran out since the last exclusive phase doubles now (up to its cap).
-    /// The shared phase never reallocates a cache; the simulator calls this
+    /// Apply operations never reallocate a cache; the simulator calls this
     /// at gate boundaries (it is also folded into GC and reordering).
     pub fn maybe_grow_caches(&mut self) {
         for cache in self.caches.iter_mut() {
@@ -2220,7 +1766,7 @@ impl Manager {
         self.tune_cache_cap(interval_stores, interval_evictions);
         self.maybe_grow_caches();
         self.invalidate_caches();
-        self.serial.gc_runs += 1;
+        self.exclusive.gc_runs += 1;
         // Grow the threshold if little garbage was reclaimed, so we do not
         // thrash on workloads whose live set keeps growing.
         if freed * 4 < self.allocated_nodes() {
@@ -2241,13 +1787,12 @@ impl Manager {
     /// dead nodes whose ids may be recycled, which would otherwise leave
     /// the caches pointing at different functions).
     pub(crate) fn invalidate_caches(&mut self) {
-        let epoch = self.cache_epoch.get_mut();
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
+        self.cache_epoch = self.cache_epoch.wrapping_add(1);
+        if self.cache_epoch == 0 {
             for cache in self.caches.iter_mut() {
                 cache.reset();
             }
-            *epoch = 1;
+            self.cache_epoch = 1;
         }
     }
 
@@ -2272,15 +1817,6 @@ impl Manager {
     pub fn set_reorder_threshold(&mut self, threshold: usize) {
         self.reorder_threshold = threshold;
         self.reorder_threshold_floor = threshold;
-    }
-
-    /// Restricts sifting to the top `levels` levels of the order: variables
-    /// below the window never move, and windowed variables never sink out
-    /// of it.  The simulator uses this to pin measurement-encoding
-    /// variables underneath the qubit block, the ordering requirement of
-    /// the paper's monolithic measurement traversal.
-    pub fn set_reorder_window(&mut self, levels: usize) {
-        self.reorder_window = levels;
     }
 
     /// Enables converging sifting: [`Manager::reorder`] repeats whole
@@ -2314,7 +1850,7 @@ impl Manager {
     /// The total number of live unique-table entries.
     #[inline]
     pub(crate) fn live_table_len(&self) -> usize {
-        self.table_len.load(Ordering::Relaxed)
+        self.table_len.get()
     }
 
     pub(crate) fn table_len_add(&mut self, delta: isize) {
@@ -2693,16 +2229,6 @@ mod tests {
     }
 
     #[test]
-    fn add_vars_extends_the_order() {
-        let mut mgr = Manager::new(2);
-        let first_new = mgr.add_vars(3);
-        assert_eq!(first_new, 2);
-        assert_eq!(mgr.num_vars(), 5);
-        let v4 = mgr.var(4);
-        assert!(mgr.eval(v4, &[false, false, false, false, true]));
-    }
-
-    #[test]
     fn exists_quantification() {
         let mgr = Manager::new(2);
         let x = mgr.var(0);
@@ -2861,54 +2387,5 @@ mod tests {
         let stats = mgr.stats();
         let total = stats.total_cache();
         assert!(total.hits + total.misses > 0);
-    }
-
-    #[test]
-    fn shared_apply_from_scoped_threads_is_canonical() {
-        // The concurrency smoke test at unit scale: several threads build
-        // overlapping formula populations through one shared `&Manager`;
-        // afterwards every function must be canonical (rebuilding it
-        // serially finds the identical edge without allocating) and the
-        // structure must pass the exhaustive integrity check.
-        let mgr = Manager::new(10);
-        let results: Vec<Vec<NodeId>> = std::thread::scope(|scope| {
-            let mgr = &mgr;
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for i in 0..10 {
-                            for j in 0..10 {
-                                let x = mgr.var(i);
-                                let y = mgr.var((j + t) % 10);
-                                let a = mgr.and(x, y);
-                                let b = mgr.xor(a, x);
-                                out.push(mgr.or(b, y));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        mgr.check_integrity()
-            .expect("integrity after parallel build");
-        let created = mgr.stats().created_nodes;
-        for (t, formulas) in results.iter().enumerate() {
-            for (k, &f) in formulas.iter().enumerate() {
-                let (i, j) = (k / 10, (k % 10 + t) % 10);
-                let x = mgr.var(i);
-                let y = mgr.var(j);
-                let a = mgr.and(x, y);
-                let b = mgr.xor(a, x);
-                assert_eq!(mgr.or(b, y), f, "thread {t} formula {k} is canonical");
-            }
-        }
-        assert_eq!(
-            mgr.stats().created_nodes,
-            created,
-            "serial rebuild allocates nothing new"
-        );
     }
 }

@@ -1,251 +1,15 @@
-//! A small persistent worker pool for the per-gate slice fan-out.
+//! The default width of session-level parallelism.
 //!
-//! The simulator applies `4·r` independent slice updates per gate; spawning
-//! OS threads per gate would dominate the gate cost, so a pool of parked
-//! workers is kept alive and woken per batch.  Tasks are claimed through an
-//! atomic index — the same dynamic work-claiming pattern as the benchmark
-//! sweep fan-out in `sliq-bench` (`crates/bench/src/parallel.rs`) — so an
-//! expensive task never serialises the cheap ones behind it.  The calling
-//! thread participates in the batch too: a pool of `n` threads consists of
-//! `n − 1` workers plus the caller.
-//!
-//! [`WorkerPool::run`] borrows the job closure for the duration of the
-//! call: the closure pointer is type-erased to a raw pointer for the
-//! workers, which is sound because `run` does not return until every task
-//! completed and no worker dereferences the pointer after claiming an
-//! out-of-range index.  A panicking task is caught in the worker, the batch
-//! is drained, and the panic is re-raised on the caller.
-//!
-//! Thread count policy: [`default_threads`] reads `SLIQ_THREADS` and falls
-//! back to `std::thread::available_parallelism`, and [`global`] hands out
-//! process-wide shared pools keyed by thread count so many simulator states
-//! (or benchmark cases) never multiply workers.
+//! A [`crate::Manager`] has a single owner, so the kernel itself never
+//! fans out.  Parallelism comes from independent sessions running side by
+//! side, and [`default_threads`] is how many of them a front-end runs at
+//! once by default (the `sliq-serve` worker count).  It lives here because
+//! the repository benchmark (`sliqbench/`) reads it under this path; the
+//! next change to the benchmark can move it next to the server.
 
-#![allow(unsafe_code)]
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-
-/// One published batch: the type-erased task closure plus its claim and
-/// completion counters.
-#[derive(Clone)]
-struct Job {
-    /// The task closure, valid until `remaining` reaches zero (enforced by
-    /// [`WorkerPool::run`] blocking until then).
-    func: *const (dyn Fn(usize) + Sync),
-    tasks: usize,
-    /// Next unclaimed task index (may exceed `tasks`).
-    next: Arc<AtomicUsize>,
-    /// Tasks not yet completed; the batch is done at zero.
-    remaining: Arc<AtomicUsize>,
-    /// Set when any task panicked; re-raised by the caller.
-    panicked: Arc<AtomicBool>,
-}
-
-// SAFETY: the closure behind `func` is `Sync` (shared across threads) and
-// outlives the job (see `WorkerPool::run`); the pointer itself is only a
-// capability to call it.
-unsafe impl Send for Job {}
-
-struct State {
-    generation: u64,
-    job: Option<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    work_ready: Condvar,
-    batch_done: Condvar,
-}
-
-/// A pool of parked worker threads executing indexed task batches.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    threads: usize,
-    /// Serialises whole batches: pools are shared process-wide (see
-    /// [`global`]), and two concurrent [`WorkerPool::run`] calls would
-    /// otherwise overwrite each other's published job — still correct (the
-    /// caller claims its own tasks) but silently serial.  Held for the
-    /// duration of a batch; consequently a task must never call back into
-    /// `run` on the same pool.
-    batch: Mutex<()>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// A pool that runs batches on `threads` threads total: `threads − 1`
-    /// parked workers plus the calling thread.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                generation: 0,
-                job: None,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-        });
-        let handles = (0..threads - 1)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Self {
-            shared,
-            handles,
-            threads,
-            batch: Mutex::new(()),
-        }
-    }
-
-    /// Total threads a batch runs on (workers + caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f(0..tasks)` across the pool, returning when every index has
-    /// been processed.  The caller participates, so a 1-thread pool is a
-    /// plain loop.  Concurrent `run` calls from different threads queue up
-    /// on the batch lock (each then gets the workers to itself); a task
-    /// must not call back into `run` on the same pool.  Panics if any task
-    /// panicked.
-    pub fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        if self.threads == 1 || tasks == 1 {
-            for index in 0..tasks {
-                f(index);
-            }
-            return;
-        }
-        // The batch lock guards no data (it only serialises whole batches),
-        // so a poisoned lock — a prior batch re-raised a task panic while
-        // holding it — is safe to recover.
-        let _batch = self
-            .batch
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // SAFETY: pure lifetime erasure — `run` blocks until `remaining`
-        // reaches zero, after which no worker dereferences the pointer (an
-        // out-of-range claim returns before touching it).
-        let func = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        } as *const (dyn Fn(usize) + Sync);
-        let job = Job {
-            func,
-            tasks,
-            next: Arc::new(AtomicUsize::new(0)),
-            remaining: Arc::new(AtomicUsize::new(tasks)),
-            panicked: Arc::new(AtomicBool::new(false)),
-        };
-        {
-            let mut state = self.shared.state.lock().expect("pool state");
-            state.generation += 1;
-            state.job = Some(job.clone());
-        }
-        self.shared.work_ready.notify_all();
-        // The caller is one of the workers for this batch.
-        run_tasks(&self.shared, &job);
-        let mut state = self.shared.state.lock().expect("pool state");
-        while job.remaining.load(Ordering::Acquire) > 0 {
-            state = self.shared.batch_done.wait(state).expect("pool state");
-        }
-        state.job = None;
-        drop(state);
-        if job.panicked.load(Ordering::Relaxed) {
-            panic!("a worker-pool task panicked");
-        }
-    }
-
-    /// Maps `f` over `0..tasks` in parallel, collecting the results in
-    /// index order.
-    pub fn map<T: Send + Sync>(&self, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let cells: Vec<OnceLock<T>> = (0..tasks).map(|_| OnceLock::new()).collect();
-        self.run(tasks, &|index| {
-            let _ = cells[index].set(f(index));
-        });
-        cells
-            .into_iter()
-            .map(|cell| cell.into_inner().expect("every task completed"))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool state");
-            state.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut seen_generation = 0u64;
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool state");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.generation != seen_generation {
-                    if let Some(job) = state.job.clone() {
-                        seen_generation = state.generation;
-                        break job;
-                    }
-                }
-                state = shared.work_ready.wait(state).expect("pool state");
-            }
-        };
-        run_tasks(shared, &job);
-    }
-}
-
-/// Claims and runs tasks until the batch's index counter is exhausted.
-fn run_tasks(shared: &Shared, job: &Job) {
-    loop {
-        let index = job.next.fetch_add(1, Ordering::Relaxed);
-        if index >= job.tasks {
-            return;
-        }
-        // SAFETY: `WorkerPool::run` keeps the closure alive until
-        // `remaining` hits zero, which cannot happen before this task's
-        // decrement below.
-        let func = unsafe { &*job.func };
-        if catch_unwind(AssertUnwindSafe(|| func(index))).is_err() {
-            job.panicked.store(true, Ordering::Relaxed);
-        }
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last task: wake the caller (lock ordering prevents a lost
-            // wakeup between its check and its wait).
-            let _state = shared.state.lock().expect("pool state");
-            shared.batch_done.notify_all();
-        }
-    }
-}
-
-/// The default fan-out width: the `SLIQ_THREADS` environment variable when
-/// set to a positive integer, otherwise the machine's available
-/// parallelism.
+/// The default number of side-by-side sessions: the `SLIQ_THREADS`
+/// environment variable when set to a positive integer, otherwise the
+/// machine's available parallelism.
 pub fn default_threads() -> usize {
     if let Ok(value) = std::env::var("SLIQ_THREADS") {
         if let Ok(parsed) = value.trim().parse::<usize>() {
@@ -259,105 +23,10 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Process-wide shared pools, one per thread count: simulator states and
-/// benchmark cases reuse workers instead of multiplying them.
-pub fn global(threads: usize) -> Arc<WorkerPool> {
-    type PoolRegistry = Mutex<Vec<(usize, Arc<WorkerPool>)>>;
-    static POOLS: OnceLock<PoolRegistry> = OnceLock::new();
-    let threads = threads.max(1);
-    let pools = POOLS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pools = pools.lock().expect("pool registry");
-    if let Some((_, pool)) = pools.iter().find(|(count, _)| *count == threads) {
-        return Arc::clone(pool);
-    }
-    let pool = Arc::new(WorkerPool::new(threads));
-    pools.push((threads, Arc::clone(&pool)));
-    pool
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
-    fn map_returns_results_in_index_order() {
-        let pool = WorkerPool::new(4);
-        let squares = pool.map(100, |i| i * i);
-        assert_eq!(squares.len(), 100);
-        for (i, &sq) in squares.iter().enumerate() {
-            assert_eq!(sq, i * i);
-        }
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let values = pool.map(10, |i| i + 1);
-        assert_eq!(values, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_survives_many_batches() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        for _ in 0..200 {
-            pool.run(8, &|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 1600);
-    }
-
-    #[test]
-    fn task_panic_propagates_to_the_caller() {
-        let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(4, &|i| {
-                if i == 2 {
-                    panic!("boom");
-                }
-            });
-        }));
-        assert!(result.is_err(), "the batch panic must reach the caller");
-        // The pool is still usable afterwards.
-        assert_eq!(pool.map(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn concurrent_callers_on_one_pool_both_complete() {
-        // Pools are shared process-wide, so two sessions may drive one pool
-        // from different threads; batches serialise on the batch lock and
-        // every task of both batches must run exactly once.
-        let pool = WorkerPool::new(3);
-        let a = AtomicUsize::new(0);
-        let b = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (pool, a, b) = (&pool, &a, &b);
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    pool.run(8, &|_| {
-                        a.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    pool.run(8, &|_| {
-                        b.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        assert_eq!(a.load(Ordering::Relaxed), 400);
-        assert_eq!(b.load(Ordering::Relaxed), 400);
-    }
-
-    #[test]
-    fn global_pools_are_shared_per_thread_count() {
-        let a = global(2);
-        let b = global(2);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(default_threads() >= 1);
+    fn default_threads_is_positive() {
+        assert!(super::default_threads() >= 1);
     }
 }

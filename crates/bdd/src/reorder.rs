@@ -50,7 +50,7 @@
 //!
 //! [`Manager::reorder`] implements Rudell's sifting: variables are visited
 //! in decreasing subtable-size order; each is moved to every level of the
-//! window by adjacent swaps (closer end first), the best total size seen is
+//! order by adjacent swaps (closer end first), the best total size seen is
 //! remembered, and the variable is parked there.  A move aborts early when
 //! the size grows past `max(size·6/5, size+20)` — the classic 1.2× growth
 //! limit.  With the converging option the whole pass repeats until a pass
@@ -66,7 +66,7 @@
 //! lower-level node is one interaction, not two, and stored low edges are
 //! never complemented at all (canonical form) — an edge-level estimate
 //! that treated complement bits as distinct children would overcount the
-//! relink batch and mis-gate the parallel path below.  A full sift of `n`
+//! relink batch.  A full sift of `n`
 //! variables performs O(n²) swaps on a diagram of size `m`, i.e. O(n·m)
 //! node touches in the worst case per direction, bounded in practice by
 //! the growth limit's early aborts.  The op caches are invalidated once
@@ -75,62 +75,19 @@
 //! functions, but freed ids may be recycled, so the whole epoch is retired
 //! at the end of the run.
 //!
-//! ## Parallel sifting
+//! ## The two phases of a swap
 //!
-//! A sift is a *sequential* chain of swaps — each swap's size feedback
-//! decides the next — so whole swaps cannot run concurrently without
-//! changing the decisions sifting makes.  The parallelism is therefore
-//! **inside** one swap, which splits into two phases:
-//!
-//! 1. *Collect + cons* (parallel): for each interacting `x`-node, read
-//!    out its four grandchild cofactors (pure reads) and hash-cons the
-//!    two new inner `x`-nodes.  The `x`-subtable's id list is split into
-//!    contiguous chunks — one pool task each, so the scheduling cost is
-//!    per chunk, not per ~100 ns cons — and fanned over the
-//!    [`crate::pool::WorkerPool`] when the manager's `reorder_threads` is
-//!    above 1 and the subtable is big enough to amortise the dispatch
-//!    ([`PARALLEL_SWAP_MIN`]).  Consing always uses the **shared** `mk`
-//!    flavour (CAS publication), whatever the session's kernel mode,
-//!    because the worker threads genuinely race.  No node is removed in
-//!    this phase, so the probes are well-defined: the new keys (all
-//!    grandchildren sit strictly below level `y`) can never collide with
-//!    the interacting nodes' old keys (each contains a level-`y` child),
-//!    hence deferring the removals cannot change any cons result.
-//!
-//!    At ~100 ns per cons, *any* per-cons RMW on a line every worker
-//!    shares serialises the whole fan-out, so the batch strips all of
-//!    them: free-list ids are pre-popped in one lock acquisition and
-//!    handed to the chunks as private slices; the target subtable is
-//!    [`grow_for`](crate::shard::SubTable::grow_for)-reserved for the
-//!    batch's worst case (two conses per interacting node) so each chunk
-//!    can hold a single read-guard
-//!    [`probe_session`](crate::shard::SubTable::probe_session) instead of
-//!    re-acquiring the `RwLock` per cons — with headroom guaranteed, no
-//!    grow (which needs the write lock) can be required mid-session; and
-//!    the subtable/global length updates are deferred, summed from each
-//!    chunk's `created` count and applied once per batch.
-//! 2. *Relink* (serial): in id order, remove each old key, install the
-//!    relabelled node, maintain the reference counts and reclaim dead
-//!    `y`-nodes — exactly the sequence the serial path performs.
-//!
-//! Because hash consing is canonical, the cons results are independent of
-//! scheduling, and the relink phase runs in deterministic collection
-//! order, a parallel swap leaves the *same* table as a serial one (same
-//! live nodes, same keys, same per-level sizes — only the arena ids of
-//! freshly created nodes may differ).  Sifting decisions depend only on
-//! the live size, so parallel and serial sifting walk the same swap
-//! sequence and reach the same final order and node count; the
-//! equivalence suite asserts this at 1/2/4/8 threads.
+//! A swap first *collects and conses*: for each interacting `x`-node it
+//! reads out the four grandchild cofactors (pure reads) and hash-conses the
+//! two new inner `x`-nodes.  No node is removed in this phase, which is
+//! sound because the new keys (all grandchildren sit strictly below level
+//! `y`) can never collide with the interacting nodes' old keys (each
+//! contains a level-`y` child).  It then *relinks* in id order: removes
+//! each old key, installs the relabelled node, maintains the reference
+//! counts and reclaims dead `y`-nodes.
 
 use crate::manager::{pack_children, Manager, Node};
 use crate::NodeId;
-
-/// Smallest upper-level subtable worth fanning over the worker pool.  The
-/// dispatch overhead (waking parked workers plus the serial relink phase
-/// that follows) is tens of microseconds, so small swaps — the vast
-/// majority during a sift — stay serial and only the big batches, where
-/// the collect/cons work dominates, pay for the fan-out.
-const PARALLEL_SWAP_MIN: usize = 1024;
 
 /// Summary of one [`Manager::reorder`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,10 +102,6 @@ pub struct ReorderStats {
     pub passes: u32,
     /// Wall-clock duration of the run, in microseconds.
     pub micros: u64,
-    /// Swaps whose cons batch was fanned over the worker pool (a subset of
-    /// [`ReorderStats::swaps`]; zero unless
-    /// [`Manager::set_reorder_threads`] raised the thread count).
-    pub parallel_batches: u64,
 }
 
 impl Manager {
@@ -183,25 +136,19 @@ impl Manager {
     fn swap_levels(&mut self, level: usize, refs: &mut Vec<u32>) -> usize {
         let x = self.level_to_var[level];
         let y = self.level_to_var[level + 1];
-        // Phases 1 + 2 — collect and cons.  For each interacting x-node:
-        // read out its four (x, y)-grandchild cofactors (the high edge's
+        // Phase 1 — collect and cons.  For each interacting x-node: read
+        // out its four (x, y)-grandchild cofactors (the high edge's
         // complement bit is pushed into its children, the low edge is
-        // regular already — pure reads) and hash-cons the two new inner
-        // x-nodes.  Every old key contains a level-y child while the new
-        // keys are built from strictly-lower grandchildren, so consing
-        // before the phase-3 removals yields the same nodes the
-        // interleaved order would.  Both steps are per-node independent,
-        // so a big enough batch fans over the pool in contiguous chunks —
-        // one task per chunk, because a single cons is ~100 ns and
-        // per-item claiming would spend more on the atomic task counter
-        // than on the work.  The pool path must use the shared mk flavour
-        // because its workers genuinely race.
-        let collect = |mgr: &Manager, id: u32| -> Option<(u32, NodeId, NodeId, [NodeId; 4])> {
-            let node = mgr.node_raw(id);
+        // regular already) and hash-cons the two new inner x-nodes.  Every
+        // old key contains a level-y child while the new keys are built
+        // from strictly-lower grandchildren, so consing before the phase-2
+        // removals yields the same nodes the interleaved order would.
+        let collect = |id: u32| -> Option<(u32, NodeId, NodeId, [NodeId; 4])> {
+            let node = self.node_raw(id);
             let low = node.low;
             let high = node.high;
-            let low_node = mgr.node_raw(low.index() as u32);
-            let hreg_node = mgr.node_raw(high.regular().index() as u32);
+            let low_node = self.node_raw(low.index() as u32);
+            let hreg_node = self.node_raw(high.regular().index() as u32);
             if low_node.var != y && hreg_node.var != y {
                 return None;
             }
@@ -218,97 +165,25 @@ impl Manager {
             };
             Some((id, low, high, [f00, f01, f10, f11]))
         };
-        let ids = self.subtables[x as usize].ids();
         type Rewire = (u32, NodeId, NodeId, [(NodeId, bool); 2]);
-        let rewired: Vec<Rewire> = if self.reorder_threads > 1 && ids.len() >= PARALLEL_SWAP_MIN {
-            self.serial.reorder_parallel_batches += 1;
-            let pool = crate::pool::global(self.reorder_threads);
-            // Flattening chunk results in chunk order keeps `rewired`
-            // in the same id order the serial path produces.
-            let chunk = ids.len().div_ceil(self.reorder_threads * 4);
-            let chunks = ids.len().div_ceil(chunk);
-            // Pre-pop free ids in one lock acquisition and hand each
-            // chunk an equal slice: the racing cons calls then allocate
-            // from their private slice (arena bump once exhausted)
-            // instead of serialising on the free-list mutex.
-            let prefetched = self.free.pop_many(x, 2 * ids.len());
-            let per_chunk = prefetched.len() / chunks;
-            // Reserve the batch's worst case (two conses per x-node) up
-            // front so each chunk can hold one subtable read guard for
-            // its whole run — `mk_session` then touches no shared cache
-            // line except the slot words themselves.
-            let subtable = &self.subtables[x as usize];
-            subtable.grow_for(&self.arena, 2 * ids.len());
-            let mgr: &Manager = &*self;
-            let results: Vec<(Vec<Rewire>, usize, usize)> = pool.map(chunks, |c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(ids.len());
-                let local_ids = &prefetched[c * per_chunk..(c + 1) * per_chunk];
-                let cursor = std::cell::Cell::new(0usize);
-                let alloc = || {
-                    let i = cursor.get();
-                    if i < local_ids.len() {
-                        cursor.set(i + 1);
-                        local_ids[i]
-                    } else {
-                        mgr.arena.bump(x)
-                    }
-                };
-                subtable.probe_session(|prober| {
-                    let created = std::cell::Cell::new(0usize);
-                    let mk = |low: NodeId, high: NodeId| {
-                        let out = mgr.mk_session(prober, x, low, high, alloc);
-                        created.set(created.get() + out.1 as usize);
-                        out
-                    };
-                    let out = ids[lo..hi]
-                        .iter()
-                        .filter_map(|&id| {
-                            let (id, low, high, [f00, f01, f10, f11]) = collect(mgr, id)?;
-                            Some((id, low, high, [mk(f00, f10), mk(f01, f11)]))
-                        })
-                        .collect::<Vec<_>>();
-                    (out, cursor.get(), created.get())
-                })
-            });
-            // Return the unused pre-popped ids (plus the share the
-            // integer division left unassigned) and apply the deferred
-            // length updates — `mk_session` skips all of them to keep
-            // the hot racing path free of shared-line RMWs.
-            let mut rewired = Vec::with_capacity(ids.len());
-            let mut total_created = 0usize;
-            for (c, (out, used, created)) in results.into_iter().enumerate() {
-                rewired.extend(out);
-                total_created += created;
-                let local_ids = &prefetched[c * per_chunk..(c + 1) * per_chunk];
-                self.free.push_many(x, &local_ids[used..]);
-            }
-            self.free.push_many(x, &prefetched[chunks * per_chunk..]);
-            subtable.len_add(total_created);
-            self.table_len
-                .fetch_add(total_created, core::sync::atomic::Ordering::Relaxed);
-            rewired
-        } else {
-            ids.iter()
-                .filter_map(|&id| {
-                    let (id, low, high, [f00, f01, f10, f11]) = collect(self, id)?;
-                    Some((
-                        id,
-                        low,
-                        high,
-                        [self.mk_core(x, f00, f10), self.mk_core(x, f01, f11)],
-                    ))
-                })
-                .collect()
-        };
-        // Phase 3 — relink, serially.  First initialise every freshly
-        // created node's reference count and charge its children: pool
-        // scheduling decides which task observes `created`, so a creation
-        // may land at a later batch index than a reuse of the same node,
-        // and the `= 0` init must never clobber a parent charge.  (The
-        // inits cannot perturb the per-node death checks below: a created
-        // x-node's children sit strictly below level y, and only y-nodes
-        // can die here.)
+        let rewired: Vec<Rewire> = self.subtables[x as usize]
+            .ids()
+            .into_iter()
+            .filter_map(|id| {
+                let (id, low, high, [f00, f01, f10, f11]) = collect(id)?;
+                Some((
+                    id,
+                    low,
+                    high,
+                    [self.mk_core(x, f00, f10), self.mk_core(x, f01, f11)],
+                ))
+            })
+            .collect();
+        // Phase 2 — relink.  First initialise every freshly created node's
+        // reference count and charge its children.  (The inits cannot
+        // perturb the per-node death checks below: a created x-node's
+        // children sit strictly below level y, and only y-nodes can die
+        // here.)
         if refs.len() < self.arena.id_bound() {
             refs.resize(self.arena.id_bound(), 0);
         }
@@ -362,7 +237,7 @@ impl Manager {
         self.level_to_var.swap(level, level + 1);
         self.var_to_level[x as usize] = (level + 1) as u32;
         self.var_to_level[y as usize] = level as u32;
-        self.serial.reorder_swaps += 1;
+        self.exclusive.reorder_swaps += 1;
         // Sifting can grow the diagram (up to the 1.2× limit) before the
         // sift-back shrinks it again; sample the high-water mark per swap
         // so `peak_nodes` sees the excursion.
@@ -390,12 +265,10 @@ impl Manager {
         self.invalidate_caches();
     }
 
-    /// One sifting pass over every variable in the window, largest subtable
-    /// first.  Returns the total size after the pass.
-    fn sift_pass(&mut self, bound: usize, refs: &mut Vec<u32>) -> usize {
-        let mut vars: Vec<u32> = (0..bound as u32)
-            .map(|l| self.level_to_var[l as usize])
-            .collect();
+    /// One sifting pass over every variable, largest subtable first.
+    /// Returns the total size after the pass.
+    fn sift_pass(&mut self, refs: &mut Vec<u32>) -> usize {
+        let mut vars = self.level_to_var.clone();
         vars.sort_by_key(|&v| std::cmp::Reverse(self.subtables[v as usize].len()));
         for var in vars {
             if self.subtables[var as usize].len() == 0 {
@@ -409,19 +282,20 @@ impl Manager {
             if self.budget_exceeded() {
                 break;
             }
-            self.sift_var(var, bound, refs);
+            self.sift_var(var, refs);
         }
         self.live_table_len()
     }
 
-    /// Moves `var` through every level of `[0, bound)`, then parks it at
+    /// Moves `var` through every level of the order, then parks it at
     /// the best position seen.  The classic growth limit aborts a direction
     /// once the diagram exceeds 1.2× the size at which the sift started;
     /// after each direction the variable sifts *back to the best seen
     /// position* first, so an aborted first direction never starves the
     /// second one (the return journey undoes the growth, making the limit
     /// guard irrelevant to it).
-    fn sift_var(&mut self, var: u32, bound: usize, refs: &mut Vec<u32>) {
+    fn sift_var(&mut self, var: u32, refs: &mut Vec<u32>) {
+        let bound = self.num_vars();
         let start = self.var_to_level[var as usize] as usize;
         let start_size = self.live_table_len();
         let limit = (start_size + start_size / 5).max(start_size + 20);
@@ -478,32 +352,29 @@ impl Manager {
         );
     }
 
-    /// Full Rudell sifting over the reorder window (see
-    /// [`Manager::set_reorder_window`]): garbage-collects against the
-    /// registered roots (when any are registered, so sizes are honest),
-    /// sifts every windowed variable, optionally repeats to convergence,
+    /// Full Rudell sifting: garbage-collects against the registered roots
+    /// (when any are registered, so sizes are honest), sifts every
+    /// variable, optionally repeats to convergence,
     /// and retires the op-cache epoch.  Every surviving edge keeps its id
     /// and function, so external handles — registered or not — remain
     /// valid; registration is what *guarantees* survival.
     pub fn reorder(&mut self) -> ReorderStats {
         let started = std::time::Instant::now();
-        let bound = self.reorder_window.min(self.num_vars());
-        if bound < 2 {
+        if self.num_vars() < 2 {
             return ReorderStats::default();
         }
         self.note_peak();
         if !self.roots.is_empty() {
             self.collect_garbage_registered();
         }
-        let swaps_before = self.serial.reorder_swaps;
-        let batches_before = self.serial.reorder_parallel_batches;
+        let swaps_before = self.exclusive.reorder_swaps;
         let size_before = self.live_table_len();
         let mut refs = self.build_refs();
         let mut passes = 0u32;
         let mut previous = size_before;
         loop {
             passes += 1;
-            let size = self.sift_pass(bound, &mut refs);
+            let size = self.sift_pass(&mut refs);
             // Converge: stop when a pass gains less than 1% (or after a
             // safety cap of passes).
             if !self.converging_sifting || passes >= 8 || size * 100 >= previous * 99 {
@@ -513,17 +384,16 @@ impl Manager {
         }
         self.invalidate_caches();
         let stats = ReorderStats {
-            swaps: self.serial.reorder_swaps - swaps_before,
+            swaps: self.exclusive.reorder_swaps - swaps_before,
             size_before,
             size_after: self.live_table_len(),
             passes,
             micros: started.elapsed().as_micros() as u64,
-            parallel_batches: self.serial.reorder_parallel_batches - batches_before,
         };
-        self.serial.reorders += 1;
-        self.serial.reorder_last_before = size_before;
-        self.serial.reorder_last_after = stats.size_after;
-        self.serial.reorder_micros += stats.micros;
+        self.exclusive.reorders += 1;
+        self.exclusive.reorder_last_before = size_before;
+        self.exclusive.reorder_last_after = stats.size_after;
+        self.exclusive.reorder_micros += stats.micros;
         stats
     }
 }
@@ -630,29 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_window_pins_bottom_variables() {
-        let n = 8;
-        let mut mgr = Manager::new(n);
-        let f = paired_or(&mut mgr, n);
-        let _slot = mgr.register_root(f);
-        mgr.set_reorder_window(n / 2);
-        mgr.reorder();
-        for var in n / 2..n {
-            assert_eq!(
-                mgr.level_of_var(var),
-                var,
-                "variables below the window must not move"
-            );
-        }
-        for level in 0..n / 2 {
-            assert!(
-                mgr.var_at_level(level) < n / 2,
-                "windowed variables must stay inside the window"
-            );
-        }
-    }
-
-    #[test]
     fn maybe_reorder_triggers_on_threshold() {
         let n = 12;
         let mut mgr = Manager::new(n);
@@ -665,107 +512,6 @@ mod tests {
         assert!(
             !mgr.maybe_reorder(),
             "threshold re-armed at twice the post-reorder size"
-        );
-    }
-
-    #[test]
-    fn parallel_sifting_matches_serial_sifting_exactly() {
-        // Interleaved pairs peak at a ~2^(n/2 - 1)-node level, so n = 24
-        // keeps the widest swap batches above PARALLEL_SWAP_MIN.
-        let n = 24;
-        let build = || {
-            let mut mgr = Manager::new(n);
-            let f = paired_or(&mut mgr, n);
-            let slot = mgr.register_root(f);
-            mgr.collect_garbage_registered();
-            (mgr, f, slot)
-        };
-        let (mut serial, _f, _slot) = build();
-        let serial_stats = serial.reorder();
-        serial.check_integrity().expect("integrity (serial sift)");
-        let (mut parallel, f, slot) = build();
-        parallel.set_reorder_threads(4);
-        let parallel_stats = parallel.reorder();
-        parallel
-            .check_integrity()
-            .expect("integrity (parallel sift)");
-        // Same swap sequence, same final size, same final order.
-        assert_eq!(parallel_stats.swaps, serial_stats.swaps);
-        assert_eq!(parallel_stats.size_before, serial_stats.size_before);
-        assert_eq!(parallel_stats.size_after, serial_stats.size_after);
-        assert_eq!(parallel_stats.passes, serial_stats.passes);
-        let serial_order: Vec<usize> = (0..n).map(|l| serial.var_at_level(l)).collect();
-        let parallel_order: Vec<usize> = (0..n).map(|l| parallel.var_at_level(l)).collect();
-        assert_eq!(parallel_order, serial_order);
-        // The interleaved-pairs diagram is big enough that at least one
-        // swap's batch actually took the pool path.
-        assert_eq!(serial_stats.parallel_batches, 0);
-        assert!(
-            parallel_stats.parallel_batches > 0,
-            "expected at least one pooled cons batch"
-        );
-        assert_eq!(
-            parallel.stats().reorder_parallel_batches,
-            parallel_stats.parallel_batches
-        );
-        // Functions survive the parallel run.
-        assert_eq!(parallel.root(slot), f);
-        for i in 0..n / 2 {
-            let mut assignment = vec![false; n];
-            assignment[i] = true;
-            assignment[i + n / 2] = true;
-            assert!(parallel.eval(f, &assignment));
-            assignment[i + n / 2] = false;
-            assert!(!parallel.eval(f, &assignment));
-        }
-    }
-
-    /// Encodes the parallel-sifting acceptance bar: on a diagram big
-    /// enough that the swap batches clear [`PARALLEL_SWAP_MIN`], fanning
-    /// the cons phase over 4 workers must reduce the reorder wall time
-    /// versus the fully serial sift of the identical diagram.  Gated
-    /// behind `SLIQ_PERF_TEST=1` (wall-clock comparisons need a release
-    /// build and a quiet machine), and skipped on hosts without real
-    /// parallelism — four pool threads timesharing one core can only
-    /// ever tie serial, and asserting otherwise would test the VM's
-    /// scheduler, not the kernel.
-    #[test]
-    fn perf_parallel_sifting_reduces_reorder_wall_time() {
-        if std::env::var_os("SLIQ_PERF_TEST").is_none() {
-            return;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if cores < 4 {
-            eprintln!("skipping: {cores} core(s) available, the speedup bar needs >= 4");
-            return;
-        }
-        let n = 28;
-        let median_reorder_seconds = |threads: usize| {
-            let mut times = Vec::new();
-            for _ in 0..3 {
-                let mut mgr = Manager::new(n);
-                let f = paired_or(&mut mgr, n);
-                let _slot = mgr.register_root(f);
-                mgr.collect_garbage_registered();
-                mgr.set_reorder_threads(threads);
-                let start = std::time::Instant::now();
-                mgr.reorder();
-                times.push(start.elapsed().as_secs_f64());
-            }
-            times.sort_by(f64::total_cmp);
-            times[1]
-        };
-        let serial = median_reorder_seconds(1);
-        let parallel = median_reorder_seconds(4);
-        eprintln!(
-            "reorder wall-time on paired_or({n}): serial {serial:.4}s, \
-             4 threads {parallel:.4}s ({:.2}x speedup)",
-            serial / parallel
-        );
-        assert!(
-            parallel < serial,
-            "pooled sifting must beat serial sifting on a large diagram: \
-             serial {serial:.4}s vs parallel {parallel:.4}s"
         );
     }
 

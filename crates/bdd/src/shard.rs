@@ -1,38 +1,48 @@
-//! Concurrency primitives of the sharded BDD kernel: the level-segregated
-//! compact node arena (8-byte cells in per-variable chunks, reclaimable as
-//! generations), the per-variable unique subtables with lock-free CAS
-//! insertion over 4-byte id-only slots, the seqlock-protected operation
-//! caches, the byte-budget tracker and the thread-sharded statistics
-//! counters.
+//! Storage of the single-owner BDD kernel: the level-segregated compact
+//! node arena (8-byte cells in per-variable chunks, reclaimable as
+//! generations), the per-variable unique subtables over 4-byte id-only
+//! slots, the lossy direct-mapped operation caches, the byte-budget tracker
+//! and the hot-path statistics counters.
 //!
-//! # Synchronization design
+//! # Ownership design
 //!
-//! The manager distinguishes two phases, and the Rust borrow checker is the
-//! phase switch:
+//! A [`crate::Manager`] has exactly one owner, and the types in this module
+//! are what enforce it: every word an apply operation may write is a
+//! [`Cell`] (or, for the two structures that can grow in the middle of an
+//! apply — a subtable's slot array and a free list — a [`RefCell`]), and
+//! neither is `Sync`.  The manager is therefore `Send` — a session can be
+//! built on one thread and handed to a server worker — but not `Sync`:
+//! sharing one manager between threads is a compile error rather than a
+//! silent canonicity bug.  Parallelism lives one level up, in independent
+//! sessions that each own a manager.
 //!
-//! * **Shared phase** (`&Manager`): every apply recursion (`and`, `xor`,
+//! The manager still has two kinds of operation, and the borrow checker
+//! tells them apart:
+//!
+//! * **Apply operations** (`&Manager`): every apply recursion (`and`, `xor`,
 //!   `ite`, `xor3`, `maj`, `flip_var`, `mux_var`, `cofactor`) and the node
-//!   constructor `mk` take `&self`, so any number of threads may run them
-//!   concurrently on one manager.  All mutation in this phase goes through
-//!   the atomic structures in this module.
-//! * **Exclusive phase** (`&mut Manager`): garbage collection, variable
-//!   reordering, cache growth/invalidation, root-registry updates and
-//!   `add_vars` take `&mut self`.  Holding `&mut Manager` *proves* no apply
-//!   recursion is in flight — the stop-the-world property is enforced at
-//!   compile time, not by a runtime flag.  The simulator enters this phase
-//!   only at gate boundaries.
+//!   constructor `mk` take `&self`, so read-only helpers that borrow the
+//!   manager — a [`crate::ModelCounter`] memo, the sampler's conditioned
+//!   views — stay usable while new nodes are built.  Apply operations only
+//!   ever *add*: they bump the allocator, store into empty subtable slots,
+//!   overwrite cache entries and count.
+//! * **Exclusive phases** (`&mut Manager`): garbage collection, variable
+//!   reordering, cache growth/invalidation and root-registry updates.
+//!   Holding `&mut Manager` proves that no apply recursion is in flight and
+//!   that no borrowed helper still refers to a node id, so these phases may
+//!   free nodes, relabel them, release chunks and resize caches.  The
+//!   simulator enters them only at gate boundaries.
 //!
 //! ## The compact level-segregated layout
 //!
-//! A node is `(var, low, high)`, but the kernel already shards its unique
+//! A node is `(var, low, high)`, but the kernel already splits its unique
 //! table *by variable* — the variable of a node is recoverable from which
 //! subtable holds it.  The arena therefore segregates storage the same way
 //! and stops duplicating the label per node:
 //!
 //! * Node storage is an array of fixed-size **chunks** ([`CHUNK_LEN`] cells
-//!   each).  A cell is a single `AtomicU64` holding the packed children —
-//!   **8 bytes per node** instead of the previous 12 (a `var` word plus two
-//!   child words).
+//!   each).  A cell is a single `u64` holding the packed children — **8
+//!   bytes per node**.
 //! * Every chunk has exactly one **owner variable**; `var_of(id)` is a read
 //!   of the id's chunk header, not of the node.  Allocation is per
 //!   variable: `bump(var)` fills `var`'s active chunk and acquires a fresh
@@ -45,30 +55,15 @@
 //!   sidecar when present.  The sweep drops the sidecar again as soon as a
 //!   chunk's live nodes all share one variable, so the 8-byte common case
 //!   is self-restoring.
-//! * The unique-table slots shrink with the node: a slot stores only the
-//!   node **id** (4 bytes, [`EMPTY_SLOT`] when empty) instead of the
-//!   previous `tag ‖ id` word (8 bytes).  The hash tag used to pre-filter
-//!   probe steps is gone; an occupied probe slot now costs one arena load
-//!   (`children_of`) to compare keys.  At the ≤ 3/4 load factor the
+//! * A unique-table slot stores only the node **id** (4 bytes,
+//!   [`EMPTY_SLOT`] when empty).  An occupied probe slot costs one arena
+//!   load (`children_of`) to compare keys; at the ≤ 3/4 load factor the
 //!   expected number of extra loads per probe is below one, and the key
-//!   comparison itself is exact (full 64-bit children, not a 32-bit tag),
-//!   so the trade is a strict byte win for a bounded, usually-unpaid time
-//!   cost.
-//!
-//! Why this stays sound: the owner header of a chunk is written **before**
-//! the chunk is made visible to allocators (`active[var]` is
-//! released-stored after the header), and a freshly bumped id reaches other
-//! threads only through the subtable-slot CAS (release) that publishes it —
-//! so by release/acquire transitivity, any thread that observes an id also
-//! observes its chunk's owner and cells.  Sidecar creation and chunk
-//! re-owning happen only in the exclusive phase, whose `&mut` hand-off
-//! already orders them before any subsequent shared-phase read.
+//!   comparison itself is exact (full 64-bit children).
 //!
 //! ## Generational chunk reclamation
 //!
-//! The previous arena was append-only for the manager's lifetime: freed ids
-//! were recycled through a free list, but chunk memory was never returned.
-//! Chunks are now **generations**: the GC sweep walks every chunk and
+//! Chunks are **generations**: the GC sweep walks every chunk and
 //!
 //! * hands a chunk whose live-node count is zero back to the allocator —
 //!   its cell array (and sidecar, if any) is dropped, returning the memory
@@ -80,21 +75,19 @@
 //! * returns the dead cells of still-live chunks to the per-variable free
 //!   lists, keyed by the chunk's (possibly updated) owner.
 //!
-//! Reclamation is sound because it is exclusive-phase only: `&mut Manager`
-//! proves no probe, apply or `mk` holds a reference into any cell array.  A
-//! released chunk's stale `active` pointer is cleared and its `used`
-//! counter is poisoned to "full", so even the cross-phase `bump` fast path
-//! can never mint an id into a chunk that is no longer backed by cells.
-//! Node ids of *surviving* nodes never change (a chunk is only released
-//! when it has no survivors), so external handles and the root registry are
-//! untouched — exactly the stability guarantee the in-place rebuild gave.
+//! Reclamation is exclusive-phase only, so no probe or apply can be reading
+//! a released cell array.  A released chunk's `active` pointer is cleared
+//! and its `used` counter is poisoned to "full", so `bump` can never mint
+//! an id into a chunk that is no longer backed by cells.  Node ids of
+//! *surviving* nodes never change (a chunk is only released when it has no
+//! survivors), so external handles and the root registry are untouched.
 //!
 //! The free list is segregated by variable to match the allocator
 //! (`FreeTable`): a free id is homed under its chunk's owner, so reusing it
 //! for that variable keeps the chunk single-owner and never needs a
-//! sidecar.  Reordering's batched pre-pop (`pop_many`) and rollback pushes
-//! preserve the homing invariant because `mk(var, …)` only ever allocates
-//! ids for `var`.
+//! sidecar.  `mk(var, …)` only ever allocates ids for `var`, and the
+//! exclusive-phase producers (sweep, reorder reclamation) home ids through
+//! [`NodeArena::chunk_owner`].
 //!
 //! ## Byte accounting
 //!
@@ -107,113 +100,26 @@
 //! per-direction sift loops); the budget is deliberately **non-sticky** so
 //! a GC that recovers below the limit lets execution resume gracefully.
 //!
-//! ## Why canonical hash-consing stays sound under concurrent insertion
+//! ## Hash consing and the operation caches
 //!
-//! Canonicity requires that `(var, low, high)` maps to exactly one node id
-//! for the manager's lifetime (between exclusive phases).  The concurrent
-//! `mk` guarantees this with a *speculate-then-publish* protocol on the
-//! open-addressed subtable of `var`:
+//! `mk` probes the subtable of the node's variable once: the walk stops at
+//! the matching node or at the first empty slot, and only in the second
+//! case does the allocator run and the new id go into that slot — a node is
+//! never allocated for a key that already exists.  A subtable past its 3/4
+//! load factor doubles right after the insert, so every probe finds an
+//! empty slot.  Entries are only ever *added* by apply operations; deletion
+//! (backward shift, for reordering) and rebuilds (GC) are exclusive-phase.
 //!
-//! 1. The inserting thread probes the subtable.  If it finds an entry whose
-//!    children match, that node is the canonical one — done, no node was
-//!    allocated.
-//! 2. On a miss it allocates a fresh id from the arena, writes the node
-//!    fields, and publishes the id into the first empty slot of the probe
-//!    chain with a `compare_exchange` (release ordering).  **The CAS is the
-//!    single linearization point**: whichever thread wins owns the canonical
-//!    node for that key.
-//! 3. A thread whose CAS fails re-reads the slot.  If the winner inserted
-//!    the *same* key, the loser rolls its speculative node back onto the
-//!    free list (the node was never published, so nothing can reference it)
-//!    and adopts the winner's id.  Otherwise a different key claimed the
-//!    slot and the loser simply continues down the probe chain.
-//!
-//! Because entries are only ever *added* during the shared phase (deletion
-//! and rehashing are exclusive-phase operations), a probe that started
-//! before a concurrent insert either sees the new entry (and adopts it) or
-//! reaches an empty slot later in the chain and CASes there — in both cases
-//! the key maps to one id.  Readers load slots with acquire ordering, which
-//! pairs with the publishing CAS's release ordering, so the node fields
-//! written in step 2 are visible to any thread that observes the id.
-//!
-//! Subtable *growth* swaps the slot array and therefore cannot run under
-//! concurrent probes: each subtable wraps its slots in an `RwLock` whose
-//! read side is taken (uncontended in the common case, shared across all
-//! probing threads) for lookups and CAS inserts, and whose write side is
-//! taken only for the occasional doubling.  The lock is per *variable*, so
-//! this is the sharding: threads working at different levels of the diagram
-//! never touch the same lock.
-//!
-//! The operation caches are lossy, so they only have to be *atomic*, never
-//! lossless: each entry is guarded by a per-entry sequence word (a seqlock).
-//! Writers claim the entry with a CAS to an odd sequence number (a claimed
-//! entry is simply skipped by other writers — dropping a memoisation is
-//! always safe), write the key/value words, and release with an even
-//! sequence number.  Readers re-check the sequence word after reading; a
-//! torn read is treated as a miss.  Cache *growth* is deferred to the
-//! exclusive phase: misses decrement an atomic budget, and the manager
-//! doubles any cache whose budget ran out at the next gate boundary.
-//!
-//! The node arena is append-only during the shared phase: per-variable
-//! active chunks with atomic bump allocators, so node ids are stable
-//! pointers that never move.  The free lists are mutex-protected stacks
-//! popped on allocation — a mutex is taken once per *created node*, not per
-//! lookup.  They are **leaf locks** (as is the chunk-directory mutex taken
-//! when an active chunk fills): `mk` does acquire them while holding a
-//! subtable's read lock (the allocation happens inside the probe), but
-//! nothing ever blocks while holding them, so the lock order
-//! `subtable → free list / chunk directory` is acyclic.
-//!
-//! Statistics counters are sharded 16 ways and indexed by a thread-local
-//! slot, so hot-path increments do not bounce one cache line between
-//! cores; [`crate::ManagerStats`] snapshots are the shard sums.
-//!
-//! ## The phase-typed serial flavour
-//!
-//! A manager whose session runs on one thread never has a concurrent
-//! reader or writer, yet the structures above still charge it the full
-//! synchronization toll: a seqlock claim/release CAS per cache store, a
-//! speculate-then-publish CAS per node creation, and an atomic
-//! read-modify-write per arena bump.  The kernel therefore compiles every
-//! apply recursion in **two flavours** (a `const SERIAL: bool` parameter in
-//! [`crate::Manager`]), and this module provides the serial counterparts:
-//!
-//! * [`DirectCache::probe2_serial`]/[`DirectCache::store2_serial`] (and the
-//!   stride-3 twins) read and write the key/value words directly and leave
-//!   the per-entry sequence word **untouched**.  This is sound in both
-//!   directions: a quiescent shared-phase entry always has an even, stable
-//!   sequence word (a claim either fails without changing it or releases
-//!   back to even before the phase can end), so a serial probe that ignores
-//!   it reads exactly what a shared probe would; and a serial store that
-//!   skips the claim leaves the even word in place, so later shared-phase
-//!   probes validate the entry normally.
-//! * [`SubTable::find_or_insert_serial`] replaces speculate-then-publish
-//!   with a single probe walk that remembers the first empty slot and
-//!   plain-stores the new id into it — no CAS, no rollback, and the
-//!   allocator runs only after the miss is certain.
-//! * [`NodeArena::bump_serial`] and the `*_serial` counter updates replace
-//!   `fetch_add` with load/store pairs.
-//!
-//! All of these remain *atomic* operations on the same atomics (this crate
-//! stays free of `unsafe`); what the serial flavour drops is the
-//! *coordination* — CAS loops, seqlock claims, read-modify-write cycles.
-//! The contract is single-threaded access: the serial flavour is selected
-//! only by [`crate::Manager::set_kernel_mode`], which takes `&mut self`, so
-//! switching flavours is itself an exclusive-phase action, and the
-//! happens-before edge that hands the manager to another thread (spawn,
-//! join, channel, mutex — any way a `&mut` or ownership transfer can move
-//! between threads) makes every relaxed serial store visible before shared
-//! operation can resume.  Violating the contract — running the serial
-//! flavour from two threads at once — cannot corrupt memory (everything is
-//! still an atomic access), but it can lose an insert and break canonicity,
-//! which is why [`crate::KernelMode::Shared`] is the default and the serial
-//! flavour is opt-in per session.
+//! The operation caches are lossy: each entry is just its key words and a
+//! result word stamped with the cache epoch.  A colliding store overwrites
+//! the old entry (an *eviction*), and losing an entry only costs
+//! recomputation.  Growth is deferred: misses decrement a budget, and the
+//! manager doubles any cache whose budget ran out at the next exclusive
+//! phase, so a cache never reallocates under an apply.
 
 use crate::hash::mix64;
 use crate::manager::{pack_children, NodeId};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::cell::{Cell, OnceCell, RefCell};
 
 // ---------------------------------------------------------------------- //
 // Byte-budget tracking
@@ -225,52 +131,52 @@ use std::sync::{Mutex, OnceLock, RwLock};
 /// is `usize::MAX` when unbounded; `over_budget` is a plain comparison so
 /// the enforcement points stay cheap, and the check is non-sticky — a GC
 /// that recovers below the limit lets execution resume.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct MemTracker {
-    bytes: AtomicUsize,
-    peak: AtomicUsize,
-    limit: AtomicUsize,
+    bytes: Cell<usize>,
+    peak: Cell<usize>,
+    limit: Cell<usize>,
 }
 
 impl MemTracker {
     fn new() -> Self {
         Self {
-            bytes: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            limit: AtomicUsize::new(usize::MAX),
+            bytes: Cell::new(0),
+            peak: Cell::new(0),
+            limit: Cell::new(usize::MAX),
         }
     }
 
     /// Charges `n` freshly retained bytes, updating the high-water mark.
     pub(crate) fn add(&self, n: usize) {
-        let now = self.bytes.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        let now = self.bytes.get() + n;
+        self.bytes.set(now);
+        self.peak.set(self.peak.get().max(now));
     }
 
     /// Releases `n` bytes.
     pub(crate) fn sub(&self, n: usize) {
-        self.bytes.fetch_sub(n, Ordering::Relaxed);
+        self.bytes.set(self.bytes.get() - n);
     }
 
     /// The current retained-byte total.
     pub(crate) fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes.get()
     }
 
     /// The high-water mark of [`MemTracker::bytes`].
     pub(crate) fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
+        self.peak.get()
     }
 
     /// Sets (or clears, with `None`) the hard byte budget.
     pub(crate) fn set_limit(&self, limit: Option<usize>) {
-        self.limit
-            .store(limit.unwrap_or(usize::MAX), Ordering::Relaxed);
+        self.limit.set(limit.unwrap_or(usize::MAX));
     }
 
     /// The configured byte budget, if any.
     pub(crate) fn limit(&self) -> Option<usize> {
-        match self.limit.load(Ordering::Relaxed) {
+        match self.limit.get() {
             usize::MAX => None,
             n => Some(n),
         }
@@ -278,17 +184,7 @@ impl MemTracker {
 
     /// Whether the running total currently exceeds the budget.
     pub(crate) fn over_budget(&self) -> bool {
-        self.bytes.load(Ordering::Relaxed) > self.limit.load(Ordering::Relaxed)
-    }
-
-    /// Overwrites this tracker with another's values (clone support).
-    fn copy_from(&self, other: &MemTracker) {
-        self.bytes
-            .store(other.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.peak
-            .store(other.peak.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.limit
-            .store(other.limit.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.bytes.get() > self.limit.get()
     }
 }
 
@@ -312,8 +208,7 @@ const NO_CHUNK: u32 = u32::MAX;
 /// Sentinel owner for chunk slots that were never acquired.
 const NO_OWNER: u32 = u32::MAX;
 
-/// A plain (non-atomic) node value, the unit the rest of the kernel reads
-/// and writes.
+/// A plain node value, the unit the rest of the kernel reads and writes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
     pub(crate) var: u32,
@@ -331,56 +226,51 @@ fn group_of(chunk: u32) -> (usize, usize) {
 
 /// One chunk of node storage: [`CHUNK_LEN`] packed-children cells owned by
 /// a single variable, plus a lazy per-cell variable sidecar for chunks that
-/// reordering has made mixed.  `cells`/`vars` are `OnceLock`s so a released
+/// reordering has made mixed.  `cells`/`vars` are `OnceCell`s so a released
 /// chunk drops its arrays and a recycled chunk re-materialises them.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ChunkSlot {
-    cells: OnceLock<Box<[AtomicU64]>>,
-    vars: OnceLock<Box<[AtomicU32]>>,
-    owner: AtomicU32,
-    used: AtomicU32,
+    cells: OnceCell<Box<[Cell<u64>]>>,
+    vars: OnceCell<Box<[Cell<u32>]>>,
+    owner: Cell<u32>,
+    used: Cell<u32>,
 }
 
 impl Default for ChunkSlot {
     fn default() -> Self {
         Self {
-            cells: OnceLock::new(),
-            vars: OnceLock::new(),
-            owner: AtomicU32::new(NO_OWNER),
-            used: AtomicU32::new(0),
+            cells: OnceCell::new(),
+            vars: OnceCell::new(),
+            owner: Cell::new(NO_OWNER),
+            used: Cell::new(0),
         }
     }
 }
 
-fn zero_cells() -> Box<[AtomicU64]> {
-    (0..CHUNK_LEN).map(|_| AtomicU64::new(0)).collect()
-}
-
-/// Serialized chunk-acquisition state: the watermark of chunks ever
-/// materialised plus the recycle list of released chunk indices.
-#[derive(Debug)]
-struct ChunkState {
-    next: u32,
-    recycled: Vec<u32>,
+fn zero_cells() -> Box<[Cell<u64>]> {
+    (0..CHUNK_LEN).map(|_| Cell::new(0)).collect()
 }
 
 /// The level-segregated node arena (see the module docs): per-variable
-/// active chunks with atomic bump allocation, a lazily grown chunk
-/// directory, chunk-granular release/recycle, and the manager's byte
-/// tracker.  Node ids are never relocated; a chunk is only released when
-/// none of its nodes survive.
-#[derive(Debug)]
+/// active chunks with bump allocation, a lazily grown chunk directory,
+/// chunk-granular release/recycle, and the manager's byte tracker.  Node
+/// ids are never relocated; a chunk is only released when none of its
+/// nodes survive.
+#[derive(Debug, Clone)]
 pub(crate) struct NodeArena {
-    groups: [OnceLock<Box<[ChunkSlot]>>; CHUNK_GROUPS],
+    groups: [OnceCell<Box<[ChunkSlot]>>; CHUNK_GROUPS],
     /// `active[var]` is the chunk `bump(var)` currently fills
-    /// ([`NO_CHUNK`] when none).  Grown only under `&mut` (`add_vars`).
-    active: Vec<AtomicU32>,
-    /// Relaxed mirror of `ChunkState::next` for lock-free `id_bound`.
-    watermark: AtomicU32,
-    chunk_state: Mutex<ChunkState>,
+    /// ([`NO_CHUNK`] when none).
+    active: Vec<Cell<u32>>,
+    /// Watermark: chunks `0..next_chunk` have been materialised at least
+    /// once.
+    next_chunk: Cell<u32>,
+    /// Chunk indices released by the sweep, reused before the watermark
+    /// grows.
+    recycled: RefCell<Vec<u32>>,
     mem: MemTracker,
     /// Chunks handed back by [`NodeArena::sweep`] over the arena's
-    /// lifetime (exclusive-phase writes only).
+    /// lifetime.
     chunks_reclaimed: u64,
 }
 
@@ -392,21 +282,16 @@ impl NodeArena {
     /// free on the hot path).
     pub(crate) fn new(terminal_var: u32) -> Self {
         let arena = Self {
-            groups: std::array::from_fn(|_| OnceLock::new()),
-            active: (0..terminal_var)
-                .map(|_| AtomicU32::new(NO_CHUNK))
-                .collect(),
-            watermark: AtomicU32::new(1),
-            chunk_state: Mutex::new(ChunkState {
-                next: 1,
-                recycled: Vec::new(),
-            }),
+            groups: std::array::from_fn(|_| OnceCell::new()),
+            active: (0..terminal_var).map(|_| Cell::new(NO_CHUNK)).collect(),
+            next_chunk: Cell::new(1),
+            recycled: RefCell::new(Vec::new()),
             mem: MemTracker::new(),
             chunks_reclaimed: 0,
         };
         let slot = arena.ensure_chunk(0);
-        slot.owner.store(terminal_var, Ordering::Relaxed);
-        slot.used.store(CHUNK_LEN as u32, Ordering::Relaxed);
+        slot.owner.set(terminal_var);
+        slot.used.set(CHUNK_LEN as u32);
         slot.cells.get_or_init(|| {
             arena.mem.add(CHUNK_LEN * 8);
             zero_cells()
@@ -436,17 +321,7 @@ impl NodeArena {
     /// An exclusive upper bound on every id ever handed out (for sizing
     /// mark bitmaps and reference arrays).
     pub(crate) fn id_bound(&self) -> usize {
-        (self.watermark.load(Ordering::Relaxed) as usize) << CHUNK_BITS
-    }
-
-    /// Declares `extra` further variables and moves the terminal sentinel.
-    pub(crate) fn add_vars(&mut self, extra: usize, terminal_var: u32) {
-        for _ in 0..extra {
-            self.active.push(AtomicU32::new(NO_CHUNK));
-        }
-        self.chunk_slot(0)
-            .owner
-            .store(terminal_var, Ordering::Relaxed);
+        (self.next_chunk.get() as usize) << CHUNK_BITS
     }
 
     fn ensure_chunk(&self, chunk: u32) -> &ChunkSlot {
@@ -480,17 +355,15 @@ impl NodeArena {
     }
 
     /// Bump-allocates a fresh id for `var` from its active chunk, acquiring
-    /// a new chunk when the active one is full (or absent).  The fast path
-    /// is one acquire load and one `fetch_add`; overshoot increments past
-    /// [`CHUNK_LEN`] never mint an id (the winner thread of the overshoot
-    /// falls through to the cold acquisition path).
+    /// a new chunk when the active one is full (or absent).
     pub(crate) fn bump(&self, var: u32) -> u32 {
         loop {
-            let chunk = self.active[var as usize].load(Ordering::Acquire);
+            let chunk = self.active[var as usize].get();
             if chunk != NO_CHUNK {
                 let slot = self.chunk_slot(chunk);
-                let n = slot.used.fetch_add(1, Ordering::Relaxed);
+                let n = slot.used.get();
                 if n < CHUNK_LEN as u32 {
+                    slot.used.set(n + 1);
                     return (chunk << CHUNK_BITS) | n;
                 }
             }
@@ -498,73 +371,39 @@ impl NodeArena {
         }
     }
 
-    /// Serial-flavour bump: load/store pairs instead of `fetch_add`.
-    /// Sound only under the single-thread contract of the serial kernel
-    /// flavour (see the module docs).
-    pub(crate) fn bump_serial(&self, var: u32) -> u32 {
-        loop {
-            let chunk = self.active[var as usize].load(Ordering::Relaxed);
-            if chunk != NO_CHUNK {
-                let slot = self.chunk_slot(chunk);
-                let n = slot.used.load(Ordering::Relaxed);
-                if n < CHUNK_LEN as u32 {
-                    slot.used.store(n + 1, Ordering::Relaxed);
-                    return (chunk << CHUNK_BITS) | n;
-                }
-            }
-            self.acquire_chunk(var);
-        }
-    }
-
-    /// Installs a fresh (or recycled) chunk as `var`'s active chunk.  The
-    /// chunk-directory mutex serialises acquisitions; it is a leaf lock
-    /// (nothing blocks while holding it), so taking it under a subtable
-    /// read guard — `mk` allocates inside its probe — cannot deadlock.
+    /// Installs a fresh (or recycled) chunk as `var`'s active chunk.
     #[cold]
     fn acquire_chunk(&self, var: u32) {
-        let mut state = self.chunk_state.lock().expect("chunk directory lock");
-        // Double-check under the lock: a racing thread may have already
-        // installed a fresh chunk for this variable.
-        let current = self.active[var as usize].load(Ordering::Relaxed);
-        if current != NO_CHUNK
-            && self.chunk_slot(current).used.load(Ordering::Relaxed) < CHUNK_LEN as u32
-        {
-            return;
-        }
-        let chunk = state.recycled.pop().unwrap_or_else(|| {
-            let chunk = state.next;
+        let recycled = self.recycled.borrow_mut().pop();
+        let chunk = recycled.unwrap_or_else(|| {
+            let chunk = self.next_chunk.get();
             assert!(chunk < MAX_CHUNKS, "node arena overflow (2^31 node ids)");
-            state.next = chunk + 1;
-            self.watermark.store(state.next, Ordering::Relaxed);
+            self.next_chunk.set(chunk + 1);
             chunk
         });
         let slot = self.ensure_chunk(chunk);
-        slot.owner.store(var, Ordering::Relaxed);
-        slot.used.store(0, Ordering::Relaxed);
+        slot.owner.set(var);
+        slot.used.set(0);
         slot.cells.get_or_init(|| {
             self.mem.add(CHUNK_LEN * 8);
             zero_cells()
         });
-        // Release-publish: pairs with the acquire load in `bump`, making
-        // the owner/used/cells writes above visible to every allocator.
-        self.active[var as usize].store(chunk, Ordering::Release);
+        self.active[var as usize].set(chunk);
     }
 
     /// The owner variable of `id`'s chunk (the free-list homing key; equals
     /// the node's variable except in mixed, sidecar-carrying chunks).
     #[inline]
     pub(crate) fn chunk_owner(&self, id: u32) -> u32 {
-        self.chunk_slot(id >> CHUNK_BITS)
-            .owner
-            .load(Ordering::Relaxed)
+        self.chunk_slot(id >> CHUNK_BITS).owner.get()
     }
 
     #[inline]
     pub(crate) fn var_of(&self, id: u32) -> u32 {
         let (slot, offset) = self.slot_of(id);
         match slot.vars.get() {
-            Some(vars) => vars[offset].load(Ordering::Relaxed),
-            None => slot.owner.load(Ordering::Relaxed),
+            Some(vars) => vars[offset].get(),
+            None => slot.owner.get(),
         }
     }
 
@@ -583,79 +422,71 @@ impl NodeArena {
     #[inline]
     pub(crate) fn children_of(&self, id: u32) -> u64 {
         let (slot, offset) = self.slot_of(id);
-        slot.cells.get().expect("cells of a live id")[offset].load(Ordering::Relaxed)
+        slot.cells.get().expect("cells of a live id")[offset].get()
     }
 
     #[inline]
     pub(crate) fn get(&self, id: u32) -> Node {
-        let (slot, offset) = self.slot_of(id);
-        let children =
-            slot.cells.get().expect("cells of a live id")[offset].load(Ordering::Relaxed);
-        let var = match slot.vars.get() {
-            Some(vars) => vars[offset].load(Ordering::Relaxed),
-            None => slot.owner.load(Ordering::Relaxed),
-        };
+        let children = self.children_of(id);
         Node {
-            var,
+            var: self.var_of(id),
             low: NodeId::from_bits((children >> 32) as u32),
             high: NodeId::from_bits(children as u32),
         }
     }
 
-    /// Writes a node's fields.  Safe in the shared phase only for ids that
-    /// have not been published yet (the speculative half of `mk`).  The
-    /// node's variable must match the chunk owner unless the chunk already
-    /// carries a sidecar — which the allocation discipline guarantees:
-    /// `mk(var, …)` only allocates ids homed under `var`.
+    /// Writes a freshly allocated node's fields.  The node's variable must
+    /// match the chunk owner unless the chunk already carries a sidecar —
+    /// which the allocation discipline guarantees: `mk(var, …)` only
+    /// allocates ids homed under `var`.
     #[inline]
     pub(crate) fn write(&self, id: u32, node: Node) {
         let (slot, offset) = self.slot_of(id);
         slot.cells.get().expect("cells of a live id")[offset]
-            .store(pack_children(node.low, node.high), Ordering::Relaxed);
+            .set(pack_children(node.low, node.high));
         if let Some(vars) = slot.vars.get() {
-            vars[offset].store(node.var, Ordering::Relaxed);
+            vars[offset].set(node.var);
         } else {
             debug_assert_eq!(
-                slot.owner.load(Ordering::Relaxed),
+                slot.owner.get(),
                 node.var,
-                "shared-phase write must match the chunk owner"
+                "a fresh node must match its chunk owner"
             );
         }
     }
 
     /// Rewrites a node in place with a possibly different variable (the
-    /// reordering relabel).  Exclusive phase only: materialises the chunk's
-    /// variable sidecar on first cross-variable write (every cell starts as
-    /// the owner, so the other nodes keep their labels).
-    pub(crate) fn write_relabel(&self, id: u32, node: Node) {
+    /// reordering relabel).  Materialises the chunk's variable sidecar on
+    /// the first cross-variable write (every cell starts as the owner, so
+    /// the other nodes keep their labels).
+    pub(crate) fn write_relabel(&mut self, id: u32, node: Node) {
         let (slot, offset) = self.slot_of(id);
         slot.cells.get().expect("cells of a live id")[offset]
-            .store(pack_children(node.low, node.high), Ordering::Relaxed);
-        let owner = slot.owner.load(Ordering::Relaxed);
+            .set(pack_children(node.low, node.high));
+        let owner = slot.owner.get();
         if node.var != owner && slot.vars.get().is_none() {
             slot.vars.get_or_init(|| {
                 self.mem.add(CHUNK_LEN * 4);
-                (0..CHUNK_LEN).map(|_| AtomicU32::new(owner)).collect()
+                (0..CHUNK_LEN).map(|_| Cell::new(owner)).collect()
             });
         }
         if let Some(vars) = slot.vars.get() {
-            vars[offset].store(node.var, Ordering::Relaxed);
+            vars[offset].set(node.var);
         }
     }
 
     /// Calls `f(id)` for every id ever handed out and still backed by
     /// cells (freed-but-unreclaimed ids included; released chunks
-    /// skipped).  Exclusive phase.
+    /// skipped).
     pub(crate) fn for_each_allocated(&self, mut f: impl FnMut(u32)) {
-        let watermark = self.watermark.load(Ordering::Relaxed);
-        for chunk in 1..watermark {
+        for chunk in 1..self.next_chunk.get() {
             let Some(slot) = self.chunk_slot_opt(chunk) else {
                 continue;
             };
             if slot.cells.get().is_none() {
                 continue;
             }
-            let used = (slot.used.load(Ordering::Relaxed) as usize).min(CHUNK_LEN);
+            let used = (slot.used.get() as usize).min(CHUNK_LEN);
             let base = chunk << CHUNK_BITS;
             for offset in 0..used as u32 {
                 f(base | offset);
@@ -671,15 +502,14 @@ impl NodeArena {
         total
     }
 
-    /// Retained arena bytes: live chunk cell arrays plus sidecars plus the
-    /// chunk directory.  (A subset of [`MemTracker::bytes`], which also
-    /// counts subtables and op caches.)  Returns `(cell_bytes,
+    /// Retained arena bytes: live chunk cell arrays plus sidecars.  (A
+    /// subset of [`MemTracker::bytes`], which also counts the chunk
+    /// directory, subtables and op caches.)  Returns `(cell_bytes,
     /// sidecar_bytes)`.
     pub(crate) fn arena_bytes(&self) -> (usize, usize) {
-        let watermark = self.watermark.load(Ordering::Relaxed);
         let mut cells = 0usize;
         let mut sidecars = 0usize;
-        for chunk in 0..watermark {
+        for chunk in 0..self.next_chunk.get() {
             let Some(slot) = self.chunk_slot_opt(chunk) else {
                 continue;
             };
@@ -693,28 +523,26 @@ impl NodeArena {
         (cells, sidecars)
     }
 
-    /// The generational sweep (exclusive phase): walks every chunk against
-    /// the GC mark bitmap and returns `(live_ids, per_var_free_lists)`.
-    /// Chunks with no survivors are released (cells and sidecar dropped,
-    /// index recycled); mixed chunks whose survivors share one variable are
-    /// re-owned to it and lose their sidecar; dead cells of surviving
-    /// chunks are homed under the chunk's final owner.  See the module docs
-    /// for the soundness argument.
+    /// The generational sweep: walks every chunk against the GC mark
+    /// bitmap and returns `(live_ids, per_var_free_lists)`.  Chunks with no
+    /// survivors are released (cells and sidecar dropped, index recycled);
+    /// mixed chunks whose survivors share one variable are re-owned to it
+    /// and lose their sidecar; dead cells of surviving chunks are homed
+    /// under the chunk's final owner.
     pub(crate) fn sweep(&mut self, marked: &[bool]) -> (Vec<u32>, Vec<Vec<u32>>) {
         let num_vars = self.active.len();
-        let watermark = self.watermark.load(Ordering::Relaxed);
         let mut live_ids = Vec::new();
         let mut free = vec![Vec::new(); num_vars];
         let mut to_release = Vec::new();
         let mut to_reown: Vec<(u32, u32)> = Vec::new();
-        for chunk in 1..watermark {
+        for chunk in 1..self.next_chunk.get() {
             let Some(slot) = self.chunk_slot_opt(chunk) else {
                 continue;
             };
             if slot.cells.get().is_none() {
                 continue;
             }
-            let used = (slot.used.load(Ordering::Relaxed) as usize).min(CHUNK_LEN);
+            let used = (slot.used.get() as usize).min(CHUNK_LEN);
             let base = chunk << CHUNK_BITS;
             let live_before = live_ids.len();
             let mut shared_var: Option<u32> = None;
@@ -738,12 +566,12 @@ impl NodeArena {
                 to_release.push(chunk);
                 continue;
             }
-            let mut owner = slot.owner.load(Ordering::Relaxed);
+            let mut owner = slot.owner.get();
             if slot.vars.get().is_some() && !mixed_live {
                 // The survivors agree on one variable: restore the compact
                 // single-owner form.
-                to_reown.push((chunk, shared_var.expect("chunk has survivors")));
                 owner = shared_var.expect("chunk has survivors");
+                to_reown.push((chunk, owner));
             }
             for offset in 0..used as u32 {
                 let id = base | offset;
@@ -758,15 +586,11 @@ impl NodeArena {
             if slot.vars.take().is_some() {
                 self.mem.sub(CHUNK_LEN * 4);
             }
-            let old_owner = *slot.owner.get_mut();
-            *slot.owner.get_mut() = new_owner;
-            if old_owner != new_owner {
+            let old_owner = slot.owner.replace(new_owner);
+            if old_owner != new_owner && self.active[old_owner as usize].get() == chunk {
                 // The old owner's bump path must not keep filling a chunk
                 // that now belongs to another variable.
-                let active = self.active[old_owner as usize].get_mut();
-                if *active == chunk {
-                    *active = NO_CHUNK;
-                }
+                self.active[old_owner as usize].set(NO_CHUNK);
             }
         }
         for chunk in to_release {
@@ -776,8 +600,8 @@ impl NodeArena {
     }
 
     /// Releases one chunk: drops its arrays (returning the memory), clears
-    /// the owner's stale active pointer, poisons `used` so no stale bump
-    /// fast path could ever mint an id here, and recycles the index.
+    /// the owner's active pointer, poisons `used` so `bump` can never mint
+    /// an id here, and recycles the index.
     fn release_chunk(&mut self, chunk: u32) {
         let (group, idx) = group_of(chunk);
         let slot = &mut self.groups[group].get_mut().expect("live chunk")[idx];
@@ -787,75 +611,22 @@ impl NodeArena {
         if slot.vars.take().is_some() {
             self.mem.sub(CHUNK_LEN * 4);
         }
-        let owner = *slot.owner.get_mut();
-        *slot.used.get_mut() = CHUNK_LEN as u32;
-        *slot.owner.get_mut() = NO_OWNER;
-        if (owner as usize) < self.active.len() {
-            let active = self.active[owner as usize].get_mut();
-            if *active == chunk {
-                *active = NO_CHUNK;
-            }
+        slot.used.set(CHUNK_LEN as u32);
+        let owner = slot.owner.replace(NO_OWNER);
+        if self
+            .active
+            .get(owner as usize)
+            .is_some_and(|active| active.get() == chunk)
+        {
+            self.active[owner as usize].set(NO_CHUNK);
         }
-        self.chunk_state
-            .get_mut()
-            .expect("chunk directory lock")
-            .recycled
-            .push(chunk);
+        self.recycled.get_mut().push(chunk);
         self.chunks_reclaimed += 1;
     }
 }
 
-impl Clone for NodeArena {
-    fn clone(&self) -> Self {
-        let (next, recycled) = {
-            let state = self.chunk_state.lock().expect("chunk directory lock");
-            (state.next, state.recycled.clone())
-        };
-        let arena = Self {
-            groups: std::array::from_fn(|_| OnceLock::new()),
-            active: self
-                .active
-                .iter()
-                .map(|a| AtomicU32::new(a.load(Ordering::Relaxed)))
-                .collect(),
-            watermark: AtomicU32::new(next),
-            chunk_state: Mutex::new(ChunkState { next, recycled }),
-            mem: MemTracker::new(),
-            chunks_reclaimed: self.chunks_reclaimed,
-        };
-        for chunk in 0..next {
-            let Some(src) = self.chunk_slot_opt(chunk) else {
-                continue;
-            };
-            let dst = arena.ensure_chunk(chunk);
-            dst.owner
-                .store(src.owner.load(Ordering::Relaxed), Ordering::Relaxed);
-            dst.used
-                .store(src.used.load(Ordering::Relaxed), Ordering::Relaxed);
-            if let Some(cells) = src.cells.get() {
-                let copied: Box<[AtomicU64]> = cells
-                    .iter()
-                    .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                    .collect();
-                let _ = dst.cells.set(copied);
-            }
-            if let Some(vars) = src.vars.get() {
-                let copied: Box<[AtomicU32]> = vars
-                    .iter()
-                    .map(|v| AtomicU32::new(v.load(Ordering::Relaxed)))
-                    .collect();
-                let _ = dst.vars.set(copied);
-            }
-        }
-        // The byte totals carry over verbatim (they also cover subtable and
-        // cache charges the clone's other fields replicate size-for-size).
-        arena.mem.copy_from(&self.mem);
-        arena
-    }
-}
-
 // ---------------------------------------------------------------------- //
-// Per-variable unique subtables (the unique-table shards)
+// Per-variable unique subtables
 // ---------------------------------------------------------------------- //
 
 /// Sentinel id marking an empty unique-table slot (regular node ids never
@@ -867,51 +638,30 @@ const SUBTABLE_INITIAL_CAPACITY: usize = 1 << 3;
 
 /// Bytes of one subtable's slot array at `capacity`.
 pub(crate) fn subtable_slot_bytes(capacity: usize) -> usize {
-    capacity * std::mem::size_of::<AtomicU32>()
+    capacity * std::mem::size_of::<u32>()
 }
 
-/// The hash-consing shard of one variable: an open-addressed, linear-probed
-/// power-of-two array of atomic node ids — 4 bytes per slot; the probe key
-/// is re-derived from the arena (`children_of`, one 8-byte load) instead of
-/// a stored hash tag.  Lookups and CAS inserts share the `RwLock`'s read
-/// side; only growth (doubling) takes the write side.  Deletion
-/// (backward-shift, needed by reordering) and wholesale rebuilds are
-/// exclusive-phase operations.
-#[derive(Debug)]
+/// The hash-consing table of one variable: an open-addressed, linear-probed
+/// power-of-two array of node ids — 4 bytes per slot; the probe key is
+/// re-derived from the arena (`children_of`, one 8-byte load) instead of a
+/// stored hash tag.  The slot array sits in a `RefCell` because `mk` may
+/// double it in the middle of an apply.  Deletion (backward shift, needed
+/// by reordering) and wholesale rebuilds are exclusive-phase operations.
+#[derive(Debug, Clone)]
 pub(crate) struct SubTable {
-    slots: RwLock<Box<[AtomicU32]>>,
-    len: AtomicUsize,
+    slots: RefCell<Box<[Cell<u32>]>>,
+    len: Cell<usize>,
 }
 
-fn empty_slots(capacity: usize) -> Box<[AtomicU32]> {
-    (0..capacity).map(|_| AtomicU32::new(EMPTY_SLOT)).collect()
-}
-
-/// Outcome of [`SubTable::find_or_publish`].
-pub(crate) enum Consed {
-    /// The key resolved to a canonical node.  `created` says whether the
-    /// caller's speculative node won the publication; `rollback` carries a
-    /// speculative id that lost the race and must be returned to the free
-    /// list by the caller (it was never published, so nothing can
-    /// reference it).
-    Done {
-        id: u32,
-        created: bool,
-        rollback: Option<u32>,
-    },
-    /// The probe wrapped the entire slot array without finding the key or
-    /// an empty slot.  Possible only transiently, when concurrent inserts
-    /// fill the table faster than the post-insert growth keeps up: the
-    /// caller must release, grow the subtable and retry (re-passing the
-    /// speculative id so at most one node is ever allocated per `mk`).
-    TableFull { speculative: Option<u32> },
+fn empty_slots(capacity: usize) -> Box<[Cell<u32>]> {
+    (0..capacity).map(|_| Cell::new(EMPTY_SLOT)).collect()
 }
 
 impl SubTable {
     pub(crate) fn new() -> Self {
         Self {
-            slots: RwLock::new(empty_slots(SUBTABLE_INITIAL_CAPACITY)),
-            len: AtomicUsize::new(0),
+            slots: RefCell::new(empty_slots(SUBTABLE_INITIAL_CAPACITY)),
+            len: Cell::new(0),
         }
     }
 
@@ -923,21 +673,21 @@ impl SubTable {
 
     /// Number of live nodes labelled with this subtable's variable.
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.get()
     }
 
     /// The current slot-array capacity in bytes.
     pub(crate) fn slot_bytes(&self) -> usize {
-        subtable_slot_bytes(self.slots.read().expect("subtable lock").len())
+        subtable_slot_bytes(self.slots.borrow().len())
     }
 
     /// Looks up the node with the given packed children.
     pub(crate) fn lookup(&self, arena: &NodeArena, children: u64) -> Option<u32> {
-        let slots = self.slots.read().expect("subtable lock");
+        let slots = self.slots.borrow();
         let mask = slots.len() - 1;
         let mut idx = mix64(children) as usize & mask;
         loop {
-            let id = slots[idx].load(Ordering::Acquire);
+            let id = slots[idx].get();
             if id == EMPTY_SLOT {
                 return None;
             }
@@ -948,184 +698,43 @@ impl SubTable {
         }
     }
 
-    /// The concurrent hash-consing step: finds `children`, or publishes the
-    /// node `alloc()` allocates for it.  `alloc` is called at most once
-    /// across retries — lazily, only when an empty slot is reached and no
-    /// `speculative` id from an earlier [`Consed::TableFull`] attempt is
-    /// supplied — and its node must carry exactly these children.  The
-    /// probe is bounded by the slot count: a wrap without resolution (a
-    /// transiently 100%-full table under concurrent insertion) returns
-    /// [`Consed::TableFull`] *after releasing the read guard*, so the
-    /// caller's grow — and every other thread's — can always make
-    /// progress.  See the module docs for the race argument.
-    pub(crate) fn find_or_publish(
-        &self,
-        arena: &NodeArena,
-        children: u64,
-        speculative_in: Option<u32>,
-        alloc: impl FnOnce() -> u32,
-        stats: &StatShard,
-    ) -> Consed {
-        let slots = self.slots.read().expect("subtable lock");
-        let mask = slots.len() - 1;
-        let mut idx = mix64(children) as usize & mask;
-        let mut probed = 0usize;
-        let mut speculative: Option<u32> = speculative_in;
-        let mut alloc = Some(alloc);
-        loop {
-            let found = slots[idx].load(Ordering::Acquire);
-            if found == EMPTY_SLOT {
-                let id = match speculative {
-                    Some(id) => id,
-                    None => {
-                        let id = (alloc.take().expect("alloc is called once"))();
-                        speculative = Some(id);
-                        id
-                    }
-                };
-                match slots[idx].compare_exchange(
-                    EMPTY_SLOT,
-                    id,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return Consed::Done {
-                            id,
-                            created: true,
-                            rollback: None,
-                        };
-                    }
-                    Err(_) => {
-                        // Another thread claimed this slot; re-inspect it.
-                        bump(&stats.unique_cas_retries);
-                        continue;
-                    }
-                }
-            }
-            if arena.children_of(found) == children {
-                return Consed::Done {
-                    id: found,
-                    created: false,
-                    rollback: speculative,
-                };
-            }
-            idx = (idx + 1) & mask;
-            probed += 1;
-            if probed > mask {
-                // Visited every slot: the table filled up under us.
-                return Consed::TableFull { speculative };
-            }
-        }
-    }
-
-    /// The serial-flavour hash-consing step: one probe walk that remembers
-    /// the first empty slot and plain-stores the new id into it on a miss —
-    /// no speculation, no CAS, no rollback (the allocator runs only once
-    /// the miss is certain, so a node is never allocated for an existing
-    /// key).  Returns `(id, created)`, or `None` when the walk wrapped the
-    /// full slot array without finding the key or an empty slot (the caller
-    /// grows and retries, exactly like the shared path).  Sound only under
-    /// the single-thread contract of the serial kernel flavour (see the
-    /// module docs).
-    pub(crate) fn find_or_insert_serial(
+    /// The hash-consing step: one probe walk that stops at the node with
+    /// these children, or at the first empty slot — where it stores the id
+    /// `alloc()` allocates for them.  Returns `(id, created)`.  The
+    /// allocator runs only once the miss is certain, so a node is never
+    /// allocated for an existing key.  The walk always ends: the caller
+    /// grows the table past its 3/4 load factor after every insert
+    /// ([`SubTable::grow`]), so an empty slot always exists.
+    #[inline]
+    pub(crate) fn find_or_insert(
         &self,
         arena: &NodeArena,
         children: u64,
         alloc: impl FnOnce() -> u32,
-    ) -> Option<(u32, bool)> {
-        let slots = self.slots.read().expect("subtable lock");
+    ) -> (u32, bool) {
+        let slots = self.slots.borrow();
         let mask = slots.len() - 1;
         let mut idx = mix64(children) as usize & mask;
-        let mut probed = 0usize;
         loop {
-            let found = slots[idx].load(Ordering::Relaxed);
+            let found = slots[idx].get();
             if found == EMPTY_SLOT {
                 let id = alloc();
-                slots[idx].store(id, Ordering::Relaxed);
-                let len = self.len.load(Ordering::Relaxed);
-                self.len.store(len + 1, Ordering::Relaxed);
-                return Some((id, true));
+                slots[idx].set(id);
+                self.len.set(self.len.get() + 1);
+                return (id, true);
             }
             if arena.children_of(found) == children {
-                return Some((found, false));
+                return (found, false);
             }
             idx = (idx + 1) & mask;
-            probed += 1;
-            if probed > mask {
-                return None;
-            }
         }
     }
 
-    /// Whether the subtable is past its 3/4 load factor (growth is the
-    /// caller's job, *after* releasing any probe in flight).
-    pub(crate) fn overloaded(&self) -> bool {
-        let capacity = self.slots.read().expect("subtable lock").len();
-        (self.len() + 1) * 4 > capacity * 3
-    }
-
-    /// Pre-grows the slot array until `additional` further inserts cannot
-    /// push the table past its load factor.  The parallel reorder batch
-    /// reserves its worst case up front so the probe sessions
-    /// ([`SubTable::probe_session`]) never need a growth path.
-    pub(crate) fn grow_for(&self, arena: &NodeArena, additional: usize) {
-        let needed = (self.len() + additional + 1) * 4;
-        let mut slots = self.slots.write().expect("subtable lock");
-        let mut capacity = slots.len();
-        if needed <= capacity * 3 {
-            return;
-        }
-        let before = capacity;
-        while needed > capacity * 3 {
-            capacity *= 2;
-        }
-        arena
-            .mem()
-            .add(subtable_slot_bytes(capacity) - subtable_slot_bytes(before));
-        let bigger = empty_slots(capacity);
-        let mask = capacity - 1;
-        for slot in slots.iter() {
-            let id = slot.load(Ordering::Relaxed);
-            if id == EMPTY_SLOT {
-                continue;
-            }
-            let hash = mix64(arena.children_of(id));
-            let mut idx = hash as usize & mask;
-            while bigger[idx].load(Ordering::Relaxed) != EMPTY_SLOT {
-                idx = (idx + 1) & mask;
-            }
-            bigger[idx].store(id, Ordering::Relaxed);
-        }
-        *slots = bigger;
-    }
-
-    /// Runs `f` with a probe handle that re-uses a **single** read-guard
-    /// acquisition for every cons under it.  The per-call `RwLock` read in
-    /// [`SubTable::find_or_publish`] is two RMWs on one cache line — cheap
-    /// uncontended, but the line ping-pongs when the parallel reorder
-    /// batch conses thousands of nodes into the *same* subtable from every
-    /// worker.  The caller must have [`SubTable::grow_for`]-reserved
-    /// enough headroom first: the handle has no growth path (growing
-    /// needs the write lock the session is read-holding).
-    pub(crate) fn probe_session<R>(&self, f: impl FnOnce(&SubTableProber) -> R) -> R {
-        let slots = self.slots.read().expect("subtable lock");
-        f(&SubTableProber { slots: &slots })
-    }
-
-    /// Applies a batch of deferred length updates (see
-    /// [`SubTableProber::find_or_publish`]).
-    pub(crate) fn len_add(&self, n: usize) {
-        self.len.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Doubles the slot array, rehashing every live entry.  Takes the write
-    /// lock, so it waits for in-flight probes and blocks new ones.  Returns
-    /// `false` when a racing grow already did the job.
+    /// Doubles the slot array if the table is past its 3/4 load factor,
+    /// rehashing every live entry; returns whether it grew.
     #[cold]
     pub(crate) fn grow(&self, arena: &NodeArena) -> bool {
-        let mut slots = self.slots.write().expect("subtable lock");
+        let mut slots = self.slots.borrow_mut();
         if (self.len() + 1) * 4 <= slots.len() * 3 {
             return false;
         }
@@ -1133,39 +742,32 @@ impl SubTable {
         let doubled = empty_slots(slots.len() * 2);
         let mask = doubled.len() - 1;
         for slot in slots.iter() {
-            let id = slot.load(Ordering::Relaxed);
+            let id = slot.get();
             if id == EMPTY_SLOT {
                 continue;
             }
-            let hash = mix64(arena.children_of(id));
-            let mut idx = hash as usize & mask;
-            while doubled[idx].load(Ordering::Relaxed) != EMPTY_SLOT {
+            let mut idx = mix64(arena.children_of(id)) as usize & mask;
+            while doubled[idx].get() != EMPTY_SLOT {
                 idx = (idx + 1) & mask;
             }
-            doubled[idx].store(id, Ordering::Relaxed);
+            doubled[idx].set(id);
         }
         *slots = doubled;
         true
     }
 
-    // ------------------------------------------------------------------ //
-    // Exclusive-phase operations (&mut Manager ⇒ sole access)
-    // ------------------------------------------------------------------ //
-
     /// Inserts `(children, id)`, which must not already be present
     /// (exclusive phase: GC rebuild, reordering).
     pub(crate) fn insert_exclusive(&mut self, arena: &NodeArena, children: u64, id: u32) {
-        if (self.len() + 1) * 4 > self.slots.get_mut().expect("subtable lock").len() * 3 {
-            self.grow(arena);
-        }
-        let slots = self.slots.get_mut().expect("subtable lock");
+        self.grow(arena);
+        let slots = self.slots.get_mut();
         let mask = slots.len() - 1;
         let mut idx = mix64(children) as usize & mask;
-        while slots[idx].load(Ordering::Relaxed) != EMPTY_SLOT {
+        while slots[idx].get() != EMPTY_SLOT {
             idx = (idx + 1) & mask;
         }
-        slots[idx].store(id, Ordering::Relaxed);
-        self.len.fetch_add(1, Ordering::Relaxed);
+        slots[idx].set(id);
+        *self.len.get_mut() += 1;
     }
 
     /// Removes the entry for `children` (which must be present) by
@@ -1173,11 +775,11 @@ impl SubTable {
     /// while doing so keeps them reachable from their home slot, so lookups
     /// never need tombstones.  Exclusive phase only (reordering).
     pub(crate) fn remove_exclusive(&mut self, arena: &NodeArena, children: u64) {
-        let slots = self.slots.get_mut().expect("subtable lock");
+        let slots = self.slots.get_mut();
         let mask = slots.len() - 1;
         let mut idx = mix64(children) as usize & mask;
         loop {
-            let id = slots[idx].load(Ordering::Relaxed);
+            let id = slots[idx].get();
             debug_assert!(
                 id != EMPTY_SLOT,
                 "removing a key that is not in the subtable"
@@ -1191,7 +793,7 @@ impl SubTable {
         let mut probe = idx;
         loop {
             probe = (probe + 1) & mask;
-            let id = slots[probe].load(Ordering::Relaxed);
+            let id = slots[probe].get();
             if id == EMPTY_SLOT {
                 break;
             }
@@ -1205,125 +807,35 @@ impl SubTable {
                 home > hole || home <= probe
             };
             if !in_gap {
-                slots[hole].store(id, Ordering::Relaxed);
+                slots[hole].set(id);
                 hole = probe;
             }
         }
-        slots[hole].store(EMPTY_SLOT, Ordering::Relaxed);
-        self.len.fetch_sub(1, Ordering::Relaxed);
+        slots[hole].set(EMPTY_SLOT);
+        *self.len.get_mut() -= 1;
     }
 
     /// Empties the subtable, keeping its capacity (exclusive phase).
     pub(crate) fn clear_exclusive(&mut self) {
-        for slot in self.slots.get_mut().expect("subtable lock").iter_mut() {
+        for slot in self.slots.get_mut().iter_mut() {
             *slot.get_mut() = EMPTY_SLOT;
         }
-        self.len.store(0, Ordering::Relaxed);
+        *self.len.get_mut() = 0;
     }
 
-    /// The live node ids in the subtable, collected under the read lock.
+    /// The live node ids in the subtable.
     pub(crate) fn ids(&self) -> Vec<u32> {
         self.slots
-            .read()
-            .expect("subtable lock")
+            .borrow()
             .iter()
-            .map(|slot| slot.load(Ordering::Relaxed))
+            .map(Cell::get)
             .filter(|&id| id != EMPTY_SLOT)
             .collect()
     }
 }
 
-impl Clone for SubTable {
-    fn clone(&self) -> Self {
-        let slots = self.slots.read().expect("subtable lock");
-        // Acquire loads pair with the publication CAS, so every id the
-        // cloned slots carry has fully visible node fields even if the
-        // clone races a shared-phase insert.
-        let copied: Box<[AtomicU32]> = slots
-            .iter()
-            .map(|slot| AtomicU32::new(slot.load(Ordering::Acquire)))
-            .collect();
-        let len = copied
-            .iter()
-            .filter(|slot| slot.load(Ordering::Relaxed) != EMPTY_SLOT)
-            .count();
-        Self {
-            slots: RwLock::new(copied),
-            len: AtomicUsize::new(len),
-        }
-    }
-}
-
-/// A probe handle over one subtable's slot array that amortises the read
-/// guard across a whole batch of cons calls (see
-/// [`SubTable::probe_session`]).  Safe only after a matching
-/// [`SubTable::grow_for`] reservation: with headroom guaranteed, a probe
-/// walk can never wrap, so the handle needs no growth (or [`Consed`]
-/// retry) path.
-pub(crate) struct SubTableProber<'a> {
-    slots: &'a [AtomicU32],
-}
-
-impl SubTableProber<'_> {
-    /// The shared-flavour hash-consing step without the per-call guard
-    /// acquisition or length update: finds `children` or CAS-publishes the
-    /// node `alloc()` allocates for it.  Returns `(id, created,
-    /// rollback)`; a `Some(rollback)` id lost a publication race and must
-    /// be returned to the free list.  The caller batches the subtable
-    /// length update ([`SubTable::len_add`]) from its `created` count.
-    pub(crate) fn find_or_publish(
-        &self,
-        arena: &NodeArena,
-        children: u64,
-        alloc: impl FnOnce() -> u32,
-        stats: &StatShard,
-    ) -> (u32, bool, Option<u32>) {
-        let slots = self.slots;
-        let mask = slots.len() - 1;
-        let mut idx = mix64(children) as usize & mask;
-        let mut probed = 0usize;
-        let mut speculative: Option<u32> = None;
-        let mut alloc = Some(alloc);
-        loop {
-            let found = slots[idx].load(Ordering::Acquire);
-            if found == EMPTY_SLOT {
-                let id = match speculative {
-                    Some(id) => id,
-                    None => {
-                        let id = (alloc.take().expect("alloc is called once"))();
-                        speculative = Some(id);
-                        id
-                    }
-                };
-                match slots[idx].compare_exchange(
-                    EMPTY_SLOT,
-                    id,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return (id, true, None),
-                    Err(_) => {
-                        // Another thread claimed this slot; re-inspect it.
-                        bump(&stats.unique_cas_retries);
-                        continue;
-                    }
-                }
-            }
-            if arena.children_of(found) == children {
-                return (found, false, speculative);
-            }
-            idx = (idx + 1) & mask;
-            probed += 1;
-            assert!(
-                probed <= mask,
-                "probe session wrapped: the batch was not grow_for-reserved"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------- //
-// Seqlock-protected lossy operation caches
+// Lossy direct-mapped operation caches
 // ---------------------------------------------------------------------- //
 
 /// Initial entry count (log2) of the direct-mapped caches.
@@ -1333,33 +845,31 @@ pub(crate) const CACHE_DEFAULT_MAX_LOG2: u32 = 16;
 /// Absolute cap (log2) the GC-time auto-tuner may raise the limit to.
 pub(crate) const CACHE_HARD_MAX_LOG2: u32 = 20;
 
-/// A lossy direct-mapped memoisation cache safe for concurrent use.
+/// A lossy direct-mapped memoisation cache.
 ///
-/// Entry layouts (`width = stride + 1` words per entry):
-/// * stride 2 (`and`/`xor`, `cofactor`, `flip`): `[seq, key, epoch<<32|result]`
-/// * stride 3 (`ite`, `xor3`, `maj`, `mux`): `[seq, k0, k1, epoch<<32|result]`
+/// Entry layouts (`stride` words per entry):
+/// * stride 2 (`and`/`xor`, `cofactor`, `flip`): `[key, epoch<<32|result]`
+/// * stride 3 (`ite`, `xor3`, `maj`, `mux`): `[k0, k1, epoch<<32|result]`
 ///
-/// The leading `seq` word is a per-entry seqlock: writers claim the entry by
-/// CASing an even sequence to odd (claim failure just drops the store — a
-/// lossy cache may always forget), write the data words relaxed, and release
-/// with `seq + 2`.  Readers verify the sequence word is even and unchanged
-/// around their reads; any torn read is a miss.  Entries never lie.
+/// A store overwrites whatever the entry held; a probe hits only when the
+/// stored key words and epoch match, so entries never lie.  An all-zero
+/// result word marks a never-written entry (epochs start at 1).
 ///
 /// Growth is *deferred*: misses decrement `grow_budget`, and the manager
 /// doubles exhausted caches during the next exclusive phase
 /// ([`crate::Manager::maybe_grow_caches`]); until then the cache keeps
 /// serving at its current size.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DirectCache {
-    words: Box<[AtomicU64]>,
-    /// Entry-index mask (entry count − 1).  Mutated only in the exclusive
-    /// phase, in lockstep with `words`.
+    words: Box<[Cell<u64>]>,
+    /// Entry-index mask (entry count − 1), changed only in lockstep with
+    /// `words`.
     mask: usize,
-    /// Data words per entry (2 or 3); the stored width is `stride + 1`.
+    /// Words per entry (2 or 3).
     stride: usize,
     /// Misses remaining until the next doubling is requested; at most 0
     /// means "grow at the next exclusive phase".
-    grow_budget: std::sync::atomic::AtomicI64,
+    grow_budget: Cell<i64>,
     /// Current growth cap (log2 entries); raised by the GC auto-tuner.
     pub(crate) max_log2: u32,
 }
@@ -1379,18 +889,18 @@ fn meta_result(word: u64) -> NodeId {
     NodeId::from_bits(word as u32)
 }
 
-fn zero_words(entries: usize, width: usize) -> Box<[AtomicU64]> {
-    (0..entries * width).map(|_| AtomicU64::new(0)).collect()
+fn zero_words(words: usize) -> Box<[Cell<u64>]> {
+    (0..words).map(|_| Cell::new(0)).collect()
 }
 
 impl DirectCache {
     pub(crate) fn new(stride: usize) -> Self {
         let entries = 1usize << CACHE_INITIAL_LOG2;
         Self {
-            words: zero_words(entries, stride + 1),
+            words: zero_words(entries * stride),
             mask: entries - 1,
             stride,
-            grow_budget: std::sync::atomic::AtomicI64::new(entries as i64),
+            grow_budget: Cell::new(entries as i64),
             max_log2: CACHE_DEFAULT_MAX_LOG2,
         }
     }
@@ -1402,27 +912,19 @@ impl DirectCache {
 
     #[inline]
     fn base(&self, hash: u64) -> usize {
-        (hash as usize & self.mask) * (self.stride + 1)
+        (hash as usize & self.mask) * self.stride
     }
 
     /// Called once per store (= once per miss): requests a doubling when
     /// the miss volume since the last resize exceeds the current capacity.
     #[inline]
     fn note_miss(&self) {
-        self.grow_budget.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Serial-flavour miss accounting: a load/store pair instead of
-    /// `fetch_sub` (single-thread contract, see the module docs).
-    #[inline]
-    fn note_miss_serial(&self) {
-        let budget = self.grow_budget.load(Ordering::Relaxed);
-        self.grow_budget.store(budget - 1, Ordering::Relaxed);
+        self.grow_budget.set(self.grow_budget.get() - 1);
     }
 
     /// Whether the miss budget ran out (the exclusive phase grows then).
     pub(crate) fn wants_growth(&self) -> bool {
-        self.grow_budget.load(Ordering::Relaxed) <= 0 && self.mask + 1 < (1usize << self.max_log2)
+        self.grow_budget.get() <= 0 && self.mask + 1 < (1usize << self.max_log2)
     }
 
     /// Raises the growth cap (GC-time auto-tuning).  A cache that had
@@ -1431,8 +933,8 @@ impl DirectCache {
     pub(crate) fn raise_cap(&mut self, max_log2: u32) {
         if max_log2 > self.max_log2 {
             self.max_log2 = max_log2;
-            if *self.grow_budget.get_mut() == i64::MAX {
-                *self.grow_budget.get_mut() = (self.mask + 1) as i64;
+            if self.grow_budget.get() == i64::MAX {
+                self.grow_budget.set((self.mask + 1) as i64);
             }
         }
     }
@@ -1444,35 +946,31 @@ impl DirectCache {
     pub(crate) fn grow(&mut self) {
         let entries = self.mask + 1;
         if entries >= (1usize << self.max_log2) {
-            self.grow_budget.store(i64::MAX, Ordering::Relaxed);
+            self.grow_budget.set(i64::MAX);
             return;
         }
-        let width = self.stride + 1;
+        let stride = self.stride;
         let doubled = entries * 2;
         let mask = doubled - 1;
-        let words = zero_words(doubled, width);
-        for base in (0..self.words.len()).step_by(width) {
-            let meta_word = self.words[base + width - 1].load(Ordering::Relaxed);
-            if meta_word == 0 {
+        let words = zero_words(doubled * stride);
+        for entry in self.words.chunks_exact(stride) {
+            if entry[stride - 1].get() == 0 {
                 continue;
             }
-            let k0 = self.words[base + 1].load(Ordering::Relaxed);
-            let hash = if self.stride == 2 {
+            let k0 = entry[0].get();
+            let hash = if stride == 2 {
                 mix64(k0)
             } else {
-                mix64(k0 ^ mix64(self.words[base + 2].load(Ordering::Relaxed)))
+                mix64(k0 ^ mix64(entry[1].get()))
             };
-            let new_base = (hash as usize & mask) * width;
-            for offset in 0..width {
-                words[new_base + offset].store(
-                    self.words[base + offset].load(Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
+            let new_base = (hash as usize & mask) * stride;
+            for (offset, word) in entry.iter().enumerate() {
+                words[new_base + offset].set(word.get());
             }
         }
         self.words = words;
         self.mask = mask;
-        self.grow_budget.store(doubled as i64, Ordering::Relaxed);
+        self.grow_budget.set(doubled as i64);
     }
 
     /// Zeroes every entry (exclusive phase; epoch-wrap fallback).
@@ -1486,120 +984,47 @@ impl DirectCache {
     #[inline]
     pub(crate) fn probe2(&self, epoch: u32, key: u64) -> Option<NodeId> {
         let base = self.base(mix64(key));
-        let seq = self.words[base].load(Ordering::Acquire);
-        if seq & 1 == 1 {
-            return None;
-        }
-        let found_key = self.words[base + 1].load(Ordering::Relaxed);
-        let found_meta = self.words[base + 2].load(Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::Acquire);
-        if self.words[base].load(Ordering::Relaxed) != seq {
-            return None;
-        }
-        if found_key == key && meta_epoch(found_meta) == epoch {
+        let found_meta = self.words[base + 1].get();
+        if self.words[base].get() == key && meta_epoch(found_meta) == epoch {
             Some(meta_result(found_meta))
         } else {
             None
         }
     }
 
-    /// Stores a stride-2 entry, counting lossy overwrites (and dropped
-    /// stores, when the entry is claimed by a racing writer) into `stats`.
+    /// Stores a stride-2 entry, counting lossy overwrites into `stats`.
     #[inline]
-    pub(crate) fn store2(
-        &self,
-        stats: &AtomicCacheStats,
-        shard: &StatShard,
-        epoch: u32,
-        key: u64,
-        result: NodeId,
-    ) {
+    pub(crate) fn store2(&self, stats: &CacheCounters, epoch: u32, key: u64, result: NodeId) {
         let base = self.base(mix64(key));
         self.note_miss();
-        let seq = self.words[base].load(Ordering::Relaxed);
-        if seq & 1 == 1
-            || self.words[base]
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            bump(&shard.cache_write_skips);
-            return;
-        }
-        let old_key = self.words[base + 1].load(Ordering::Relaxed);
-        let old_meta = self.words[base + 2].load(Ordering::Relaxed);
-        if meta_epoch(old_meta) == epoch && old_key != key {
+        let old_meta = self.words[base + 1].get();
+        if meta_epoch(old_meta) == epoch && self.words[base].get() != key {
             bump(&stats.evictions);
         }
-        self.words[base + 1].store(key, Ordering::Relaxed);
-        self.words[base + 2].store(meta(epoch, result), Ordering::Relaxed);
-        self.words[base].store(seq + 2, Ordering::Release);
-    }
-
-    /// Serial-flavour stride-2 lookup: reads the key/value words directly
-    /// and ignores the per-entry sequence word (a quiescent entry is always
-    /// released, so the words are consistent — see the module docs).
-    #[inline]
-    pub(crate) fn probe2_serial(&self, epoch: u32, key: u64) -> Option<NodeId> {
-        let base = self.base(mix64(key));
-        let found_key = self.words[base + 1].load(Ordering::Relaxed);
-        let found_meta = self.words[base + 2].load(Ordering::Relaxed);
-        if found_key == key && meta_epoch(found_meta) == epoch {
-            Some(meta_result(found_meta))
-        } else {
-            None
-        }
-    }
-
-    /// Serial-flavour stride-2 store: writes the key/value words directly,
-    /// leaving the sequence word untouched (it stays even, so later
-    /// shared-phase probes still validate normally).
-    #[inline]
-    pub(crate) fn store2_serial(
-        &self,
-        stats: &AtomicCacheStats,
-        epoch: u32,
-        key: u64,
-        result: NodeId,
-    ) {
-        let base = self.base(mix64(key));
-        self.note_miss_serial();
-        let old_key = self.words[base + 1].load(Ordering::Relaxed);
-        let old_meta = self.words[base + 2].load(Ordering::Relaxed);
-        if meta_epoch(old_meta) == epoch && old_key != key {
-            bump(&stats.evictions);
-        }
-        self.words[base + 1].store(key, Ordering::Relaxed);
-        self.words[base + 2].store(meta(epoch, result), Ordering::Relaxed);
+        self.words[base].set(key);
+        self.words[base + 1].set(meta(epoch, result));
     }
 
     /// Looks up a stride-3 entry.
     #[inline]
     pub(crate) fn probe3(&self, epoch: u32, key_fg: u64, key_h: u64) -> Option<NodeId> {
         let base = self.base(mix64(key_fg ^ mix64(key_h)));
-        let seq = self.words[base].load(Ordering::Acquire);
-        if seq & 1 == 1 {
-            return None;
-        }
-        let found_fg = self.words[base + 1].load(Ordering::Relaxed);
-        let found_h = self.words[base + 2].load(Ordering::Relaxed);
-        let found_meta = self.words[base + 3].load(Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::Acquire);
-        if self.words[base].load(Ordering::Relaxed) != seq {
-            return None;
-        }
-        if found_fg == key_fg && found_h == key_h && meta_epoch(found_meta) == epoch {
+        let found_meta = self.words[base + 2].get();
+        if self.words[base].get() == key_fg
+            && self.words[base + 1].get() == key_h
+            && meta_epoch(found_meta) == epoch
+        {
             Some(meta_result(found_meta))
         } else {
             None
         }
     }
 
-    /// Stores a stride-3 entry.
+    /// Stores a stride-3 entry, counting lossy overwrites into `stats`.
     #[inline]
     pub(crate) fn store3(
         &self,
-        stats: &AtomicCacheStats,
-        shard: &StatShard,
+        stats: &CacheCounters,
         epoch: u32,
         key_fg: u64,
         key_h: u64,
@@ -1607,311 +1032,93 @@ impl DirectCache {
     ) {
         let base = self.base(mix64(key_fg ^ mix64(key_h)));
         self.note_miss();
-        let seq = self.words[base].load(Ordering::Relaxed);
-        if seq & 1 == 1
-            || self.words[base]
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
+        let old_meta = self.words[base + 2].get();
+        if meta_epoch(old_meta) == epoch
+            && (self.words[base].get() != key_fg || self.words[base + 1].get() != key_h)
         {
-            bump(&shard.cache_write_skips);
-            return;
-        }
-        let old_fg = self.words[base + 1].load(Ordering::Relaxed);
-        let old_h = self.words[base + 2].load(Ordering::Relaxed);
-        let old_meta = self.words[base + 3].load(Ordering::Relaxed);
-        if meta_epoch(old_meta) == epoch && (old_fg != key_fg || old_h != key_h) {
             bump(&stats.evictions);
         }
-        self.words[base + 1].store(key_fg, Ordering::Relaxed);
-        self.words[base + 2].store(key_h, Ordering::Relaxed);
-        self.words[base + 3].store(meta(epoch, result), Ordering::Relaxed);
-        self.words[base].store(seq + 2, Ordering::Release);
-    }
-
-    /// Serial-flavour stride-3 lookup (see [`DirectCache::probe2_serial`]).
-    #[inline]
-    pub(crate) fn probe3_serial(&self, epoch: u32, key_fg: u64, key_h: u64) -> Option<NodeId> {
-        let base = self.base(mix64(key_fg ^ mix64(key_h)));
-        let found_fg = self.words[base + 1].load(Ordering::Relaxed);
-        let found_h = self.words[base + 2].load(Ordering::Relaxed);
-        let found_meta = self.words[base + 3].load(Ordering::Relaxed);
-        if found_fg == key_fg && found_h == key_h && meta_epoch(found_meta) == epoch {
-            Some(meta_result(found_meta))
-        } else {
-            None
-        }
-    }
-
-    /// Serial-flavour stride-3 store (see [`DirectCache::store2_serial`]).
-    #[inline]
-    pub(crate) fn store3_serial(
-        &self,
-        stats: &AtomicCacheStats,
-        epoch: u32,
-        key_fg: u64,
-        key_h: u64,
-        result: NodeId,
-    ) {
-        let base = self.base(mix64(key_fg ^ mix64(key_h)));
-        self.note_miss_serial();
-        let old_fg = self.words[base + 1].load(Ordering::Relaxed);
-        let old_h = self.words[base + 2].load(Ordering::Relaxed);
-        let old_meta = self.words[base + 3].load(Ordering::Relaxed);
-        if meta_epoch(old_meta) == epoch && (old_fg != key_fg || old_h != key_h) {
-            bump(&stats.evictions);
-        }
-        self.words[base + 1].store(key_fg, Ordering::Relaxed);
-        self.words[base + 2].store(key_h, Ordering::Relaxed);
-        self.words[base + 3].store(meta(epoch, result), Ordering::Relaxed);
-    }
-}
-
-impl Clone for DirectCache {
-    fn clone(&self) -> Self {
-        Self {
-            words: self
-                .words
-                .iter()
-                .map(|word| AtomicU64::new(word.load(Ordering::Relaxed)))
-                .collect(),
-            mask: self.mask,
-            stride: self.stride,
-            grow_budget: std::sync::atomic::AtomicI64::new(
-                self.grow_budget.load(Ordering::Relaxed),
-            ),
-            max_log2: self.max_log2,
-        }
+        self.words[base].set(key_fg);
+        self.words[base + 1].set(key_h);
+        self.words[base + 2].set(meta(epoch, result));
     }
 }
 
 // ---------------------------------------------------------------------- //
-// Thread-sharded statistics
+// Hot-path statistics
 // ---------------------------------------------------------------------- //
 
-/// Number of statistic shards (power of two).
-pub(crate) const STAT_SHARDS: usize = 16;
-
-/// Increments a statistics counter with a plain load/store pair instead of
-/// an atomic read-modify-write.  Each thread is pinned to one shard, so a
-/// shard counter has a single writer and the racy increment is exact up to
-/// [`STAT_SHARDS`] concurrent threads (beyond that, slot collisions may
-/// drop a *statistics* increment — never anything load-bearing).  On x86
-/// this removes a `lock xadd` from every hot-path counter bump.
+/// Increments a statistics counter.
 #[inline]
-pub(crate) fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+pub(crate) fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
-/// Hit/miss/eviction counters of one operation cache, atomic flavour.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicCacheStats {
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-    pub(crate) evictions: AtomicU64,
+/// Hit/miss/eviction counters of one operation cache.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct CacheCounters {
+    pub(crate) hits: Cell<u64>,
+    pub(crate) misses: Cell<u64>,
+    pub(crate) evictions: Cell<u64>,
 }
 
-/// One shard of the hot-path counters, padded to its own cache lines so
-/// concurrent threads do not bounce a shared line per increment.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub(crate) struct StatShard {
+/// The counters apply operations bump; [`crate::ManagerStats`] snapshots
+/// read them.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct HotCounters {
     /// Indexed like [`crate::ManagerStats::caches`]: and, xor, ite,
     /// cofactor, xor3, maj, flip, mux.
-    pub(crate) caches: [AtomicCacheStats; 8],
-    pub(crate) not_ops: AtomicU64,
-    pub(crate) complement_flips: AtomicU64,
-    pub(crate) created_nodes: AtomicU64,
-    /// Unique-table CAS attempts that lost a slot to a racing insert.
-    pub(crate) unique_cas_retries: AtomicU64,
-    /// `mk` races lost outright: a speculative node was rolled back because
-    /// another thread published the same key first.
-    pub(crate) unique_dup_races: AtomicU64,
-    /// Cache stores dropped because the entry was claimed by another writer.
-    pub(crate) cache_write_skips: AtomicU64,
-}
-
-impl StatShard {
-    fn clone_values(&self) -> StatShard {
-        let shard = StatShard::default();
-        for (src, dst) in self.caches.iter().zip(shard.caches.iter()) {
-            dst.hits
-                .store(src.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-            dst.misses
-                .store(src.misses.load(Ordering::Relaxed), Ordering::Relaxed);
-            dst.evictions
-                .store(src.evictions.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for (src, dst) in [
-            (&self.not_ops, &shard.not_ops),
-            (&self.complement_flips, &shard.complement_flips),
-            (&self.created_nodes, &shard.created_nodes),
-            (&self.unique_cas_retries, &shard.unique_cas_retries),
-            (&self.unique_dup_races, &shard.unique_dup_races),
-            (&self.cache_write_skips, &shard.cache_write_skips),
-        ] {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        shard
-    }
-}
-
-/// The sharded counter block of one manager.
-#[derive(Debug)]
-pub(crate) struct StatShards {
-    shards: Box<[StatShard]>,
-}
-
-impl StatShards {
-    pub(crate) fn new() -> Self {
-        Self {
-            shards: (0..STAT_SHARDS).map(|_| StatShard::default()).collect(),
-        }
-    }
-
-    /// The current thread's shard.
-    #[inline]
-    pub(crate) fn local(&self) -> &StatShard {
-        &self.shards[stat_slot()]
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &StatShard> {
-        self.shards.iter()
-    }
-}
-
-impl Clone for StatShards {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self.shards.iter().map(StatShard::clone_values).collect(),
-        }
-    }
-}
-
-/// Source of thread stat-slot assignments (round-robin over the shards).
-static NEXT_STAT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STAT_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The calling thread's statistics shard index.
-#[inline]
-fn stat_slot() -> usize {
-    STAT_SLOT.with(|slot| {
-        let current = slot.get();
-        if current != usize::MAX {
-            return current;
-        }
-        let assigned = NEXT_STAT_SLOT.fetch_add(1, Ordering::Relaxed) & (STAT_SHARDS - 1);
-        slot.set(assigned);
-        assigned
-    })
+    pub(crate) caches: [CacheCounters; 8],
+    pub(crate) not_ops: Cell<u64>,
+    pub(crate) complement_flips: Cell<u64>,
+    pub(crate) created_nodes: Cell<u64>,
 }
 
 // ---------------------------------------------------------------------- //
 // Per-variable free lists
 // ---------------------------------------------------------------------- //
 
-/// One variable's free stack: a mutex-protected vector with a relaxed
-/// length mirror so the empty case — the common one on the `mk` hot path —
-/// skips the lock entirely.
-#[derive(Debug, Default)]
-struct FreeShard {
-    stack: Mutex<Vec<u32>>,
-    len: AtomicUsize,
-}
-
 /// The arena's free lists, segregated by variable to match the
 /// level-segregated allocator.  **Homing invariant**: `lists[v]` holds only
 /// ids whose chunk owner is `v`, so a reused id never turns a single-owner
-/// chunk mixed.  The invariant is maintained by construction — `mk(var, …)`
-/// rolls back ids it popped (or bumped) for `var`, and the exclusive-phase
-/// producers (sweep, reorder reclamation) home ids through
+/// chunk mixed.  `mk(var, …)` pops only from `lists[var]`, and the
+/// exclusive-phase producers (sweep, reorder reclamation) home ids through
 /// [`NodeArena::chunk_owner`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FreeTable {
-    lists: Vec<FreeShard>,
+    lists: Vec<RefCell<Vec<u32>>>,
 }
 
 impl FreeTable {
     pub(crate) fn new(num_vars: usize) -> Self {
         Self {
-            lists: (0..num_vars).map(|_| FreeShard::default()).collect(),
-        }
-    }
-
-    /// Appends shards for `extra` fresh variables (exclusive phase).
-    pub(crate) fn add_vars(&mut self, extra: usize) {
-        for _ in 0..extra {
-            self.lists.push(FreeShard::default());
+            lists: (0..num_vars).map(|_| RefCell::new(Vec::new())).collect(),
         }
     }
 
     /// Total free ids across all variables (integrity checks, GC
     /// bookkeeping; not on the hot path).
     pub(crate) fn len(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|shard| shard.len.load(Ordering::Relaxed))
-            .sum()
+        self.lists.iter().map(|list| list.borrow().len()).sum()
     }
 
     /// Pops a free id homed under `var`, if any.
+    #[inline]
     pub(crate) fn pop(&self, var: u32) -> Option<u32> {
-        let shard = &self.lists[var as usize];
-        if shard.len.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        let mut stack = shard.stack.lock().expect("free list lock");
-        let id = stack.pop();
-        if id.is_some() {
-            shard.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        id
+        self.lists[var as usize].borrow_mut().pop()
     }
 
-    /// Returns a free id to `var`'s list (rollbacks, reorder reclamation).
-    pub(crate) fn push(&self, var: u32, id: u32) {
-        let shard = &self.lists[var as usize];
-        let mut stack = shard.stack.lock().expect("free list lock");
-        stack.push(id);
-        shard.len.fetch_add(1, Ordering::Relaxed);
+    /// Returns a free id to `var`'s list (reorder reclamation).
+    pub(crate) fn push(&mut self, var: u32, id: u32) {
+        self.lists[var as usize].get_mut().push(id);
     }
 
-    /// Pops up to `n` ids homed under `var` in one lock acquisition.  The
-    /// parallel reorder batch hands each worker chunk its own slice of
-    /// pre-popped ids so the racing cons calls never touch the mutex.
-    pub(crate) fn pop_many(&self, var: u32, n: usize) -> Vec<u32> {
-        let shard = &self.lists[var as usize];
-        if n == 0 || shard.len.load(Ordering::Relaxed) == 0 {
-            return Vec::new();
-        }
-        let mut stack = shard.stack.lock().expect("free list lock");
-        let take = n.min(stack.len());
-        let split_at = stack.len() - take;
-        let ids = stack.split_off(split_at);
-        shard.len.fetch_sub(take, Ordering::Relaxed);
-        ids
-    }
-
-    /// Returns unused pre-popped ids in one lock acquisition.
-    pub(crate) fn push_many(&self, var: u32, ids: &[u32]) {
-        if ids.is_empty() {
-            return;
-        }
-        let shard = &self.lists[var as usize];
-        let mut stack = shard.stack.lock().expect("free list lock");
-        stack.extend_from_slice(ids);
-        shard.len.fetch_add(ids.len(), Ordering::Relaxed);
-    }
-
-    /// Replaces every per-variable stack (exclusive phase: the GC sweep
-    /// hands back its owner-homed free lists).
+    /// Replaces every per-variable list (the GC sweep hands back its
+    /// owner-homed free lists).
     pub(crate) fn replace_all(&mut self, lists: Vec<Vec<u32>>) {
         debug_assert_eq!(lists.len(), self.lists.len(), "one list per variable");
-        for (shard, ids) in self.lists.iter_mut().zip(lists) {
-            shard.len.store(ids.len(), Ordering::Relaxed);
-            *shard.stack.get_mut().expect("free list lock") = ids;
+        for (list, ids) in self.lists.iter_mut().zip(lists) {
+            *list.get_mut() = ids;
         }
     }
 
@@ -1919,35 +1126,20 @@ impl FreeTable {
     /// bookkeeping).
     pub(crate) fn snapshot(&self) -> Vec<u32> {
         let mut out = Vec::new();
-        for shard in &self.lists {
-            out.extend_from_slice(&shard.stack.lock().expect("free list lock"));
+        for list in &self.lists {
+            out.extend_from_slice(&list.borrow());
         }
         out
-    }
-}
-
-impl Clone for FreeTable {
-    fn clone(&self) -> Self {
-        Self {
-            lists: self
-                .lists
-                .iter()
-                .map(|shard| {
-                    let stack = shard.stack.lock().expect("free list lock").clone();
-                    let len = stack.len();
-                    FreeShard {
-                        stack: Mutex::new(stack),
-                        len: AtomicUsize::new(len),
-                    }
-                })
-                .collect(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn leaf(var: u32, low: NodeId, high: NodeId) -> Node {
+        Node { var, low, high }
+    }
 
     #[test]
     fn chunk_directory_roundtrips() {
@@ -1967,14 +1159,7 @@ mod tests {
         for i in 0..10_000u32 {
             let var = i % 5;
             let id = arena.bump(var);
-            arena.write(
-                id,
-                Node {
-                    var,
-                    low: NodeId::TRUE,
-                    high: NodeId::FALSE,
-                },
-            );
+            arena.write(id, leaf(var, NodeId::TRUE, NodeId::FALSE));
             ids.push((id, var));
         }
         for (id, var) in ids {
@@ -1993,24 +1178,10 @@ mod tests {
         // Fill two full chunks of variable 0 and a partial chunk of var 1.
         for _ in 0..2 * CHUNK_LEN {
             let id = arena.bump(0);
-            arena.write(
-                id,
-                Node {
-                    var: 0,
-                    low: NodeId::TRUE,
-                    high: NodeId::FALSE,
-                },
-            );
+            arena.write(id, leaf(0, NodeId::TRUE, NodeId::FALSE));
         }
         let keeper = arena.bump(1);
-        arena.write(
-            keeper,
-            Node {
-                var: 1,
-                low: NodeId::TRUE,
-                high: NodeId::FALSE,
-            },
-        );
+        arena.write(keeper, leaf(1, NodeId::TRUE, NodeId::FALSE));
         let bytes_before = arena.mem().bytes();
         // Only the var-1 node survives.
         let mut marked = vec![false; arena.id_bound()];
@@ -2037,33 +1208,12 @@ mod tests {
     fn relabel_creates_and_sweep_drops_the_sidecar() {
         let mut arena = NodeArena::new(4);
         let a = arena.bump(0);
-        arena.write(
-            a,
-            Node {
-                var: 0,
-                low: NodeId::TRUE,
-                high: NodeId::FALSE,
-            },
-        );
+        arena.write(a, leaf(0, NodeId::TRUE, NodeId::FALSE));
         let b = arena.bump(0);
-        arena.write(
-            b,
-            Node {
-                var: 0,
-                low: NodeId::FALSE,
-                high: NodeId::TRUE,
-            },
-        );
+        arena.write(b, leaf(0, NodeId::FALSE, NodeId::TRUE));
         // Relabel one node: the chunk turns mixed and gets a sidecar.
         let bytes_before = arena.mem().bytes();
-        arena.write_relabel(
-            b,
-            Node {
-                var: 2,
-                low: NodeId::FALSE,
-                high: NodeId::TRUE,
-            },
-        );
+        arena.write_relabel(b, leaf(2, NodeId::FALSE, NodeId::TRUE));
         assert_eq!(arena.var_of(a), 0, "other nodes keep their label");
         assert_eq!(arena.var_of(b), 2, "relabelled node reads the sidecar");
         assert_eq!(arena.mem().bytes(), bytes_before + CHUNK_LEN * 4);
@@ -2098,62 +1248,40 @@ mod tests {
 
     #[test]
     fn free_table_homes_ids_per_variable() {
-        let free = FreeTable::new(3);
+        let mut free = FreeTable::new(3);
         free.push(0, 1024);
         free.push(1, 2048);
         free.push(1, 2049);
         assert_eq!(free.len(), 3);
         assert_eq!(free.pop(2), None, "other variables see nothing");
         assert_eq!(free.pop(0), Some(1024));
-        assert_eq!(free.pop_many(1, 8), vec![2048, 2049]);
-        assert_eq!(free.len(), 0);
+        assert_eq!(free.pop(1), Some(2049));
+        assert_eq!(free.snapshot(), vec![2048]);
     }
 
     #[test]
-    fn subtable_find_or_publish_is_canonical() {
+    fn subtable_find_or_insert_is_canonical() {
         let arena = NodeArena::new(3);
         let table = SubTable::new();
-        let shard = StatShard::default();
-        let mut published = Vec::new();
-        for i in 0..100u64 {
-            let children = pack_children(NodeId::TRUE, NodeId::from_bits(i as u32 + 1));
-            let id = arena.bump(0);
-            arena.write(
-                id,
-                Node {
-                    var: 0,
-                    low: NodeId::TRUE,
-                    high: NodeId::from_bits(i as u32 + 1),
-                },
-            );
-            match table.find_or_publish(&arena, children, None, || id, &shard) {
-                Consed::Done {
-                    id: got, created, ..
-                } => {
-                    assert!(created, "fresh key must publish");
-                    assert_eq!(got, id);
-                }
-                Consed::TableFull { .. } => panic!("serial insert cannot fill the table"),
-            }
-            published.push((children, id));
-            // Growth is the caller's responsibility (mk does exactly this).
-            if table.overloaded() {
-                table.grow(&arena);
-            }
+        let mut inserted = Vec::new();
+        for i in 0..100u32 {
+            let high = NodeId::from_bits(i + 1);
+            let children = pack_children(NodeId::TRUE, high);
+            let (id, created) = table.find_or_insert(&arena, children, || {
+                let id = arena.bump(0);
+                arena.write(id, leaf(0, NodeId::TRUE, high));
+                id
+            });
+            assert!(created, "fresh key must insert");
+            inserted.push((children, id));
+            table.grow(&arena);
         }
-        for (children, id) in published {
+        for (children, id) in inserted {
             assert_eq!(table.lookup(&arena, children), Some(id));
-            // Re-publishing the same key finds the canonical node without
+            // Re-inserting the same key finds the canonical node without
             // calling the allocator.
-            match table.find_or_publish(&arena, children, None, || panic!("no alloc"), &shard) {
-                Consed::Done {
-                    id: got, created, ..
-                } => {
-                    assert!(!created, "existing key must be found");
-                    assert_eq!(got, id);
-                }
-                Consed::TableFull { .. } => panic!("table has room"),
-            }
+            let found = table.find_or_insert(&arena, children, || panic!("no alloc"));
+            assert_eq!(found, (id, false), "existing key must be found");
         }
         assert_eq!(table.len(), 100);
     }
@@ -2161,25 +1289,37 @@ mod tests {
     #[test]
     fn subtable_growth_charges_the_tracker() {
         let arena = NodeArena::new(2);
-        let table = SubTable::new();
+        let mut table = SubTable::new();
+        let nodes: Vec<(u64, u32)> = (0..1000u32)
+            .map(|i| {
+                let id = arena.bump(0);
+                let high = NodeId::from_bits(i + 1);
+                arena.write(id, leaf(0, NodeId::TRUE, high));
+                (pack_children(NodeId::TRUE, high), id)
+            })
+            .collect();
         let before = arena.mem().bytes();
-        table.grow_for(&arena, 1000);
-        let grown = arena.mem().bytes() - before;
+        for (children, id) in nodes {
+            table.insert_exclusive(&arena, children, id);
+        }
         assert_eq!(
-            grown,
+            arena.mem().bytes() - before,
             table.slot_bytes() - SubTable::initial_bytes(),
-            "grow_for charges exactly the capacity delta"
+            "growth charges exactly the capacity delta"
         );
     }
 
     #[test]
-    fn cache_seqlock_roundtrip() {
+    fn cache_roundtrip_and_epochs() {
         let cache = DirectCache::new(2);
-        let stats = AtomicCacheStats::default();
-        let shard = StatShard::default();
-        cache.store2(&stats, &shard, 1, 42, NodeId::TRUE);
+        let stats = CacheCounters::default();
+        cache.store2(&stats, 1, 42, NodeId::TRUE);
         assert_eq!(cache.probe2(1, 42), Some(NodeId::TRUE));
         // A different epoch is a miss, not a stale hit.
         assert_eq!(cache.probe2(2, 42), None);
+        let cache = DirectCache::new(3);
+        cache.store3(&stats, 1, 7, 9, NodeId::FALSE);
+        assert_eq!(cache.probe3(1, 7, 9), Some(NodeId::FALSE));
+        assert_eq!(cache.probe3(1, 7, 8), None);
     }
 }

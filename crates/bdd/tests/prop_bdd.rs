@@ -851,12 +851,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------- //
-// Interleaved parallel apply + GC + reordering: the sharded kernel's phase
-// discipline.  Shared phases run apply recursions from several threads on
-// one `&Manager`; exclusive phases (GC, swaps, auto-reorder) run on `&mut
-// Manager`, which the borrow checker guarantees cannot overlap an in-flight
-// apply — this test exercises the full cycle and then holds the result to
-// the regular-edge oracle node-for-node.
+// Apply interleaved with GC + reordering: the kernel's phase discipline.
+// Apply recursions run on `&Manager`; exclusive phases (GC, swaps,
+// auto-reorder) run on `&mut Manager`, which the borrow checker guarantees
+// cannot overlap an in-flight apply — this test exercises the full cycle,
+// including node ids recycled by the exclusive phase, and then holds the
+// result to the regular-edge oracle node-for-node.
 // ---------------------------------------------------------------------- //
 
 /// `e` with every variable substituted through `map` — used to express the
@@ -882,33 +882,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn parallel_apply_interleaved_with_gc_and_reorder_matches_oracle(
+    fn apply_interleaved_with_gc_and_reorder_matches_oracle(
         base in expr_strategy(),
         others in proptest::collection::vec(expr_strategy(), 4..5),
         swaps in proptest::collection::vec(0..NVARS - 1, 0..6),
     ) {
-        // Shared phase 1: one thread per expression builds through a single
-        // `&Manager`; the shared `base` sub-expression forces cross-thread
-        // hash-consing collisions.
-        let mgr = Manager::new(NVARS);
-        let roots: Vec<NodeId> = std::thread::scope(|scope| {
-            let mgr = &mgr;
-            let base = &base;
-            let handles: Vec<_> = others
-                .iter()
-                .map(|e| {
-                    scope.spawn(move || {
-                        let fb = build_bdd(mgr, base);
-                        let fe = build_bdd(mgr, e);
-                        mgr.xor(fb, fe)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        // Apply phase 1: every expression shares the `base` sub-expression,
+        // so the roots hash-cons onto common nodes.
+        let mut mgr = Manager::new(NVARS);
+        let roots: Vec<NodeId> = others
+            .iter()
+            .map(|e| {
+                let fb = build_bdd(&mgr, &base);
+                let fe = build_bdd(&mgr, e);
+                mgr.xor(fb, fe)
+            })
+            .collect();
         // Exclusive phase: GC, explicit swaps and an auto-reorder pass —
-        // stop-the-world by construction (`&mut Manager`).
-        let mut mgr = mgr;
+        // they need `&mut Manager`, so no apply can be in flight.
         let slots: Vec<_> = roots.iter().map(|&f| mgr.register_root(f)).collect();
         mgr.collect_garbage_registered();
         for &level in &swaps {
@@ -923,26 +914,19 @@ proptest! {
         for (slot, &f) in slots.iter().zip(roots.iter()) {
             prop_assert_eq!(mgr.root(*slot), f, "registered roots survive the exclusive phase");
         }
-        // Shared phase 2: conjoin every root with a literal, again from
-        // several threads, now against the permuted order and the recycled
-        // node ids the exclusive phase produced.
-        let mgr = mgr;
-        let conjoined: Vec<NodeId> = std::thread::scope(|scope| {
-            let mgr = &mgr;
-            let handles: Vec<_> = roots
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| {
-                    scope.spawn(move || {
-                        let lit = mgr.var(i % NVARS);
-                        mgr.and(f, lit)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        // Apply phase 2: conjoin every root with a literal, now against the
+        // permuted order and the recycled node ids the exclusive phase
+        // produced.
+        let conjoined: Vec<NodeId> = roots
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                let lit = mgr.var(i % NVARS);
+                mgr.and(f, lit)
+            })
+            .collect();
         if let Err(violation) = mgr.check_integrity() {
-            prop_assert!(false, "integrity after shared phase 2: {}", violation);
+            prop_assert!(false, "integrity after apply phase 2: {}", violation);
         }
         // Oracle comparison, node-for-node in *level* space (the order may
         // have changed, so the reference is built over remapped variables).

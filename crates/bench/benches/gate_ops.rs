@@ -2,12 +2,8 @@
 //! Table II): permutation gates vs symbolic-adder gates on the bit-sliced
 //! backend, compared with the QMDD and dense baselines on the same state.
 //!
-//! **Protocol note — parallelism.** The bit-sliced backend fans each gate's
-//! slice updates across `SLIQ_THREADS` threads (the bench's `--threads`
-//! knob; unset falls back to the machine's available parallelism, and `1`
-//! is the serial kernel).  The effective width is printed at startup —
-//! every BENCH entry derived from this harness must state it, because
-//! single-gate timings are not comparable across thread counts.
+//! Every backend applies a gate on one thread: the bit-sliced kernel has a
+//! single owner, so these are single-thread timings on any machine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use sliq_circuit::{Gate, Simulator};
@@ -24,10 +20,6 @@ fn prepared_circuit() -> sliq_circuit::Circuit {
 }
 
 fn bench_single_gates(c: &mut Criterion) {
-    eprintln!(
-        "# gate_ops protocol: bitslice threads = {} (set SLIQ_THREADS to change)",
-        sliq_bdd::default_threads()
-    );
     let mut group = c.benchmark_group("gate_ops");
     group.sample_size(20);
     let prep = prepared_circuit();

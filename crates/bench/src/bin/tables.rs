@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p sliq-bench --release --bin tables -- [table3|table4|table5|table6|accuracy|ablation|sample|kernel|cache|memory|serve|all]
 //!                                                   [--full] [--timeout <secs>] [--max-nodes <n>] [--max-bytes <n>]
-//!                                                   [--reorder] [--threads <n>] [--cache] [--json] [--baseline <path>]
+//!                                                   [--reorder] [--cache] [--json] [--baseline <path>]
 //! ```
 //!
 //! By default a quick, laptop-sized sweep is run; `--full` uses sizes closer
@@ -52,11 +52,6 @@ fn main() {
             }
             "--reorder" => limits.auto_reorder = true,
             "--cache" => limits.use_result_cache = true,
-            "--threads" => {
-                if let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                    limits.threads = Some(v);
-                }
-            }
             other => which.push(other.to_string()),
         }
     }
@@ -70,13 +65,8 @@ fn main() {
     };
 
     println!(
-        "# SliQ table reproduction — scale: {:?}, per-case timeout: {:?}, node limit: {}, threads: {}",
-        scale,
-        limits.timeout,
-        limits.max_nodes,
-        limits
-            .threads
-            .unwrap_or_else(sliq_bdd::pool::default_threads)
+        "# SliQ table reproduction — scale: {:?}, per-case timeout: {:?}, node limit: {}",
+        scale, limits.timeout, limits.max_nodes
     );
     println!();
 
@@ -122,7 +112,7 @@ fn main() {
         }
     }
     if wants("serve") {
-        let report = serve_report(scale, limits);
+        let report = serve_report(scale);
         println!("{}", format_serve(&report));
         if json {
             let path = "BENCH_serve.json";
@@ -383,33 +373,14 @@ fn cache_report_json(report: &CacheReport) -> String {
     out
 }
 
-/// One kernel-report case: the sweep-configuration median plus the
-/// 1-thread serial-vs-forced-shared pair that prices the synchronization
-/// tax of the shared kernel flavour.
+/// One kernel-report case: its median wall-clock time and kernel counters.
 struct KernelRow {
     name: &'static str,
-    /// Median seconds at the sweep configuration (`--threads` / default).
     median_seconds: Option<f64>,
-    /// Median seconds at 1 thread on the serial fast path.
-    serial_fast_seconds: Option<f64>,
-    /// Median seconds at 1 thread with the shared kernel forced on.
-    forced_shared_seconds: Option<f64>,
-    /// Kernel counters from the sweep-configuration run.
+    /// Kernel counters from the last run.
     stats: Option<sliq_bdd::ManagerStats>,
-    /// Status cell of the sweep-configuration run ("TO", "MO", seconds…).
+    /// Status cell of the last run ("TO", "MO", seconds…).
     time_cell: String,
-}
-
-impl KernelRow {
-    /// `forced-shared / serial-fast` at one thread: the factor the CAS and
-    /// seqlock machinery costs a single-threaded session (the perf gate
-    /// holds the inverse below 1.05x).
-    fn serial_overhead(&self) -> Option<f64> {
-        match (self.serial_fast_seconds, self.forced_shared_seconds) {
-            (Some(fast), Some(forced)) if fast > 0.0 => Some(forced / fast),
-            _ => None,
-        }
-    }
 }
 
 /// Median wall-clock seconds of `iterations` completed runs of `circuit`
@@ -438,11 +409,9 @@ fn median_case(
 
 /// Runs representative bit-sliced cases and prints the BDD kernel's
 /// per-cache hit/miss/eviction counters (plus reorder statistics when
-/// `--reorder` / `SLIQ_AUTO_REORDER` enabled automatic sifting).  Every
-/// case is additionally timed at one thread both on the serial fast path
-/// and with the shared kernel forced, and the ratio is reported as
-/// `serial_overhead`.  With `--json`, the medians also land in
-/// `BENCH_kernel.json` for CI trend tracking.
+/// `--reorder` / `SLIQ_AUTO_REORDER` enabled automatic sifting).  With
+/// `--json`, the medians also land in `BENCH_kernel.json` for CI trend
+/// tracking.
 fn print_kernel_report(limits: CaseLimits, json: bool) {
     use sliq_bench::kernel_stats_report;
     let iterations = if sliq_bench::bench_smoke_env() { 1 } else { 3 };
@@ -457,44 +426,24 @@ fn print_kernel_report(limits: CaseLimits, json: bool) {
             sliq_workloads::random::random_clifford_t(20, 1),
         ),
     ];
-    let threads = limits
-        .threads
-        .unwrap_or_else(sliq_bdd::pool::default_threads);
-    let one_thread_fast = CaseLimits {
-        threads: Some(1),
-        force_shared_kernel: false,
-        ..limits
-    };
-    let one_thread_forced = CaseLimits {
-        force_shared_kernel: true,
-        ..one_thread_fast
-    };
     println!("## BDD kernel cache statistics (bit-sliced backend)");
-    println!("(median of {iterations} run(s) per configuration, sweep threads: {threads})");
+    println!("(median of {iterations} run(s) per case)");
     let mut rows = Vec::new();
     for (name, circuit) in &cases {
         let (median_seconds, result) = median_case(circuit, limits, iterations);
-        let (serial_fast_seconds, _) = median_case(circuit, one_thread_fast, iterations);
-        let (forced_shared_seconds, _) = median_case(circuit, one_thread_forced, iterations);
         let row = KernelRow {
             name,
             median_seconds,
-            serial_fast_seconds,
-            forced_shared_seconds,
             stats: result.bdd_stats,
             time_cell: result.time_cell(),
         };
-        println!("{name}: {}", row.time_cell);
+        match row.median_seconds {
+            Some(median) => println!("{name}: {} (median {median:.4}s)", row.time_cell),
+            None => println!("{name}: {}", row.time_cell),
+        }
         match &row.stats {
             Some(stats) => print!("{}", kernel_stats_report(stats)),
             None => println!("  (no kernel statistics reported)"),
-        }
-        match (row.serial_overhead(), row.serial_fast_seconds) {
-            (Some(overhead), Some(fast)) => println!(
-                "  serial_overhead {overhead:.3}x  (1 thread: forced-shared {:.4}s / serial fast path {fast:.4}s)",
-                row.forced_shared_seconds.unwrap()
-            ),
-            _ => println!("  serial_overhead n/a (a 1-thread run did not complete)"),
         }
         rows.push(row);
     }
@@ -517,7 +466,7 @@ fn print_kernel_report(limits: CaseLimits, json: bool) {
     }
     if json {
         let path = "BENCH_kernel.json";
-        std::fs::write(path, kernel_rows_json(&rows, threads, iterations))
+        std::fs::write(path, kernel_rows_json(&rows, iterations))
             .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
         println!("wrote {path}");
     }
@@ -525,38 +474,26 @@ fn print_kernel_report(limits: CaseLimits, json: bool) {
 
 /// Hand-rolled JSON for the kernel rows (the workspace deliberately has no
 /// serde dependency): numbers or `null`, names are static identifiers.
-fn kernel_rows_json(rows: &[KernelRow], threads: usize, iterations: usize) -> String {
+fn kernel_rows_json(rows: &[KernelRow], iterations: usize) -> String {
     fn num(v: Option<f64>) -> String {
         match v {
             Some(v) if v.is_finite() => format!("{v:.6}"),
             _ => "null".to_string(),
         }
     }
-    let mut out =
-        format!("{{\n  \"threads\": {threads},\n  \"iterations\": {iterations},\n  \"rows\": [\n");
+    let mut out = format!("{{\n  \"iterations\": {iterations},\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let (kernel_mode, reorder_micros, reorder_parallel_batches) = match &row.stats {
-            Some(s) => (
-                format!("\"{:?}\"", s.kernel_mode),
-                s.reorder_micros.to_string(),
-                s.reorder_parallel_batches.to_string(),
-            ),
-            None => ("null".to_string(), "null".to_string(), "null".to_string()),
+        let reorder_micros = match &row.stats {
+            Some(s) => s.reorder_micros.to_string(),
+            None => "null".to_string(),
         };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"status\": \"{}\", \"median_seconds\": {}, \
-             \"serial_fast_seconds\": {}, \"forced_shared_seconds\": {}, \
-             \"serial_overhead\": {}, \"kernel_mode\": {}, \
-             \"reorder_micros\": {}, \"reorder_parallel_batches\": {}}}{}\n",
+             \"reorder_micros\": {}}}{}\n",
             row.name,
             row.time_cell,
             num(row.median_seconds),
-            num(row.serial_fast_seconds),
-            num(row.forced_shared_seconds),
-            num(row.serial_overhead()),
-            kernel_mode,
             reorder_micros,
-            reorder_parallel_batches,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -14,8 +14,8 @@
 //!   reporting sessions/s, req/s and p50/p99 latency cold vs warm cache.
 //!
 //! The `tables` binary (`cargo run -p sliq-bench --release --bin tables`)
-//! prints any of the tables; the Criterion benches under `benches/` measure
-//! the same workloads with statistical rigour.
+//! prints any of the tables; the Criterion bench under `benches/`
+//! (`gate_ops`) times single gate applications per backend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -81,17 +81,6 @@ pub struct CaseLimits {
     /// forced on by the `SLIQ_AUTO_REORDER` environment variable, which the
     /// CI bench-smoke job uses to exercise the reorder path.
     pub auto_reorder: bool,
-    /// Parallel-apply fan-out width for the bit-sliced backend (`--threads`
-    /// on the `tables` binary).  `None` defers to `SLIQ_THREADS` / the
-    /// machine default, so BENCH entries should always state the effective
-    /// value.
-    pub threads: Option<usize>,
-    /// Forces the bit-sliced backend onto the shared (CAS/seqlock) kernel
-    /// flavour even for 1-thread cases, which would otherwise select the
-    /// unsynchronized serial fast path.  The kernel report runs each case
-    /// both ways at one thread to measure the synchronization tax
-    /// (`serial_overhead`).
-    pub force_shared_kernel: bool,
     /// Attaches the process-wide canonical-circuit result cache to every
     /// session (`--cache` on the `tables` binary): repeated cases are then
     /// served from memoised results, and the kernel report prints the
@@ -106,8 +95,6 @@ impl Default for CaseLimits {
             max_nodes: 2_000_000,
             max_bytes: None,
             auto_reorder: false,
-            threads: None,
-            force_shared_kernel: false,
             use_result_cache: false,
         }
     }
@@ -128,18 +115,14 @@ pub fn bench_smoke_env() -> bool {
 impl CaseLimits {
     /// The [`SessionConfig`] equivalent of these limits for `backend`.
     pub fn session_config(&self, backend: Backend) -> SessionConfig {
-        let mut config = SessionConfig::with_backend(backend)
+        let config = SessionConfig::with_backend(backend)
             .max_nodes(self.max_nodes)
             .auto_reorder(self.auto_reorder || auto_reorder_env())
-            .force_shared_kernel(self.force_shared_kernel)
             .result_cache(self.use_result_cache);
-        if let Some(max_bytes) = self.max_bytes {
-            config = config.max_bytes(max_bytes);
+        match self.max_bytes {
+            Some(max_bytes) => config.max_bytes(max_bytes),
+            None => config,
         }
-        if let Some(threads) = self.threads {
-            config = config.threads(threads);
-        }
-        config
     }
 }
 
@@ -242,20 +225,11 @@ pub fn kernel_stats_report(stats: &sliq_bdd::ManagerStats) -> String {
         "  O(1) negations {}  complement canonical flips {}  cache-cap 2^{} (raised {}x)\n",
         stats.not_ops, stats.complement_flips, stats.cache_cap_log2, stats.cache_cap_raises
     ));
-    out.push_str(&format!(
-        "  kernel mode {:?}  unique shards {}  CAS retries {}  lost mk races {}  cache store skips {}\n",
-        stats.kernel_mode,
-        stats.unique_shards,
-        stats.unique_cas_retries,
-        stats.unique_dup_races,
-        stats.cache_write_skips
-    ));
     if stats.reorders > 0 {
         out.push_str(&format!(
-            "  reorders {}  swaps {} (pooled batches {})  last size {} -> {}  total reorder time {:.1} ms\n",
+            "  reorders {}  swaps {}  last size {} -> {}  total reorder time {:.1} ms\n",
             stats.reorders,
             stats.reorder_swaps,
-            stats.reorder_parallel_batches,
             stats.reorder_last_before,
             stats.reorder_last_after,
             stats.reorder_micros as f64 / 1000.0

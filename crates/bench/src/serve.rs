@@ -10,7 +10,7 @@
 //! hits).  The cold/warm throughput ratio is the serving-level analogue of
 //! [`crate::tables::cache_report`]'s single-threaded measurement.
 
-use crate::runner::{bench_smoke_env, CaseLimits};
+use crate::runner::bench_smoke_env;
 use crate::tables::Scale;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,7 +64,8 @@ pub struct ServeReport {
     pub requests_per_client: usize,
     /// Shots sampled per request.
     pub shots: u64,
-    /// Server worker threads.
+    /// Server worker threads ([`sliq_bdd::default_threads`]: `SLIQ_THREADS`
+    /// or the available cores).
     pub workers: usize,
     /// The population: `(name, qubits, request share)` by popularity rank.
     pub population: Vec<(String, usize, f64)>,
@@ -211,7 +212,7 @@ fn run_pass(
 
 /// Runs the serving benchmark: spawn a server, point a client fleet at it,
 /// measure cold / warming / warm passes.
-pub fn serve_report(scale: Scale, limits: CaseLimits) -> ServeReport {
+pub fn serve_report(scale: Scale) -> ServeReport {
     let (clients, requests_per_client, shots) = if bench_smoke_env() {
         (4, 12, 256u64)
     } else {
@@ -220,10 +221,7 @@ pub fn serve_report(scale: Scale, limits: CaseLimits) -> ServeReport {
             Scale::Full => (8, 100, 4096),
         }
     };
-    let workers = limits
-        .threads
-        .unwrap_or_else(sliq_bdd::pool::default_threads)
-        .max(1);
+    let workers = sliq_bdd::default_threads();
     let pool = population();
     let circuits: Arc<Vec<Circuit>> =
         Arc::new(pool.iter().map(|(_, circuit)| circuit.clone()).collect());

@@ -9,26 +9,21 @@
 //! the published table are typographically ambiguous) and are cross-checked
 //! against the dense state-vector oracle by the crate's property tests.
 //!
-//! # Parallel slice application
+//! # Slice application
 //!
-//! Every gate decomposes into per-slice BDD updates that are mutually
-//! independent given the kernel's concurrent manager (`&Manager` apply
-//! operations since the sharded-kernel rework).  The fan-out has two
-//! granularities:
+//! Every gate decomposes into per-slice BDD updates, applied in plain
+//! loops on the state's single-owner manager.  They come in two shapes:
 //!
 //! * **permutation-shaped stages** (X/CNOT/Toffoli/Fredkin row permutations,
 //!   the cofactor and swap stages of H/Ry/Rx/Y, the family selection of
-//!   S/S†/T/T†) update each of the `4·r` slices independently — they fan
-//!   out one task per slice;
+//!   S/S†/T/T†) update each of the `4·r` slices on its own;
 //! * **adder-shaped stages** (the ripple-carry chains of H/Ry/Rx and the
 //!   conditional negations of Z/CZ/Y/S-family) carry a dependency across
-//!   the slices of one family but none across families — they fan out one
-//!   task per family (4-way).
+//!   the slices of one family but none across families.
 //!
-//! The scheduling never changes results: each task writes its own output
-//! index, and hash consing keeps node identity canonical no matter which
-//! thread inserts a node first.  [`crate::state::BitSliceState::set_threads`]
-//! (or `SLIQ_THREADS`) configures the width; 1 runs everything inline.
+//! Both run family-major, least significant slice first, so a gate always
+//! issues the same sequence of kernel operations — which is what makes the
+//! kernel's work counters repeat exactly from run to run.
 
 use crate::arith;
 use crate::state::{BitSliceState, Family};
@@ -55,8 +50,7 @@ fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
         }
         Gate::Toffoli { controls, target } => {
             let t = *target;
-            let controls = controls.clone();
-            permute_all(state, move |mgr, f| {
+            permute_all(state, |mgr, f| {
                 let swapped = arith::swap_along(mgr, f, t);
                 let control_vars: Vec<NodeId> = controls.iter().map(|&c| mgr.var(c)).collect();
                 let qc = mgr.and_many(&control_vars);
@@ -69,8 +63,7 @@ fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
             target2,
         } => {
             let (t1, t2) = (*target1, *target2);
-            let controls = controls.clone();
-            permute_all(state, move |mgr, f| {
+            permute_all(state, |mgr, f| {
                 let swapped = arith::swap_pair(mgr, f, t1, t2);
                 let control_vars: Vec<NodeId> = controls.iter().map(|&c| mgr.var(c)).collect();
                 let qc = mgr.and_many(&control_vars);
@@ -108,37 +101,21 @@ fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
     }
 }
 
-/// The `4·r` slice BDDs as one flat task list (family-major, the layout the
-/// fan-out helpers index).
-fn flat_slices(state: &BitSliceState) -> Vec<NodeId> {
-    state.slices.iter().flatten().copied().collect()
-}
-
-/// Regroups a family-major flat vector back into the four family vectors.
-fn regroup(flat: Vec<NodeId>, r: usize) -> [Vec<NodeId>; 4] {
-    let mut out: [Vec<NodeId>; 4] = Default::default();
-    for (family, chunk) in flat.chunks(r).enumerate() {
-        out[family] = chunk.to_vec();
+/// Applies the same row permutation to every slice of every family.
+fn permute_all(state: &mut BitSliceState, permute: impl Fn(&Manager, NodeId) -> NodeId) {
+    let mgr = &state.mgr;
+    for slice in state.slices.iter_mut().flatten() {
+        *slice = permute(mgr, *slice);
     }
-    out
-}
-
-/// Applies the same row permutation to every slice of every family — `4·r`
-/// independent tasks.
-fn permute_all(state: &mut BitSliceState, permute: impl Fn(&Manager, NodeId) -> NodeId + Sync) {
-    let inputs = flat_slices(state);
-    let flat = state.par_map(inputs.len(), |mgr, i| permute(mgr, inputs[i]));
-    state.slices = regroup(flat, state.r);
 }
 
 /// Conditionally negates every family where `cond` holds (used by Z and CZ):
-/// a carry chain within each family, so the fan-out is per family.
+/// one carry chain per family.
 fn negate_all_where(state: &mut BitSliceState, cond: NodeId) {
-    let slices = state.slices.clone();
-    let out = state.par_map(4, |mgr, family| {
-        arith::negate_where(mgr, &slices[family], cond)
-    });
-    state.slices = out.try_into().expect("four families");
+    let mgr = &state.mgr;
+    for family in state.slices.iter_mut() {
+        *family = arith::negate_where(mgr, family, cond);
+    }
 }
 
 /// The four phase rotations of the form `diag(1, φ)` whose φ is a power of ω:
@@ -191,32 +168,33 @@ fn apply_phase_family_rotation(state: &mut BitSliceState, t: usize, rotation: Ph
             (&c, &d, false),
         ],
     };
-    // Stage 1: the per-row family selection — 4·r independent multiplexers.
-    let mixed = state.par_map(4 * r, |mgr, task| {
-        let (family, j) = (task / r, task % r);
+    let mgr = &state.mgr;
+    // Stage 1: the per-row family selection — one multiplexer per slice.
+    let mut mixed: [Vec<NodeId>; 4] = std::array::from_fn(|family| {
         let (source_when_set, keep_otherwise, _) = plan[family];
-        mgr.mux_var(t, source_when_set[j], keep_otherwise[j])
+        (0..r)
+            .map(|j| mgr.mux_var(t, source_when_set[j], keep_otherwise[j]))
+            .collect()
     });
     // Stage 2: the conditional negations — one carry chain per family.
-    let out = state.par_map(4, |mgr, family| {
-        let slice = &mixed[family * r..(family + 1) * r];
+    for (family, slices) in mixed.iter_mut().enumerate() {
         if plan[family].2 {
-            arith::negate_where(mgr, slice, qt)
-        } else {
-            slice.to_vec()
+            *slices = arith::negate_where(mgr, slices, qt);
         }
-    });
-    state.slices = out.try_into().expect("four families");
+    }
+    state.slices = mixed;
     state.shrink();
 }
 
 /// Applies the "swap halves along qubit `t`" permutation to every slice of
-/// every family, returning the permuted copies (originals untouched) —
-/// `4·r` independent tasks.
+/// every family, returning the permuted copies (originals untouched).
 fn swap_all_families(state: &BitSliceState, t: usize) -> [Vec<NodeId>; 4] {
-    let inputs = flat_slices(state);
-    let flat = state.par_map(inputs.len(), |mgr, i| arith::swap_along(mgr, inputs[i], t));
-    regroup(flat, state.r)
+    std::array::from_fn(|family| {
+        state.slices[family]
+            .iter()
+            .map(|&f| arith::swap_along(&state.mgr, f, t))
+            .collect()
+    })
 }
 
 /// Pauli-Y: swap the two halves along the target and rotate the coefficient
@@ -234,10 +212,9 @@ fn apply_y(state: &mut BitSliceState, t: usize) {
         (&swapped[Family::A as usize], qt),
         (&swapped[Family::B as usize], qt),
     ];
-    let out = state.par_map(4, |mgr, family| {
-        arith::negate_where(mgr, plan[family].0, plan[family].1)
-    });
-    state.slices = out.try_into().expect("four families");
+    let mgr = &state.mgr;
+    state.slices =
+        std::array::from_fn(|family| arith::negate_where(mgr, plan[family].0, plan[family].1));
     state.shrink();
 }
 
@@ -260,23 +237,23 @@ fn apply_hadamard_like(state: &mut BitSliceState, t: usize, kind: HadamardKind) 
         HadamardKind::H => qt,
         HadamardKind::RyPi2 => not_qt,
     };
-    let r = state.r;
-    let inputs = flat_slices(state);
-    // Stage 1: per-slice cofactor pair + sign fold — 4·r independent tasks.
-    let pairs = state.par_map(inputs.len(), |mgr, i| {
-        let f = inputs[i];
-        let f0 = arith::cofactor_replicated(mgr, f, t, false);
-        let f1 = arith::cofactor_replicated(mgr, f, t, true);
-        (f0, mgr.xor(f1, negate_cond))
+    let mgr = &state.mgr;
+    // Stage 1: per-slice cofactor pair + sign fold.
+    let pairs: [(Vec<NodeId>, Vec<NodeId>); 4] = std::array::from_fn(|family| {
+        state.slices[family]
+            .iter()
+            .map(|&f| {
+                let f0 = arith::cofactor_replicated(mgr, f, t, false);
+                let f1 = arith::cofactor_replicated(mgr, f, t, true);
+                (f0, mgr.xor(f1, negate_cond))
+            })
+            .unzip()
     });
     // Stage 2: the ripple-carry addition — one carry chain per family.
-    let out = state.par_map(4, |mgr, family| {
-        let chunk = &pairs[family * r..(family + 1) * r];
-        let f0: Vec<NodeId> = chunk.iter().map(|pair| pair.0).collect();
-        let second: Vec<NodeId> = chunk.iter().map(|pair| pair.1).collect();
-        arith::add_sliced(mgr, &f0, &second, negate_cond)
+    state.slices = std::array::from_fn(|family| {
+        let (f0, second) = &pairs[family];
+        arith::add_sliced(mgr, f0, second, negate_cond)
     });
-    state.slices = out.try_into().expect("four families");
     state.k += 1;
     state.shrink();
 }
@@ -309,11 +286,11 @@ fn apply_rx_pi2(state: &mut BitSliceState, t: usize) {
         (&c_old, &swapped[Family::A as usize], NodeId::FALSE),
         (&d_old, &swapped[Family::B as usize], NodeId::FALSE),
     ];
-    let out = state.par_map(4, |mgr, family| {
+    let mgr = &state.mgr;
+    state.slices = std::array::from_fn(|family| {
         let (x, y, carry_in) = plan[family];
         arith::add_sliced(mgr, x, y, carry_in)
     });
-    state.slices = out.try_into().expect("four families");
     state.k += 1;
     state.shrink();
 }

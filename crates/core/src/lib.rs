@@ -40,11 +40,9 @@
 mod arith;
 mod gates;
 mod measure;
-mod monolithic;
 mod simulator;
 mod state;
 
 pub use measure::ConditionedView;
-pub use monolithic::MonolithicInfo;
 pub use simulator::{BitSliceLimits, BitSliceSimulator};
 pub use state::{BitSliceState, Family, StateSnapshot};

@@ -86,35 +86,6 @@ impl BitSliceSimulator {
         self
     }
 
-    /// Sets the per-gate slice fan-out width (builder style): the `4·r`
-    /// independent slice updates of every gate run across this many threads
-    /// over the kernel's concurrent manager.  1 disables the worker pool;
-    /// the default comes from `SLIQ_THREADS` / the machine's available
-    /// parallelism.  Results are identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.state.set_threads(threads);
-        self
-    }
-
-    /// The configured fan-out width.
-    pub fn threads(&self) -> usize {
-        self.state.threads()
-    }
-
-    /// Overrides the kernel flavour (builder style): forcing
-    /// [`sliq_bdd::KernelMode::Shared`] at 1 thread is how the benchmarks
-    /// measure the serial fast paths' gain; the unsound direction (serial
-    /// above 1 thread) is refused by the state layer.
-    pub fn with_kernel_mode(mut self, mode: sliq_bdd::KernelMode) -> Self {
-        self.state.set_kernel_mode(mode);
-        self
-    }
-
-    /// The kernel flavour currently in effect.
-    pub fn kernel_mode(&self) -> sliq_bdd::KernelMode {
-        self.state.kernel_mode()
-    }
-
     /// Sifts the qubit variable order now, returning the run's statistics.
     pub fn reorder(&mut self) -> sliq_bdd::ReorderStats {
         self.state.reorder()

@@ -12,9 +12,8 @@
 //! the full state occupies `4·r` BDDs over `n` variables plus one machine
 //! integer — never an explicit `2ⁿ`-element array.
 
-use sliq_bdd::{pool, KernelMode, Manager, NodeId, ReorderStats, RootSlot, WorkerPool};
+use sliq_bdd::{Manager, NodeId, ReorderStats, RootSlot};
 use sliq_math::Algebraic;
-use std::sync::Arc;
 
 /// Index of one of the four coefficient vector families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +53,6 @@ pub struct BitSliceState {
     /// Floating-point normalisation factor accumulated by measurements
     /// (`s` in Eq. 13 of the paper); exactly 1.0 until the first collapse.
     pub(crate) norm_factor: f64,
-    /// Threads used for the per-gate slice fan-out (1 = serial).  The BDD
-    /// kernel's apply operations take `&Manager`, so the `4·r` independent
-    /// slice updates of a gate can run concurrently; GC and reordering stay
-    /// stop-the-world at gate boundaries (`&mut Manager`).
-    threads: usize,
-    /// Shared worker pool backing the fan-out when `threads > 1`.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 /// The minimum representable bit width (value +1 needs a sign bit).
@@ -140,7 +132,7 @@ impl BitSliceState {
     /// the initial bits.
     pub fn with_initial_bits(bits: &[bool]) -> Self {
         let num_qubits = bits.len();
-        let mut mgr = Manager::new(num_qubits);
+        let mgr = Manager::new(num_qubits);
         let minterm = mgr.cube(
             &bits
                 .iter()
@@ -156,18 +148,6 @@ impl BitSliceState {
             vec![zero; MIN_WIDTH],
         ];
         slices[Family::D as usize][0] = minterm;
-        // Pin any later auxiliary variables (the monolithic measurement
-        // encoding) below the qubit block: sifting must preserve the
-        // paper's "qubits above encoding variables" order requirement.
-        mgr.set_reorder_window(num_qubits);
-        let threads = pool::default_threads();
-        // A 1-thread configuration owns the manager outright, so the kernel
-        // can drop its cross-thread coordination (see `KernelMode`); the
-        // reordering relink batches scale with the same thread count.
-        mgr.set_reorder_threads(threads);
-        if threads == 1 {
-            mgr.set_kernel_mode(KernelMode::Serial);
-        }
         let mut state = Self {
             mgr,
             num_qubits,
@@ -176,60 +156,9 @@ impl BitSliceState {
             slices,
             root_slots: Vec::new(),
             norm_factor: 1.0,
-            threads,
-            pool: if threads > 1 {
-                Some(pool::global(threads))
-            } else {
-                None
-            },
         };
         state.sync_registered_roots();
         state
-    }
-
-    /// Sets the number of threads the per-gate slice fan-out uses (clamped
-    /// to at least 1; 1 disables the worker pool entirely).  The default is
-    /// the `SLIQ_THREADS` environment variable, falling back to the
-    /// machine's available parallelism.  Thread count never changes any
-    /// result — amplitudes, probabilities and samples are exact either way —
-    /// only how the independent slice updates are scheduled.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        self.pool = if threads > 1 {
-            Some(pool::global(threads))
-        } else {
-            None
-        };
-        self.mgr.set_reorder_threads(threads);
-        self.mgr.set_kernel_mode(if threads == 1 {
-            KernelMode::Serial
-        } else {
-            KernelMode::Shared
-        });
-    }
-
-    /// The configured fan-out width.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the kernel flavour selected by [`BitSliceState::set_threads`]
-    /// (1 thread → serial fast paths, otherwise shared).  Forcing
-    /// [`KernelMode::Shared`] at 1 thread is always sound and is how the
-    /// benchmarks measure the serial fast paths' overhead; forcing
-    /// [`KernelMode::Serial`] above 1 thread is **unsound** and therefore
-    /// refused.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        if mode == KernelMode::Serial && self.threads > 1 {
-            return;
-        }
-        self.mgr.set_kernel_mode(mode);
-    }
-
-    /// The kernel flavour the manager currently runs.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mgr.kernel_mode()
     }
 
     /// Pins an arbitrary BDD function in the manager's root registry so it
@@ -248,22 +177,6 @@ impl BitSliceState {
     /// Releases a root pinned with [`BitSliceState::pin_root`].
     pub fn unpin_root(&mut self, slot: RootSlot) {
         let _ = self.mgr.release_root(slot);
-    }
-
-    /// Maps `f(manager, index)` over `0..tasks`, fanning out across the
-    /// worker pool when one is configured.  Every task result lands at its
-    /// own index, so the output is deterministic regardless of scheduling —
-    /// and hash consing makes the *BDD contents* canonical regardless of
-    /// which thread created a node first.
-    pub(crate) fn par_map<T: Send + Sync>(
-        &self,
-        tasks: usize,
-        f: impl Fn(&Manager, usize) -> T + Sync,
-    ) -> Vec<T> {
-        match &self.pool {
-            Some(pool) if tasks > 1 => pool.map(tasks, |index| f(&self.mgr, index)),
-            _ => (0..tasks).map(|index| f(&self.mgr, index)).collect(),
-        }
     }
 
     /// The number of qubits.

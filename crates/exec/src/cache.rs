@@ -37,11 +37,12 @@
 //!   deterministic function of circuit × seed, so two runs of the same
 //!   dynamic circuit under different seeds must never share an entry.
 //!
-//! Thread count and kernel flavour are deliberately **not** part of the key:
-//! the parallel-equivalence suite proves results are bit-identical at every
-//! thread count.  Statistics embedded in a cached [`RunResult`] are those of
-//! the *publishing* run (its kernel mode, node counts, timings); a hit
-//! returns them verbatim with only `elapsed` rewritten to the lookup time.
+//! Statistics embedded in a cached [`RunResult`] are those of the
+//! *publishing* run (its node counts, timings); a hit returns them verbatim
+//! with only `elapsed` rewritten to the lookup time.  The kernel is
+//! deterministic, so a replay repeats the publisher's kernel work exactly
+//! (`tests/result_cache.rs`,
+//! `cache_hit_replay_repeats_the_publishers_kernel_work`).
 //!
 //! # Soundness
 //!

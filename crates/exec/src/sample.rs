@@ -77,14 +77,6 @@ impl Histogram {
         }
     }
 
-    /// Folds another histogram in (used to merge the per-subtree partial
-    /// histograms of the parallel descent; addition is order-independent).
-    fn merge(&mut self, other: Histogram) {
-        for (outcome, count) in other.counts {
-            self.add(outcome, count);
-        }
-    }
-
     /// Approximate resident size in bytes: the struct itself plus the
     /// B-tree's per-outcome cost (key + value + amortised node overhead).
     /// Used by the result cache's byte accounting.
@@ -310,11 +302,8 @@ fn run_descent<C: ConditionalChain>(
 /// One node of the bit-sliced descent: an unregistered conditioned view of
 /// the state plus the draws that landed in its branch.  Views are
 /// conditioned *functionally* (`ConditionedView::condition` returns a new
-/// view through the kernel's `&Manager` apply operations), so independent
-/// subtrees are data-independent and can be explored concurrently; the
-/// partition arithmetic is byte-for-byte the one `descend` uses, so thread
-/// count never changes a histogram.
-#[derive(Clone)]
+/// view through the kernel's `&Manager` apply operations); the partition
+/// arithmetic is byte-for-byte the one `descend` uses.
 struct ViewTask {
     view: ConditionedView,
     depth: usize,
@@ -324,20 +313,16 @@ struct ViewTask {
     p_current: f64,
 }
 
-enum ViewStep {
-    /// All qubits decided: `(outcome, shot count)`.
-    Leaf(u64, u64),
-    /// The 1-branch and/or 0-branch children (empty branches dropped).
-    Children(Vec<ViewTask>),
-}
-
-/// One partition step of the inverse-CDF descent on views.
-fn step_view(mgr: &Manager, task: ViewTask, num_qubits: usize) -> ViewStep {
+/// The depth-first inverse-CDF descent on views: partitions the task's
+/// draws between the 1-branch and the 0-branch of its qubit and recurses
+/// into each non-empty branch.
+fn descend_view(mgr: &Manager, task: ViewTask, num_qubits: usize, histogram: &mut Histogram) {
     if task.us.is_empty() {
-        return ViewStep::Children(Vec::new());
+        return;
     }
     if task.depth == num_qubits {
-        return ViewStep::Leaf(task.prefix, task.us.len() as u64);
+        histogram.add(task.prefix, task.us.len() as u64);
+        return;
     }
     let joint_one = task.view.joint_probability_of_one(mgr, task.depth);
     let raw = if task.p_current <= 0.0 {
@@ -361,81 +346,23 @@ fn step_view(mgr: &Manager, task: ViewTask, num_qubits: usize) -> ViewStep {
             zeros.push(rescaled.min(BELOW_ONE));
         }
     }
-    let mut children = Vec::new();
-    if !ones.is_empty() {
-        children.push(ViewTask {
-            view: task.view.condition(mgr, task.depth, true),
-            depth: task.depth + 1,
-            prefix: task.prefix | 1 << task.depth,
-            us: ones,
-            p_current: joint_one,
-        });
-    }
-    if !zeros.is_empty() {
-        children.push(ViewTask {
-            view: task.view.condition(mgr, task.depth, false),
-            depth: task.depth + 1,
-            prefix: task.prefix,
-            us: zeros,
-            p_current: (task.p_current - joint_one).max(0.0),
-        });
-    }
-    ViewStep::Children(children)
-}
-
-/// Serial depth-first descent of one subtree.
-fn descend_view(mgr: &Manager, task: ViewTask, num_qubits: usize, histogram: &mut Histogram) {
-    match step_view(mgr, task, num_qubits) {
-        ViewStep::Leaf(prefix, count) => histogram.add(prefix, count),
-        ViewStep::Children(children) => {
-            for child in children {
-                descend_view(mgr, child, num_qubits, histogram);
-            }
-        }
-    }
-}
-
-/// Descends every task subtree into `histogram`, serially at 1 thread and
-/// over the worker pool otherwise.  Partial histograms merge by addition
-/// and the partition arithmetic is scheduling-independent, so thread count
-/// never changes the result.
-fn descend_tasks(
-    mgr: &Manager,
-    tasks: Vec<ViewTask>,
-    num_qubits: usize,
-    threads: usize,
-    histogram: &mut Histogram,
-) {
-    if threads <= 1 {
-        for task in tasks {
-            descend_view(mgr, task, num_qubits, histogram);
-        }
-        return;
-    }
-    // Peel the outcome trie breadth-first until there are enough
-    // independent subtrees to keep the pool busy, then fan the subtree
-    // descents out.
-    let target = threads * 4;
-    let mut frontier = std::collections::VecDeque::from(tasks);
-    let mut ready: Vec<ViewTask> = Vec::new();
-    while let Some(task) = frontier.pop_front() {
-        if task.depth < num_qubits && frontier.len() + ready.len() + 1 >= target {
-            ready.push(task);
-            continue;
-        }
-        match step_view(mgr, task, num_qubits) {
-            ViewStep::Leaf(prefix, count) => histogram.add(prefix, count),
-            ViewStep::Children(children) => frontier.extend(children),
-        }
-    }
-    let pool = sliq_bdd::pool::global(threads);
-    let partials = pool.map(ready.len(), |index| {
-        let mut partial = Histogram::new(num_qubits);
-        descend_view(mgr, ready[index].clone(), num_qubits, &mut partial);
-        partial
+    // Both children are conditioned before either is descended into.
+    let one = (!ones.is_empty()).then(|| ViewTask {
+        view: task.view.condition(mgr, task.depth, true),
+        depth: task.depth + 1,
+        prefix: task.prefix | 1 << task.depth,
+        us: ones,
+        p_current: joint_one,
     });
-    for partial in partials {
-        histogram.merge(partial);
+    let zero = (!zeros.is_empty()).then(|| ViewTask {
+        view: task.view.condition(mgr, task.depth, false),
+        depth: task.depth + 1,
+        prefix: task.prefix,
+        us: zeros,
+        p_current: (task.p_current - joint_one).max(0.0),
+    });
+    for child in [one, zero].into_iter().flatten() {
+        descend_view(mgr, child, num_qubits, histogram);
     }
 }
 
@@ -447,7 +374,6 @@ fn descend_tasks(
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, shots: u64, seed: u64) -> Histogram {
     let num_qubits = sim.num_qubits();
-    let threads = sim.threads();
     let mut histogram = Histogram::new(num_qubits);
     {
         let state = sim.state();
@@ -461,7 +387,7 @@ pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, shots: u64, seed: u64
             us: uniform_draws(shots, seed),
             p_current: p_total,
         };
-        descend_tasks(mgr, vec![root], num_qubits, threads, &mut histogram);
+        descend_view(mgr, root, num_qubits, &mut histogram);
     }
     // The descent hash-consed transient conditioned slices that no root
     // registers; reclaim them if the manager considers it worthwhile.
@@ -481,7 +407,7 @@ const SAMPLE_CACHE_MAX_NODES: usize = 1024;
 /// One memoised node of the outcome trie: the conditioned view, the
 /// absolute probabilities the descent computed there, and the two
 /// lazily-materialised children.  Storing `p_current` and `joint_one` as
-/// the *absolute* joint probabilities (exactly what [`step_view`] passes
+/// the *absolute* joint probabilities (exactly what [`descend_view`] passes
 /// around) makes a cached descent's partition arithmetic byte-for-byte the
 /// uncached one's, so caching can never change a histogram.
 struct CacheNode {
@@ -674,7 +600,6 @@ pub(crate) fn sample_bitslice_cached(
     seed: u64,
 ) -> Histogram {
     let num_qubits = sim.num_qubits();
-    let threads = sim.threads();
     let mut histogram = Histogram::new(num_qubits);
     {
         let state = sim.state();
@@ -691,7 +616,9 @@ pub(crate) fn sample_bitslice_cached(
             &mut histogram,
             &mut overflow,
         );
-        descend_tasks(mgr, overflow, num_qubits, threads, &mut histogram);
+        for task in overflow {
+            descend_view(mgr, task, num_qubits, &mut histogram);
+        }
     }
     let state = sim.state_mut();
     if let Some(cache) = cache_slot.as_mut() {

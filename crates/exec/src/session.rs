@@ -45,19 +45,6 @@ pub struct SessionConfig {
     /// Collect per-qubit ⟨Z⟩ expectations into every [`RunResult`] (costs
     /// one probability query per qubit on symbolic backends).
     pub collect_expectations: bool,
-    /// Fan-out width for backends with parallel apply (the bit-sliced
-    /// backend's per-gate slice updates and its batched-sampling descent).
-    /// `None` defers to the backend default (`SLIQ_THREADS`, falling back
-    /// to the machine's available parallelism); results are identical at
-    /// every thread count.
-    pub threads: Option<usize>,
-    /// Forces the bit-sliced backend onto the shared (CAS/seqlock) kernel
-    /// flavour even when the session is single-threaded.  A measurement and
-    /// differential-testing knob: 1-thread sessions otherwise select the
-    /// unsynchronized serial fast path, and the difference between the two
-    /// is exactly the synchronization tax the bench harness reports as
-    /// `serial_overhead`.  Results are identical either way.
-    pub force_shared_kernel: bool,
     /// Attaches the process-wide [`ResultCache::global`] to the session:
     /// fresh-state [`Session::run`]/[`Session::sample`] calls are served
     /// from memoised results of *any* earlier session that ran the same
@@ -81,8 +68,6 @@ impl Default for SessionConfig {
             max_bytes: None,
             auto_reorder: false,
             collect_expectations: false,
-            threads: None,
-            force_shared_kernel: false,
             use_result_cache: false,
             measurement_seed: 0,
         }
@@ -123,17 +108,11 @@ impl SessionConfig {
         self
     }
 
-    /// Sets the parallel-apply fan-out width (builder style); 1 forces the
-    /// serial path.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Forces the shared kernel flavour regardless of the thread count
-    /// (builder style); see [`SessionConfig::force_shared_kernel`].
-    pub fn force_shared_kernel(mut self, enabled: bool) -> Self {
-        self.force_shared_kernel = enabled;
+    /// Does nothing: every session runs on one thread, and parallelism
+    /// comes from running independent sessions side by side.  Kept only
+    /// because the repository benchmark (`sliqbench/`) still calls it; the
+    /// next change to the benchmark removes it.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -400,21 +379,14 @@ impl Session {
         };
         kind.check_capacity(num_qubits, config.max_bytes)?;
         let inner = match kind {
-            BackendKind::BitSlice => {
-                let mut sim = BitSliceSimulator::new(num_qubits)
+            BackendKind::BitSlice => Inner::BitSlice(Box::new(
+                BitSliceSimulator::new(num_qubits)
                     .with_limits(BitSliceLimits {
                         max_nodes: config.max_nodes,
                         max_bytes: config.max_bytes,
                     })
-                    .with_auto_reorder(config.auto_reorder);
-                if let Some(threads) = config.threads {
-                    sim = sim.with_threads(threads);
-                }
-                if config.force_shared_kernel {
-                    sim = sim.with_kernel_mode(sliq_bdd::KernelMode::Shared);
-                }
-                Inner::BitSlice(Box::new(sim))
-            }
+                    .with_auto_reorder(config.auto_reorder),
+            )),
             BackendKind::Qmdd => Inner::Qmdd(Box::new(QmddSimulator::new(num_qubits).with_limits(
                 QmddLimits {
                     max_nodes: config.max_nodes,
@@ -464,9 +436,13 @@ impl Session {
     /// Replay cannot fail: the `max_nodes` and `max_bytes` budgets are part
     /// of the run cache key, so a hit implies the publishing session
     /// completed this exact circuit under the same limits from the same
-    /// initial state.  Dynamic circuits replay through the same seeded
-    /// interpreter (the measurement seed is part of the run cache key), so
-    /// the replayed trajectory is bit-identical to the published one.
+    /// initial state, and the single-owner kernel repeats the publisher's
+    /// work exactly — the same nodes, cache traffic, GC runs and byte peak
+    /// (`tests/result_cache.rs`,
+    /// `cache_hit_replay_repeats_the_publishers_kernel_work`).  Dynamic
+    /// circuits replay through the same seeded interpreter (the measurement
+    /// seed is part of the run cache key), so the replayed trajectory is
+    /// bit-identical to the published one.
     fn materialize(&mut self) {
         if let Some(circuit) = self.pending_replay.take() {
             let seed = self.config.measurement_seed;

@@ -2,7 +2,7 @@
 //! the process is killed.
 //!
 //! ```text
-//! sliq-serve [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]
+//! sliq-serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!            [--max-bytes BYTES] [--tenant NAME=BYTES]... [--no-cache]
 //!            [--auto-reorder]
 //! ```
@@ -12,16 +12,15 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sliq-serve [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]\n\
+        "usage: sliq-serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
          \x20                 [--max-bytes BYTES] [--tenant NAME=BYTES]... [--no-cache]\n\
          \x20                 [--auto-reorder]\n\
          \n\
          Serve simulation requests over the sliq wire protocol (see PROTOCOL.md).\n\
          \n\
          \x20 --addr HOST:PORT     listen address (default 127.0.0.1:7878)\n\
-         \x20 --workers N          simulation worker threads (default: kernel threads)\n\
+         \x20 --workers N          simulation worker threads (default: available cores)\n\
          \x20 --queue N            admission queue depth (default 64)\n\
-         \x20 --threads N          kernel fan-out width per session\n\
          \x20 --max-bytes BYTES    default per-tenant byte budget\n\
          \x20 --tenant NAME=BYTES  explicit byte budget for one tenant (repeatable)\n\
          \x20 --no-cache           do not attach the shared result cache\n\
@@ -52,9 +51,6 @@ fn main() -> ExitCode {
             },
             "--workers" => config = config.workers(parse_number(args.next(), "--workers")),
             "--queue" => config = config.queue_depth(parse_number(args.next(), "--queue")),
-            "--threads" => {
-                config = config.session_threads(parse_number(args.next(), "--threads"));
-            }
             "--max-bytes" => {
                 config = config.default_max_bytes(parse_number(args.next(), "--max-bytes"));
             }

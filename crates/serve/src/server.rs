@@ -32,7 +32,10 @@ use std::time::Duration;
 /// Server construction options (builder style).
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing queued runs.
+    /// Worker threads executing queued runs: the server's unit of
+    /// parallelism, one single-threaded session per worker (default:
+    /// [`sliq_bdd::default_threads`], i.e. `SLIQ_THREADS` or the available
+    /// cores).
     pub workers: usize,
     /// Global admission-queue depth; submissions beyond it are shed.
     pub queue_depth: usize,
@@ -44,8 +47,6 @@ pub struct ServerConfig {
     pub default_max_bytes: Option<usize>,
     /// Explicit per-tenant byte budgets.
     pub tenant_budgets: Vec<(String, usize)>,
-    /// Kernel fan-out width per session (`None` = the kernel default).
-    pub session_threads: Option<usize>,
     /// Enable automatic variable reordering in sessions.
     pub auto_reorder: bool,
     /// Attach the shared result cache to every session.
@@ -67,7 +68,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             default_max_bytes: None,
             tenant_budgets: Vec::new(),
-            session_threads: None,
             auto_reorder: false,
             use_result_cache: true,
             result_cache: None,
@@ -111,12 +111,6 @@ impl ServerConfig {
     /// Gives `tenant` an explicit byte budget (overrides the default).
     pub fn tenant_budget(mut self, tenant: impl Into<String>, bytes: usize) -> Self {
         self.tenant_budgets.push((tenant.into(), bytes));
-        self
-    }
-
-    /// Sets the kernel fan-out width used by every session.
-    pub fn session_threads(mut self, threads: usize) -> Self {
-        self.session_threads = Some(threads.max(1));
         self
     }
 
@@ -671,9 +665,6 @@ fn execute(shared: &Arc<Shared>, job: Job) {
         .measurement_seed(job.options.seed);
     if let Some(bytes) = job.max_bytes {
         config = config.max_bytes(bytes);
-    }
-    if let Some(threads) = shared.config.session_threads {
-        config = config.threads(threads);
     }
     let fail = |error: ExecError| {
         shared.stats.requests_error.fetch_add(1, Ordering::Relaxed);

@@ -3,7 +3,7 @@
 //! ```text
 //! sliq <circuit.qasm|circuit.real> [--backend auto|bitslice|qmdd|dense|stabilizer]
 //!      [--superpose-free-inputs] [--shots N] [--seed S] [--probabilities Q1,Q2,…]
-//!      [--reorder] [--threads N] [--connect HOST:PORT] [--tenant NAME]
+//!      [--reorder] [--connect HOST:PORT] [--tenant NAME]
 //! ```
 //!
 //! The circuit format is inferred from the file extension (`.qasm` for the
@@ -31,7 +31,6 @@ struct Options {
     shots: u64,
     seed: u64,
     reorder: bool,
-    threads: Option<usize>,
     probability_qubits: Option<Vec<usize>>,
     connect: Option<String>,
     tenant: String,
@@ -46,7 +45,6 @@ fn parse_args() -> Result<Options, String> {
         shots: 0,
         seed: 1,
         reorder: false,
-        threads: None,
         probability_qubits: None,
         connect: None,
         tenant: String::new(),
@@ -58,13 +56,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--superpose-free-inputs" => options.superpose = true,
             "--reorder" => options.reorder = true,
-            "--threads" => {
-                options.threads = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--threads needs a number")?,
-                );
-            }
             "--shots" => {
                 options.shots = args
                     .next()
@@ -93,7 +84,7 @@ fn parse_args() -> Result<Options, String> {
                 options.tenant = args.next().ok_or("--tenant needs a name")?;
             }
             "--help" | "-h" => {
-                return Err("usage: sliq <circuit.qasm|circuit.real> [--backend auto|bitslice|qmdd|dense|stabilizer] [--superpose-free-inputs] [--shots N] [--seed S] [--probabilities Q1,Q2,…] [--reorder] [--threads N] [--connect HOST:PORT] [--tenant NAME]".to_string());
+                return Err("usage: sliq <circuit.qasm|circuit.real> [--backend auto|bitslice|qmdd|dense|stabilizer] [--superpose-free-inputs] [--shots N] [--seed S] [--probabilities Q1,Q2,…] [--reorder] [--connect HOST:PORT] [--tenant NAME]".to_string());
             }
             other if options.path.is_empty() && !other.starts_with('-') => {
                 options.path = other.to_string();
@@ -231,15 +222,12 @@ fn run(options: &Options) -> Result<(), Box<dyn Error>> {
     if let Some(addr) = &options.connect {
         return run_remote(options, &circuit, addr);
     }
-    let mut config = SessionConfig::with_backend(backend_kind(&options.backend)?)
+    let config = SessionConfig::with_backend(backend_kind(&options.backend)?)
         .auto_reorder(options.reorder)
         // The one --seed drives both batched sampling and the mid-circuit
         // measurement stream, matching what a server does with the wire
         // seed: (circuit, seed) fully determines a dynamic run.
         .measurement_seed(options.seed);
-    if let Some(threads) = options.threads {
-        config = config.threads(threads);
-    }
     let mut session = Session::for_circuit(&circuit, config)?;
     let result = session.run(&circuit)?;
     println!(

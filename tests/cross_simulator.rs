@@ -99,9 +99,9 @@ fn clifford_circuits_also_agree_with_the_stabilizer_backend() {
 
 #[test]
 fn parallel_bitslice_agrees_with_the_dense_oracle_at_every_thread_count() {
-    // The cross-backend flavour of the parallel differential suite: the
-    // fan-out width must be unobservable not just against the serial
-    // bit-sliced path but against an independent oracle too.
+    // Bit-sliced sessions running side by side on 1, 2, 4 and 8 threads
+    // (each thread owns its simulator and kernel) must each agree with an
+    // independent oracle, exactly as a session running alone does.
     for seed in 0..3 {
         let circuit = random::random_circuit(
             &random::RandomCircuitConfig {
@@ -114,23 +114,36 @@ fn parallel_bitslice_agrees_with_the_dense_oracle_at_every_thread_count() {
         );
         let mut dense = DenseSimulator::new(6);
         dense.run(&circuit).unwrap();
+        let reference: Vec<Complex> = all_basis_states(6)
+            .map(|bits| dense.amplitude(&bits))
+            .collect();
         for threads in [1usize, 2, 4, 8] {
-            let mut bitslice = BitSliceSimulator::new(6).with_threads(threads);
-            bitslice.run(&circuit).unwrap();
-            bitslice
-                .state()
-                .manager()
-                .check_integrity()
-                .unwrap_or_else(|e| panic!("seed {seed}, {threads} threads: {e}"));
-            for bits in all_basis_states(6) {
-                let reference = dense.amplitude(&bits);
-                let ours = bitslice.amplitude(&bits).to_complex();
-                assert!(
-                    reference.approx_eq(&ours, 1e-9),
-                    "seed {seed}, {threads} threads deviate on {bits:?}"
-                );
-            }
-            assert!(bitslice.is_exactly_normalized());
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for thread in 0..threads {
+                    let (circuit, reference, start) = (&circuit, &reference, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut bitslice = BitSliceSimulator::new(6);
+                        bitslice.run(circuit).unwrap();
+                        bitslice
+                            .state()
+                            .manager()
+                            .check_integrity()
+                            .unwrap_or_else(|e| {
+                                panic!("seed {seed}, thread {thread}/{threads}: {e}")
+                            });
+                        for (bits, expected) in all_basis_states(6).zip(reference) {
+                            let ours = bitslice.amplitude(&bits).to_complex();
+                            assert!(
+                                expected.approx_eq(&ours, 1e-9),
+                                "seed {seed}, thread {thread}/{threads} deviates on {bits:?}"
+                            );
+                        }
+                        assert!(bitslice.is_exactly_normalized());
+                    });
+                }
+            });
         }
     }
 }

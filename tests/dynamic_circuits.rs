@@ -39,9 +39,7 @@ fn repeat_until_success() -> Circuit {
 }
 
 fn session_for(kind: BackendKind, seed: u64) -> SessionConfig {
-    SessionConfig::with_backend(kind)
-        .threads(1)
-        .measurement_seed(seed)
+    SessionConfig::with_backend(kind).measurement_seed(seed)
 }
 
 fn run_on(kind: BackendKind, circuit: &Circuit, seed: u64) -> (Session, RunResult) {
@@ -287,13 +285,10 @@ mod remote {
 
     #[test]
     fn remote_dynamic_qasm_matches_local_sessions_on_multiple_backends() {
-        let handle = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::default().workers(2).session_threads(1),
-        )
-        .expect("bind")
-        .spawn()
-        .expect("spawn");
+        let handle = Server::bind("127.0.0.1:0", ServerConfig::default().workers(2))
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
         let addr = handle.addr();
         let circuit = sliqsim::circuit::qasm::parse(TELEPORT_QASM).expect("teleport parses");
         assert!(circuit.is_dynamic(), "measure/if must reach the IR");
@@ -320,9 +315,7 @@ mod remote {
                     .expect("remote dynamic run completes");
 
                 // Local reference under the identical configuration.
-                let config = SessionConfig::with_backend(backend)
-                    .threads(1)
-                    .measurement_seed(seed);
+                let config = SessionConfig::with_backend(backend).measurement_seed(seed);
                 let mut session =
                     Session::for_circuit(&circuit, config).expect("local session opens");
                 let local = session.run(&circuit).expect("local run completes");

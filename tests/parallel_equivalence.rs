@@ -1,28 +1,70 @@
-//! Differential tests for parallel slice application: the fan-out width
-//! must be **unobservable** — for random Clifford+T circuits at several
-//! widths, running the bit-sliced backend with 1/2/4/8 threads produces
-//! slice functions with identical `eval`/`sat_count`/`amplitude` results,
-//! identical probabilities, and a kernel that passes the exhaustive
-//! `Manager::check_integrity` after every circuit.  The seeded
-//! `Session::sample` histograms (including the parallel descent path) are
-//! bit-identical across thread counts.
+//! Differential tests for the unit of parallelism: independent sessions
+//! running side by side.  Every session owns its BDD manager (`Send` but
+//! not `Sync`), so running several of them on separate threads at once must
+//! be **unobservable** — each one produces slice functions with identical
+//! `eval`/`sat_count`/`amplitude` results, identical probabilities and
+//! histograms, identical kernel work counters, and a kernel that passes the
+//! exhaustive `Manager::check_integrity`, exactly as a session running
+//! alone does.
 //!
 //! All comparisons are *exact* (integer/`NodeId` equality, or `f64`s whose
-//! every input is an exact SAT count): any scheduling-dependent behaviour
-//! shows up as a hard failure, not a tolerance miss.
+//! every input is an exact SAT count): any interference between sessions,
+//! or any scheduling-dependent kernel behaviour, shows up as a hard
+//! failure, not a tolerance miss.
 
+use sliqsim::bdd::{KernelMode, ManagerStats};
+use sliqsim::bignum::UBig;
 use sliqsim::circuit::Simulator;
 use sliqsim::prelude::*;
 use sliqsim::workloads::{algorithms, random};
+use std::sync::{Arc, Barrier};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// How many sessions run side by side in the concurrent leg of each test
+/// (the reference always runs alone first).
+const SIDE_BY_SIDE: usize = 4;
 
-fn run_bitslice(circuit: &Circuit, threads: usize, reorder: bool) -> BitSliceSimulator {
-    let mut sim = BitSliceSimulator::new(circuit.num_qubits())
-        .with_threads(threads)
-        .with_auto_reorder(reorder);
+/// Runs `work` once alone, then `SIDE_BY_SIDE` times concurrently on
+/// separate threads (released together by a barrier, so the runs overlap),
+/// and asserts that every concurrent result equals the lone one.  Returns
+/// the lone result.
+fn assert_side_by_side_invariant<T: Send + PartialEq + std::fmt::Debug>(
+    what: &str,
+    work: impl Fn() -> T + Sync,
+) -> T {
+    let alone = work();
+    let start = Barrier::new(SIDE_BY_SIDE);
+    let concurrent: Vec<T> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..SIDE_BY_SIDE)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    work()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("session thread"))
+            .collect()
+    });
+    for (i, result) in concurrent.iter().enumerate() {
+        assert_eq!(result, &alone, "{what}: session {i} of {SIDE_BY_SIDE}");
+    }
+    alone
+}
+
+/// The kernel's work counters: every `ManagerStats` field except the
+/// reordering wall-clock time.
+fn work_counters(stats: ManagerStats) -> ManagerStats {
+    ManagerStats {
+        reorder_micros: 0,
+        ..stats
+    }
+}
+
+fn run_bitslice(circuit: &Circuit, reorder: bool) -> BitSliceSimulator {
+    let mut sim = BitSliceSimulator::new(circuit.num_qubits()).with_auto_reorder(reorder);
     sim.run(circuit).expect("supported gates");
-    assert_eq!(sim.threads(), threads);
     sim
 }
 
@@ -45,181 +87,94 @@ fn probe_states(n: usize) -> Vec<Vec<bool>> {
     }
 }
 
-/// The full differential comparison of one circuit across thread counts.
-fn assert_thread_count_invariance(circuit: &Circuit, reorder: bool) {
-    let n = circuit.num_qubits();
-    let mut serial = run_bitslice(circuit, 1, reorder);
-    serial
-        .state()
-        .manager()
-        .check_integrity()
-        .expect("serial integrity");
-    let states = probe_states(n);
-    let serial_total = serial.total_probability();
-    let serial_probs: Vec<f64> = (0..n).map(|q| serial.probability_of_one(q)).collect();
-    let serial_amps: Vec<Algebraic> = states.iter().map(|bits| serial.amplitude(bits)).collect();
-    let serial_counts: Vec<sliqsim::bignum::UBig> = serial
-        .state()
-        .all_roots()
-        .iter()
-        .map(|&slice| serial.state().manager().sat_count(slice, n))
-        .collect();
-    assert!(serial.is_exactly_normalized());
+/// Everything a session run exposes about its state, compared exactly.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    width: usize,
+    k: i64,
+    sat_counts: Vec<UBig>,
+    evals: Vec<Vec<bool>>,
+    amplitudes: Vec<Algebraic>,
+    probabilities: Vec<f64>,
+    total_probability: f64,
+    exactly_normalized: bool,
+    work: ManagerStats,
+}
 
-    for &threads in &THREAD_COUNTS[1..] {
-        let mut parallel = run_bitslice(circuit, threads, reorder);
-        parallel
-            .state()
-            .manager()
-            .check_integrity()
-            .unwrap_or_else(|e| panic!("integrity at {threads} threads: {e}"));
-        // The representation scalars agree exactly.
-        assert_eq!(parallel.width(), serial.width(), "{threads} threads");
-        assert_eq!(parallel.k(), serial.k(), "{threads} threads");
-        // Slice-level sat counts agree exactly (slice j of family F in the
-        // parallel run denotes the same Boolean function as in the serial
-        // run, so its model count is the same arbitrary-precision integer).
-        let counts: Vec<sliqsim::bignum::UBig> = parallel
-            .state()
-            .all_roots()
-            .iter()
-            .map(|&slice| parallel.state().manager().sat_count(slice, n))
-            .collect();
-        assert_eq!(counts, serial_counts, "{threads} threads: sat counts");
-        // Slice-level eval agrees on every probe state.
-        for bits in &states {
-            for (i, (&ps, &ss)) in parallel
-                .state()
-                .all_roots()
-                .iter()
-                .zip(serial.state().all_roots().iter())
-                .enumerate()
-            {
-                assert_eq!(
-                    parallel.state().manager().eval(ps, bits),
-                    serial.state().manager().eval(ss, bits),
-                    "{threads} threads: slice {i} eval"
-                );
-            }
-        }
-        // Exact amplitudes and probabilities are bit-identical.
-        for (bits, expected) in states.iter().zip(&serial_amps) {
-            assert_eq!(
-                &parallel.amplitude(bits),
-                expected,
-                "{threads} threads: amplitude at {bits:?}"
-            );
-        }
-        for (q, &expected) in serial_probs.iter().enumerate() {
-            assert_eq!(
-                parallel.probability_of_one(q),
-                expected,
-                "{threads} threads: Pr[q{q}=1]"
-            );
-        }
-        assert_eq!(
-            parallel.total_probability(),
-            serial_total,
-            "{threads} threads: total probability"
-        );
-        assert!(parallel.is_exactly_normalized());
+fn observe(circuit: &Circuit, reorder: bool) -> Observed {
+    let n = circuit.num_qubits();
+    let mut sim = run_bitslice(circuit, reorder);
+    let mgr = sim.state().manager();
+    mgr.check_integrity().expect("integrity");
+    let roots = sim.state().all_roots();
+    let states = probe_states(n);
+    let sat_counts = roots.iter().map(|&slice| mgr.sat_count(slice, n)).collect();
+    let evals = states
+        .iter()
+        .map(|bits| roots.iter().map(|&slice| mgr.eval(slice, bits)).collect())
+        .collect();
+    let work = work_counters(mgr.stats());
+    Observed {
+        width: sim.width(),
+        k: sim.k(),
+        sat_counts,
+        evals,
+        amplitudes: states.iter().map(|bits| sim.amplitude(bits)).collect(),
+        probabilities: (0..n).map(|q| sim.probability_of_one(q)).collect(),
+        total_probability: sim.total_probability(),
+        exactly_normalized: sim.is_exactly_normalized(),
+        work,
     }
+}
+
+/// The full differential comparison of one circuit: alone vs side by side.
+fn assert_thread_count_invariance(circuit: &Circuit, reorder: bool) {
+    let observed = assert_side_by_side_invariant("state", || observe(circuit, reorder));
+    assert!(observed.exactly_normalized);
 }
 
 #[test]
 fn one_thread_sessions_select_the_serial_kernel() {
-    use sliqsim::bdd::KernelMode;
+    // Every session runs the single-owner kernel; the compatibility fields
+    // the repository benchmark reads report it that way.
     let circuit = random::random_clifford_t(8, 2);
-    let serial = run_bitslice(&circuit, 1, false);
-    assert_eq!(serial.kernel_mode(), KernelMode::Serial);
-    assert_eq!(
-        serial.state().manager().stats().kernel_mode,
-        KernelMode::Serial
-    );
-    let shared = run_bitslice(&circuit, 4, false);
-    assert_eq!(shared.kernel_mode(), KernelMode::Shared);
-}
-
-#[test]
-fn serial_fast_path_and_forced_shared_kernel_agree_exactly() {
-    use sliqsim::bdd::KernelMode;
-    // The same circuit through three kernel configurations: the 1-thread
-    // serial fast paths, the shared CAS/seqlock machinery forced at 1
-    // thread, and the genuinely concurrent 4-thread run.  All slice
-    // functions, amplitudes and probabilities must be bit-identical.
-    for &(qubits, seed) in &[(8usize, 21u64), (12, 6)] {
-        let circuit = random::random_clifford_t(qubits, seed);
-        let n = circuit.num_qubits();
-        let mut fast = run_bitslice(&circuit, 1, false);
-        assert_eq!(fast.kernel_mode(), KernelMode::Serial);
-        let mut forced = BitSliceSimulator::new(n)
-            .with_threads(1)
-            .with_kernel_mode(KernelMode::Shared);
-        forced.run(&circuit).expect("supported gates");
-        assert_eq!(forced.kernel_mode(), KernelMode::Shared);
-        let mut shared = run_bitslice(&circuit, 4, false);
-        for sim in [&fast, &forced, &shared] {
-            sim.state().manager().check_integrity().expect("integrity");
-        }
-        assert_eq!(forced.width(), fast.width());
-        assert_eq!(forced.k(), fast.k());
-        assert_eq!(shared.width(), fast.width());
-        assert_eq!(shared.k(), fast.k());
-        let counts = |sim: &BitSliceSimulator| -> Vec<sliqsim::bignum::UBig> {
-            sim.state()
-                .all_roots()
-                .iter()
-                .map(|&slice| sim.state().manager().sat_count(slice, n))
-                .collect()
-        };
-        let fast_counts = counts(&fast);
-        assert_eq!(counts(&forced), fast_counts, "forced-shared sat counts");
-        assert_eq!(counts(&shared), fast_counts, "4-thread sat counts");
-        for bits in probe_states(n) {
-            let expected = fast.amplitude(&bits);
-            assert_eq!(forced.amplitude(&bits), expected);
-            assert_eq!(shared.amplitude(&bits), expected);
-        }
-        for q in 0..n {
-            let expected = fast.probability_of_one(q);
-            assert_eq!(forced.probability_of_one(q), expected);
-            assert_eq!(shared.probability_of_one(q), expected);
-        }
-        assert!(fast.is_exactly_normalized());
-        assert!(forced.is_exactly_normalized());
-    }
+    assert_side_by_side_invariant("kernel mode", || {
+        let stats = run_bitslice(&circuit, false).state().manager().stats();
+        assert_eq!(stats.kernel_mode, KernelMode::Serial);
+        assert_eq!(
+            (
+                stats.unique_cas_retries,
+                stats.unique_dup_races,
+                stats.cache_write_skips
+            ),
+            (0, 0, 0)
+        );
+        work_counters(stats)
+    });
 }
 
 #[test]
 fn parallel_sifting_matches_serial_sifting_across_thread_counts() {
     // Explicit reorder runs after the same circuit must make identical
-    // sifting decisions at every thread count: same swap count, same final
-    // live size, same final variable order, and an intact kernel.
+    // sifting decisions whether the session sifts alone or next to others:
+    // same swap count, same final live size, same final variable order,
+    // and an intact kernel.
     for &(qubits, seed) in &[(12usize, 3u64), (14, 8)] {
         let circuit = random::random_clifford_t(qubits, seed);
-        let mut reference: Option<(u64, usize, Vec<usize>)> = None;
-        for &threads in &THREAD_COUNTS {
-            let mut sim = run_bitslice(&circuit, threads, false);
+        let (swaps, _, order) = assert_side_by_side_invariant("sifting", || {
+            let mut sim = run_bitslice(&circuit, false);
             let stats = sim.reorder();
             sim.state()
                 .manager()
                 .check_integrity()
-                .unwrap_or_else(|e| panic!("integrity after reorder at {threads} threads: {e}"));
+                .expect("integrity after reorder");
             let order: Vec<usize> = (0..qubits)
                 .map(|level| sim.state().manager().var_at_level(level))
                 .collect();
-            match &reference {
-                None => reference = Some((stats.swaps, stats.size_after, order)),
-                Some((swaps, size_after, expected_order)) => {
-                    assert_eq!(stats.swaps, *swaps, "{threads} threads: swap count");
-                    assert_eq!(
-                        stats.size_after, *size_after,
-                        "{threads} threads: final node count"
-                    );
-                    assert_eq!(&order, expected_order, "{threads} threads: final order");
-                }
-            }
-        }
+            (stats.swaps, stats.size_after, order)
+        });
+        assert!(swaps > 0, "{qubits} qubits: sifting swapped nothing");
+        assert_eq!(order.len(), qubits);
     }
 }
 
@@ -247,8 +202,8 @@ fn parallel_apply_is_identical_to_serial_on_the_full_gate_set() {
 
 #[test]
 fn parallel_apply_is_identical_under_auto_reorder() {
-    // Reordering and GC are stop-the-world phases between gates; they must
-    // compose with the fan-out without observable effect.
+    // Reordering and GC run between gates; they must be as deterministic as
+    // the gates themselves.
     let circuit = random::random_clifford_t(12, 3);
     assert_thread_count_invariance(&circuit, true);
 }
@@ -264,134 +219,64 @@ fn ghz_and_bv_are_thread_count_invariant() {
 }
 
 #[test]
+fn sessions_report_identical_kernel_work_counters() {
+    // Two sessions running the same circuit do the same kernel work: the
+    // same nodes created, the same per-cache hits, misses and evictions,
+    // the same GC runs, reorder swaps and byte peaks — under a fixed order
+    // and under auto-reorder.  A cache-hit replay relies on this to stay
+    // within the budget its publisher ran under (`Session::materialize`).
+    let circuit = random::random_clifford_t(16, 1);
+    for reorder in [false, true] {
+        let work = assert_side_by_side_invariant("session kernel work", || {
+            let config = SessionConfig::with_backend(BackendKind::BitSlice).auto_reorder(reorder);
+            let mut session = Session::for_circuit(&circuit, config).expect("session");
+            let run = session.run(&circuit).expect("run");
+            session.sample(1024, 5).expect("sample");
+            let after_run = work_counters(run.stats.bdd.expect("bit-sliced stats"));
+            let after_sample = work_counters(session.stats().bdd.expect("bit-sliced stats"));
+            (after_run, after_sample)
+        });
+        let (after_run, after_sample) = work;
+        assert!(after_run.gc_runs > 0, "the circuit must exercise GC");
+        assert_eq!(
+            after_run.reorder_swaps > 0,
+            reorder,
+            "swaps happen exactly when auto-reorder is on"
+        );
+        assert!(after_sample.created_nodes > after_run.created_nodes);
+        assert!(after_run.total_cache().hits > 0 && after_run.peak_bytes > 0);
+    }
+}
+
+#[test]
 fn sample_histograms_are_bit_identical_across_thread_counts() {
-    // Clifford+T forces the bit-sliced backend under Auto; the multi-thread
-    // sessions additionally exercise the parallel descent of the sampling
-    // trie (independent subtrees fanned over the pool).
+    // Clifford+T forces the bit-sliced backend under Auto; sessions sampling
+    // side by side must draw the same histogram as a session alone.
     let circuit = random::random_clifford_t(10, 9);
-    let mut reference: Option<std::sync::Arc<Histogram>> = None;
-    for &threads in &THREAD_COUNTS {
-        let config = SessionConfig::with_backend(BackendKind::BitSlice).threads(threads);
+    let sample = |seed: u64| -> Arc<Histogram> {
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
         let mut session = Session::for_circuit(&circuit, config).expect("session");
         session.run(&circuit).expect("run");
-        let sample = session.sample(4096, 42).expect("sample");
+        let sample = session.sample(4096, seed).expect("sample");
         assert_eq!(sample.histogram.shots(), 4096);
-        match &reference {
-            None => reference = Some(sample.histogram),
-            Some(expected) => assert_eq!(
-                &sample.histogram, expected,
-                "histogram differs at {threads} threads"
-            ),
-        }
-    }
+        sample.histogram
+    };
+    let reference = assert_side_by_side_invariant("histogram", || sample(42));
     // Distinct seeds still differ (the determinism is per seed, not a
     // degenerate constant histogram).
-    let config = SessionConfig::with_backend(BackendKind::BitSlice).threads(2);
-    let mut session = Session::for_circuit(&circuit, config).expect("session");
-    session.run(&circuit).expect("run");
-    let other_seed = session.sample(4096, 43).expect("sample").histogram;
-    assert_ne!(Some(other_seed), reference);
+    assert_ne!(sample(43), reference);
 }
 
 #[test]
 fn sampling_determinism_holds_after_measurement_collapse() {
-    // The descent must also be thread-count invariant on a state with a
-    // non-trivial normalisation factor (post-measurement `s != 1`).
+    // The descent must also be deterministic on a state with a non-trivial
+    // normalisation factor (post-measurement `s != 1`).
     let circuit = random::random_clifford_t(8, 4);
-    let mut reference: Option<std::sync::Arc<Histogram>> = None;
-    for &threads in &THREAD_COUNTS {
-        let config = SessionConfig::with_backend(BackendKind::BitSlice).threads(threads);
+    assert_side_by_side_invariant("post-collapse histogram", || {
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
         let mut session = Session::for_circuit(&circuit, config).expect("session");
         session.run(&circuit).expect("run");
         session.measure_with(0, 0.3);
-        let sample = session.sample(1024, 7).expect("sample");
-        match &reference {
-            None => reference = Some(sample.histogram),
-            Some(expected) => assert_eq!(
-                &sample.histogram, expected,
-                "post-collapse histogram differs at {threads} threads"
-            ),
-        }
-    }
-}
-
-/// The tentpole's perf acceptance bar: with ≥ 4 threads, whole-circuit
-/// `random_clifford_t(20)` (fixed order, reorder off) is ≥ 1.5× faster than
-/// the single-thread path.  Wall-clock perf needs real cores and a quiet
-/// machine, so the test is gated like the other perf acceptance tests: set
-/// `SLIQ_PERF_TEST=1` on a machine with ≥ 4 hardware threads.
-#[test]
-fn perf_parallel_apply_speedup_on_random_clifford_t_20() {
-    if std::env::var_os("SLIQ_PERF_TEST").is_none() {
-        eprintln!("skipped (set SLIQ_PERF_TEST=1 to run the wall-clock acceptance test)");
-        return;
-    }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    if available < 4 {
-        eprintln!("skipped (needs >= 4 hardware threads, have {available})");
-        return;
-    }
-    let circuit = random::random_clifford_t(20, 1);
-    let median_secs = |threads: usize| -> f64 {
-        let mut runs: Vec<f64> = (0..3)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                let _ = run_bitslice(&circuit, threads, false);
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        runs[1]
-    };
-    let serial = median_secs(1);
-    let parallel = median_secs(4);
-    let speedup = serial / parallel;
-    eprintln!("rc_t(20): serial {serial:.3}s, 4 threads {parallel:.3}s, speedup {speedup:.2}x");
-    assert!(
-        speedup >= 1.5,
-        "4-thread whole-circuit speedup {speedup:.2}x below the 1.5x acceptance bar"
-    );
-}
-
-/// The phase-typed kernel's perf acceptance bar, encoded machine-
-/// independently as a ratio: the 1-thread serial fast paths must run the
-/// whole-circuit workload within 1.05× of the shared CAS/seqlock kernel
-/// forced at 1 thread (in practice they are faster — the bar guards against
-/// the mode dispatch itself becoming a regression).  Gated like the other
-/// wall-clock tests: set `SLIQ_PERF_TEST=1` on a quiet machine.
-#[test]
-fn perf_serial_fast_path_within_bounds_of_forced_shared() {
-    if std::env::var_os("SLIQ_PERF_TEST").is_none() {
-        eprintln!("skipped (set SLIQ_PERF_TEST=1 to run the wall-clock acceptance test)");
-        return;
-    }
-    use sliqsim::bdd::KernelMode;
-    let circuit = random::random_clifford_t(20, 1);
-    let median_secs = |mode: KernelMode| -> f64 {
-        let mut runs: Vec<f64> = (0..3)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                let mut sim = BitSliceSimulator::new(circuit.num_qubits())
-                    .with_threads(1)
-                    .with_kernel_mode(mode);
-                sim.run(&circuit).expect("supported gates");
-                assert_eq!(sim.kernel_mode(), mode);
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        runs[1]
-    };
-    let fast = median_secs(KernelMode::Serial);
-    let forced = median_secs(KernelMode::Shared);
-    eprintln!(
-        "rc_t(20) at 1 thread: serial kernel {fast:.3}s, forced shared {forced:.3}s, tax {:.3}x",
-        fast / forced
-    );
-    assert!(
-        fast <= forced * 1.05,
-        "serial fast path {fast:.3}s exceeds 1.05x of the forced-shared kernel {forced:.3}s"
-    );
+        session.sample(1024, 7).expect("sample").histogram
+    });
 }

@@ -137,6 +137,42 @@ fn warm_hits_perform_zero_backend_simulation() {
     assert_eq!(warm.gates_applied(), circuit.len());
 }
 
+/// A run hit replays its circuit lazily, on the first state query
+/// (`Session::materialize`).  The kernel is deterministic, so the replay
+/// repeats the publishing run's kernel work exactly — the same nodes
+/// created, the same per-cache hits, misses and evictions, the same GC
+/// runs, reorder swaps and byte peak — which is why a replay can never
+/// trip the byte budget its publisher completed under.  Checked under a
+/// fixed order and under auto-reorder.
+#[test]
+fn cache_hit_replay_repeats_the_publishers_kernel_work() {
+    let circuit = sliq_workloads::random::random_clifford_t(16, 1);
+    let work = |stats: sliqsim::bdd::ManagerStats| sliqsim::bdd::ManagerStats {
+        reorder_micros: 0,
+        ..stats
+    };
+    for reorder in [false, true] {
+        let cache = ResultCache::shared(16 * 1024 * 1024);
+        let config = SessionConfig::with_backend(BackendKind::BitSlice).auto_reorder(reorder);
+        let mut publisher = Session::for_circuit(&circuit, config).expect("supported");
+        publisher.attach_result_cache(cache.clone());
+        let published = publisher.run(&circuit).expect("runs");
+        let published_work = work(published.stats.bdd.expect("bitslice"));
+        assert!(published_work.gc_runs > 0, "the circuit must exercise GC");
+        assert_eq!(published_work.reorder_swaps > 0, reorder);
+
+        let mut replayer = Session::for_circuit(&circuit, config).expect("supported");
+        replayer.attach_result_cache(cache.clone());
+        replayer.run(&circuit).expect("hit");
+        assert_eq!(cache.stats().hits, 1, "reorder {reorder}");
+        // `run` ends with one `total_probability`; asking for it again
+        // replays the circuit and then does exactly that.
+        assert_eq!(replayer.total_probability(), published.total_probability);
+        let replayed_work = work(replayer.stats().bdd.expect("bitslice"));
+        assert_eq!(replayed_work, published_work, "reorder {reorder}");
+    }
+}
+
 /// Cache hits must not deep-copy the histogram: every warm `sample` shares
 /// the publisher's allocation behind `Arc`.
 #[test]

@@ -21,10 +21,9 @@ struct Expected {
 }
 
 fn direct(circuit: &Circuit) -> Expected {
-    // Mirror the server's session configuration exactly (one kernel
-    // thread), so "bit-identical" is a statement about the serving path,
-    // not about kernel scheduling.
-    let config = SessionConfig::default().threads(1);
+    // Mirror the server's session configuration exactly, so
+    // "bit-identical" is a statement about the serving path.
+    let config = SessionConfig::default();
     let mut session = Session::for_circuit(circuit, config).expect("reference session opens");
     let run = session.run(circuit).expect("reference run completes");
     let sample = session
@@ -58,13 +57,10 @@ fn population() -> Vec<Circuit> {
 
 #[test]
 fn eight_concurrent_connections_match_direct_sessions_bit_for_bit() {
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig::default().workers(3).session_threads(1),
-    )
-    .expect("bind")
-    .spawn()
-    .expect("spawn");
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default().workers(3))
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
     let addr = handle.addr();
     let circuits = population();
     let expected: Vec<Expected> = circuits.iter().map(direct).collect();
@@ -126,7 +122,6 @@ fn over_budget_tenant_fails_on_the_wire_while_others_are_unaffected() {
         "127.0.0.1:0",
         ServerConfig::default()
             .workers(2)
-            .session_threads(1)
             .tenant_budget("cramped", 64 * 1024),
     )
     .expect("bind")
