@@ -59,7 +59,7 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`], for use with `HashMap::with_hasher`.
+/// `BuildHasher` for `FxHasher`, for use with `HashMap::with_hasher`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A strong 64-bit finalizer (the murmur3/splitmix64 avalanche step).

@@ -296,7 +296,7 @@ pub struct ManagerStats {
     pub allocated_nodes: usize,
     /// Exact retained kernel bytes at snapshot time: arena chunk cells and
     /// sidecars, the chunk directory, unique-subtable slot arrays and
-    /// op-cache words (see [`crate::shard`], "Byte accounting").
+    /// op-cache words (see the kernel's `shard` module, "Byte accounting").
     pub current_bytes: usize,
     /// High-water mark of [`ManagerStats::current_bytes`].
     pub peak_bytes: usize,

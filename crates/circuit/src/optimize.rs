@@ -15,7 +15,7 @@
 //! per-qubit "last gate" tracking, so gates that become adjacent only
 //! *because* an inner pair vanished (e.g. the outer `H…H` of `H·X·X·H`) are
 //! not rewritten in the same pass.  [`optimize`] therefore iterates
-//! [`one_pass`] until a full pass changes nothing and reports the number of
+//! `one_pass` until a full pass changes nothing and reports the number of
 //! passes in [`OptimizeStats::passes`].  This fixed-point iteration is what
 //! makes the output usable as a **canonical form**: circuits that differ
 //! only by nested redundant pairs (at any depth) converge to the same gate

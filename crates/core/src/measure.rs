@@ -110,16 +110,15 @@ fn unscaled_probability_of(
 }
 
 /// An immutable, unregistered view of a (possibly conditioned) bit-sliced
-/// state: the `4·r` slice roots plus the scalars, **without** root-registry
-/// pins.  The batched-sampling descent conditions views functionally —
+/// state: the `4·r` slice roots plus the scalars, outside the root
+/// registry.  The batched-sampling descent conditions views functionally —
 /// `view.condition(mgr, q, v)` returns a new view, the original stays valid
-/// — so a descent can keep every view on its path (and the sampling cache
-/// every view it memoised) while it builds new conditioned slices through
-/// the kernel's `&Manager` apply operations.
+/// — so a descent can keep every view on its path while it builds new
+/// conditioned slices through the kernel's `&Manager` apply operations.
 ///
-/// Safety of the missing pins: a view's nodes are only guaranteed alive
-/// while no garbage collection runs, and GC needs `&mut Manager` — which
-/// cannot coexist with the `&Manager` the view's methods borrow.  The
+/// Why unregistered nodes stay alive: a view's nodes are only guaranteed
+/// alive while no garbage collection runs, and GC needs `&mut Manager` —
+/// which cannot coexist with the `&Manager` the view's methods borrow.  The
 /// borrow checker therefore enforces the "no GC during descent" discipline;
 /// run one afterwards to reclaim the transient conditioned slices.
 #[derive(Debug, Clone)]
@@ -144,8 +143,8 @@ impl ConditionedView {
     }
 
     /// The view restricted to `qubit = value` **without renormalising** —
-    /// the same slice conjunctions and width normalisation as
-    /// [`BitSliceState::condition_on`], as a pure function.
+    /// the same slice conjunctions and width normalisation as the collapse
+    /// in [`BitSliceState::measure_with`], as a pure function.
     pub fn condition(&self, mgr: &Manager, qubit: usize, value: bool) -> Self {
         let literal = if value {
             mgr.var(qubit)
@@ -168,14 +167,6 @@ impl ConditionedView {
             num_qubits: self.num_qubits,
             norm_factor: self.norm_factor,
         }
-    }
-
-    /// Every slice root the view references (`4·r` edges, family-major) —
-    /// the set a caller must pin ([`BitSliceState::pin_root`]) to keep a
-    /// view alive across later garbage collections, e.g. when caching views
-    /// between sampling calls.
-    pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slices.iter().flatten().copied()
     }
 
     /// The joint probability `Pr[conditions ∧ qubit = 1]` (an exact SAT
@@ -270,42 +261,12 @@ impl BitSliceState {
         outcome
     }
 
-    /// Restricts the state to the subspace where `qubit` reads `value`
-    /// **without renormalising**: every slice is conjoined with the literal,
-    /// but `s` stays untouched, so [`BitSliceState::total_probability`]
-    /// afterwards reports the joint probability of all conditions applied so
-    /// far.  This is the building block of non-collapsing conditional-
-    /// probability descent (batched sampling): condition, read a conditional
-    /// probability, then roll back via [`BitSliceState::restore`].
-    ///
-    /// Like [`BitSliceState::measure_with`] this shrinks the coefficient
-    /// width and may trigger a registered-roots garbage collection —
-    /// snapshots are registered, so they survive it; restoring one undoes
-    /// both the restriction and the width change.
-    pub fn condition_on(&mut self, qubit: usize, value: bool) {
-        let literal = if value {
-            self.mgr.var(qubit)
-        } else {
-            self.mgr.nvar(qubit)
-        };
-        for family in 0..4 {
-            for j in 0..self.r {
-                let old = self.slices[family][j];
-                self.slices[family][j] = self.mgr.and(old, literal);
-            }
-        }
-        self.shrink();
-        self.sync_registered_roots();
-        self.maybe_collect_garbage();
-    }
-
     /// Measures every qubit (in index order) using the supplied uniform
     /// random values, one per qubit, **collapsing the state** to the sampled
-    /// basis state — the historical `sample_all` behaviour under a name that
-    /// says what it does.  For repeated sampling use
-    /// [`BitSliceState::sample_all`], which restores the state afterwards,
-    /// or the batched `Session::sample` API in `sliq_exec`, which draws many
-    /// shots for one simulation.
+    /// basis state.  Take a [`BitSliceState::snapshot`] first to roll the
+    /// collapse back; for many shots use the batched `Session::sample` API
+    /// in `sliq_exec`, which draws them all from one simulation without
+    /// collapsing anything.
     ///
     /// # Panics
     ///
@@ -316,23 +277,6 @@ impl BitSliceState {
             .enumerate()
             .map(|(q, &u)| self.measure_with(q, u))
             .collect()
-    }
-
-    /// Samples a complete measurement of all qubits (in index order) using
-    /// the supplied uniform random values, one per qubit, and **restores the
-    /// pre-measurement state** before returning (snapshot → collapse →
-    /// rollback).  Use [`BitSliceState::measure_all_collapsing`] when the
-    /// collapsed state itself is wanted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us.len() != num_qubits()`.
-    pub fn sample_all(&mut self, us: &[f64]) -> Vec<bool> {
-        let snapshot = self.snapshot();
-        let outcome = self.measure_all_collapsing(us);
-        self.restore(&snapshot);
-        self.release_snapshot(snapshot);
-        outcome
     }
 }
 
@@ -425,28 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_all_follows_forced_random_values_and_restores_the_state() {
-        let mut state = BitSliceState::new(2);
-        gates::apply(&mut state, &Gate::H(0));
-        gates::apply(
-            &mut state,
-            &Gate::Cnot {
-                control: 0,
-                target: 1,
-            },
-        );
-        // Force qubit 0 to outcome 1; qubit 1 must follow deterministically.
-        let sample = state.sample_all(&[0.0, 0.99]);
-        assert_eq!(sample, vec![true, true]);
-        // Non-destructive: the Bell state survives and can be sampled again,
-        // this time forcing the other branch.
-        assert!(close(state.probability_of(0, true), 0.5));
-        assert!(close(state.normalization_factor(), 1.0));
-        let sample = state.sample_all(&[0.99, 0.99]);
-        assert_eq!(sample, vec![false, false]);
-    }
-
-    #[test]
     fn measure_all_collapsing_collapses() {
         let mut state = BitSliceState::new(2);
         gates::apply(&mut state, &Gate::H(0));
@@ -464,8 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn condition_on_tracks_joint_probabilities_and_snapshots_roll_back() {
-        // GHZ(3): Pr[q0=1] = 1/2, Pr[q0=1 ∧ q1=1] = 1/2, Pr[q0=1 ∧ q1=0] = 0.
+    fn snapshots_roll_back_collapses_and_survive_gc() {
         let mut state = BitSliceState::new(3);
         gates::apply(&mut state, &Gate::H(0));
         for (c, t) in [(0, 1), (1, 2)] {
@@ -478,21 +399,25 @@ mod tests {
             );
         }
         let snapshot = state.snapshot();
-        state.condition_on(0, true);
-        assert!(close(state.total_probability(), 0.5));
-        // A conditional read on the restricted state: Pr[cond ∧ q1=1].
-        assert!(close(state.probability_of(1, true), 0.5));
-        state.condition_on(1, false);
-        assert!(close(state.total_probability(), 0.0));
-        // Roll back: the full GHZ state returns, including width and k.
+        // Collapse q0 to 1: the GHZ correlation forces q1 = q2 = 1 and the
+        // factor s becomes √2.
+        assert!(state.measure_with(0, 0.25));
+        assert!(close(state.probability_of(1, true), 1.0));
+        assert!((state.normalization_factor() - std::f64::consts::SQRT_2).abs() < 1e-12);
+        // Roll back: the full GHZ state returns, including width, k and s.
+        state.restore(&snapshot);
+        assert!(close(state.normalization_factor(), 1.0));
+        assert!(close(state.total_probability(), 1.0));
+        assert!(close(state.probability_of(0, true), 0.5));
+        assert!(state.is_exactly_normalized());
+        // The snapshot survives a forced GC while registered, even after a
+        // second collapse left its nodes unreachable from the live state.
+        assert!(!state.measure_with(0, 0.75));
+        state.collect_garbage();
         state.restore(&snapshot);
         assert!(close(state.total_probability(), 1.0));
         assert!(close(state.probability_of(0, true), 0.5));
         assert!(state.is_exactly_normalized());
-        // The snapshot survives GC while registered.
-        state.collect_garbage();
-        state.restore(&snapshot);
-        assert!(close(state.total_probability(), 1.0));
         state.release_snapshot(snapshot);
     }
 

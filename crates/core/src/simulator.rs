@@ -157,13 +157,6 @@ impl BitSliceSimulator {
         self.state.release_snapshot(snapshot);
     }
 
-    /// Samples a full measurement of all qubits from the supplied uniform
-    /// values (one per qubit) and restores the state afterwards; see
-    /// [`BitSliceState::sample_all`].
-    pub fn sample_all(&mut self, us: &[f64]) -> Vec<bool> {
-        self.state.sample_all(us)
-    }
-
     fn check_limits(&self) -> Result<(), SimulationError> {
         if let Some(max) = self.limits.max_nodes {
             let live = self.state.manager().allocated_nodes();

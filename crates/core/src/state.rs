@@ -161,24 +161,6 @@ impl BitSliceState {
         state
     }
 
-    /// Pins an arbitrary BDD function in the manager's root registry so it
-    /// survives garbage collection and reordering (used by the sampling
-    /// cache to keep its conditioned views alive between `sample` calls).
-    pub fn pin_root(&mut self, f: NodeId) -> RootSlot {
-        self.mgr.register_root(f)
-    }
-
-    /// Reads a pinned root back (the id is stable across reordering; the
-    /// registry is what guarantees the node stayed live).
-    pub fn pinned_root(&self, slot: RootSlot) -> NodeId {
-        self.mgr.root(slot)
-    }
-
-    /// Releases a root pinned with [`BitSliceState::pin_root`].
-    pub fn unpin_root(&mut self, slot: RootSlot) {
-        let _ = self.mgr.release_root(slot);
-    }
-
     /// The number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -259,8 +241,8 @@ impl BitSliceState {
 
     /// Runs a garbage collection if the manager considers it worthwhile.
     /// Trusts the root registry (every mutation path ends with
-    /// [`BitSliceState::sync_registered_roots`]), so the no-op case costs
-    /// one counter comparison.
+    /// `sync_registered_roots`), so the no-op case costs one counter
+    /// comparison.
     pub fn maybe_collect_garbage(&mut self) {
         if self.mgr.should_collect() {
             self.mgr.collect_garbage_registered();
@@ -274,7 +256,7 @@ impl BitSliceState {
     }
 
     // ------------------------------------------------------------------ //
-    // Snapshots (non-destructive measurement and batched sampling)
+    // Snapshots (checkpoints and rollback)
     // ------------------------------------------------------------------ //
 
     /// Captures the current state as a [`StateSnapshot`].

@@ -16,8 +16,10 @@
 //!
 //! Entries are keyed by a **128-bit fingerprint of the canonical circuit**
 //! ([`circuit_fingerprint`]): the circuit is first normalised by the
-//! peephole rewriter ([`sliq_circuit::optimize`], iterated to a fixed point,
-//! so circuits differing only by redundant gate pairs share an entry), then
+//! peephole rewriter
+//! ([`sliq_circuit::optimize`](fn@sliq_circuit::optimize), iterated to a
+//! fixed point, so circuits differing only by redundant gate pairs share an
+//! entry), then
 //! the qubit count, gate count and every gate — tag plus operand list — are
 //! folded through a 128-bit FNV-1a hash.  The fingerprint is combined with
 //! every *result-affecting* configuration knob:
@@ -219,7 +221,8 @@ fn write_gate(h: &mut Fnv128, gate: &Gate) {
 
 /// The stable 128-bit fingerprint of a circuit's **canonical form**.
 ///
-/// The circuit is normalised with [`sliq_circuit::optimize`] (inverse-pair
+/// The circuit is normalised with
+/// [`sliq_circuit::optimize`](fn@sliq_circuit::optimize) (inverse-pair
 /// cancellation and phase merging, iterated to a fixed point) before
 /// hashing, so circuits that differ only by redundant gate pairs map to the
 /// same fingerprint — and thus share result-cache entries:

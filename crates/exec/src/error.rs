@@ -42,7 +42,8 @@ pub enum ExecError {
         /// Human-readable gate description.
         gate: String,
     },
-    /// A configured resource limit (live nodes, memory) was exceeded.
+    /// A configured resource limit (live nodes, memory) was exceeded, or
+    /// memory for a request's working buffers could not be allocated.
     Resource {
         /// The backend that hit the limit.
         backend: &'static str,

@@ -183,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn bitslice_sample_cache_is_reused_and_invalidated_on_mutation() {
+    fn bitslice_sampling_is_repeatable_and_follows_state_mutations() {
         let mut circuit = ghz(4);
         circuit.t(3); // non-Clifford ⇒ bit-sliced backend
         let config = SessionConfig::with_backend(BackendKind::BitSlice);
@@ -192,21 +192,124 @@ mod tests {
         let first = session.sample(3000, 11).unwrap();
         let repeat = session.sample(3000, 11).unwrap();
         assert_eq!(first.histogram, repeat.histogram);
-        // A cold-cache session computes the same histogram: the cache only
-        // memoises work, never results.
-        let mut cold = Session::for_circuit(&circuit, config).unwrap();
-        cold.run(&circuit).unwrap();
-        assert_eq!(cold.sample(3000, 11).unwrap().histogram, first.histogram);
-        // Mutating the state must invalidate the memoised trie: the next
-        // sample reflects the new state, matching a session that never
-        // cached the old one.
+        let mut fresh = Session::for_circuit(&circuit, config).unwrap();
+        fresh.run(&circuit).unwrap();
+        assert_eq!(fresh.sample(3000, 11).unwrap().histogram, first.histogram);
+        // After a mutation the next sample reflects the new state.
         let mut flip = Circuit::new(4);
         flip.x(0);
         session.run(&flip).unwrap();
         let after = session.sample(3000, 11).unwrap();
         assert_ne!(after.histogram, first.histogram);
-        cold.run(&flip).unwrap();
-        assert_eq!(cold.sample(3000, 11).unwrap().histogram, after.histogram);
+        fresh.run(&flip).unwrap();
+        assert_eq!(fresh.sample(3000, 11).unwrap().histogram, after.histogram);
+    }
+
+    #[test]
+    fn bitslice_sampling_pins_nothing() {
+        let mut circuit = Circuit::new(5);
+        circuit.h(0).cx(0, 1).t(1).h(2).t(2).h(2).cx(2, 3).h(4);
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
+        let mut session = Session::for_circuit(&circuit, config).unwrap();
+        session.run(&circuit).unwrap();
+        let roots_before = session
+            .bitslice_mut()
+            .unwrap()
+            .state()
+            .manager()
+            .registered_roots()
+            .to_vec();
+        let first = session.sample(2000, 5).unwrap();
+        let sim = session.bitslice_mut().unwrap();
+        assert_eq!(
+            sim.state().manager().registered_roots(),
+            roots_before.as_slice()
+        );
+        sim.state().manager().check_integrity().unwrap();
+        // A forced GC reclaims every transient view and keeps the state.
+        sim.state_mut().collect_garbage();
+        sim.state().manager().check_integrity().unwrap();
+        assert!(sim.is_exactly_normalized());
+        let second = session.sample(2000, 5).unwrap();
+        assert_eq!(second.histogram, first.histogram);
+        let mut fresh = Session::for_circuit(&circuit, config).unwrap();
+        fresh.run(&circuit).unwrap();
+        assert_eq!(fresh.sample(2000, 5).unwrap().histogram, second.histogram);
+    }
+
+    /// FNV-1a over the `(outcome, count)` pairs in ascending outcome order.
+    fn histogram_digest(histogram: &Histogram) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (&outcome, &count) in histogram.counts() {
+            for byte in outcome.to_le_bytes().into_iter().chain(count.to_le_bytes()) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    fn bitslice_histogram(circuit: &Circuit, shots: u64, seed: u64) -> Histogram {
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
+        let mut session = Session::new(circuit.num_qubits(), config).unwrap();
+        session.run(circuit).unwrap();
+        Histogram::clone(&session.sample(shots, seed).unwrap().histogram)
+    }
+
+    #[test]
+    fn bitslice_histograms_match_their_recorded_digests() {
+        use sliq_workloads::random::random_clifford_t;
+        // Irrational outcome probabilities: every partition of the descent
+        // depends on exact SAT counts rounded once, so any change to the
+        // sampler's arithmetic or draw order shows up here.
+        for (circuit_seed, digest, distinct) in [
+            (1, 0x45a9_db7b_cad1_aed3, 363),
+            (2, 0x5f7a_d08d_4cc1_e5b8, 253),
+            (3, 0x4913_4424_7068_7b95, 443),
+        ] {
+            let histogram = bitslice_histogram(&random_clifford_t(10, circuit_seed), 1024, 7);
+            assert_eq!(
+                histogram.counts().len(),
+                distinct,
+                "rc_t(10, {circuit_seed})"
+            );
+            assert_eq!(
+                histogram_digest(&histogram),
+                digest,
+                "rc_t(10, {circuit_seed})"
+            );
+        }
+        // A wide descent: more than 2048 distinct outcomes, so more than
+        // 1024 distinct prefixes one qubit above the leaves.
+        let wide = bitslice_histogram(&random_clifford_t(14, 1), 8192, 7);
+        assert_eq!(wide.counts().len(), 3610);
+        assert_eq!(histogram_digest(&wide), 0x61cb_57ae_42e1_31cf);
+        // One and two qubits: the root's branches are already leaves, or
+        // the leaves' parents.
+        let mut one = Circuit::new(1);
+        one.h(0).t(0).h(0);
+        assert_eq!(
+            bitslice_histogram(&one, 1000, 7),
+            Histogram::from_counts(1, [(0, 845), (1, 155)])
+        );
+        let mut two = Circuit::new(2);
+        two.h(0).t(0).h(0).cx(0, 1).h(1).t(1).h(1);
+        assert_eq!(
+            bitslice_histogram(&two, 1000, 7),
+            Histogram::from_counts(2, [(0, 729), (1, 17), (2, 116), (3, 138)])
+        );
+    }
+
+    #[test]
+    fn an_unallocatable_shot_count_is_an_error() {
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
+        let mut session = Session::new(3, config).unwrap();
+        session.run(&ghz(3)).unwrap();
+        assert!(matches!(
+            session.sample(u64::MAX, 1),
+            Err(ExecError::Resource { .. })
+        ));
+        // The session stays usable.
+        assert_eq!(session.sample(100, 1).unwrap().histogram.shots(), 100);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! prefix, so the cost scales with the number of *distinct* outcome
 //! prefixes rather than with `shots × circuit`:
 //!
-//! * **bit-sliced BDD** — non-collapsing conditional-probability descent:
-//!   the state is restricted qubit by qubit with
-//!   [`sliq_core::BitSliceState::condition_on`] and rolled back through the
-//!   snapshot API; conditional probabilities are exact weighted SAT counts.
+//! * **bit-sliced BDD** — a stack of [`sliq_core::ConditionedView`]s:
+//!   conditioning a view conjoins every slice with the qubit's literal
+//!   (without renormalising), and conditional probabilities are exact
+//!   weighted SAT counts of `slice ∧ literal`.  The views are unregistered
+//!   transients, so the state is never modified and nothing is pinned.
 //! * **dense** — a single pass over the state vector builds the probability
 //!   vector and its per-level subtree sums (a CDF tree); the descent then
 //!   only reads precomputed sums.
@@ -22,6 +23,10 @@
 //! * **stabilizer** — snapshot–measure–restore on tableau clones;
 //!   conditional probabilities are 0, ½ or 1 by the CHP determinism rule.
 //!
+//! One descent drives all four through a private `ConditionalChain` trait
+//! (`conditional_one`, `push`, `pop`).  It counts the last qubit's branches
+//! straight into the histogram, so `ConditionalChain::push` is never called
+//! for the last qubit: no backend conditions, projects or clones a leaf.
 //! Because all four backends partition the *same* `u` sequence with the
 //! same descent, backends that compute bit-identical conditional
 //! probabilities (e.g. every exact backend on a dyadic-probability circuit)
@@ -35,7 +40,7 @@ use sliq_core::{BitSliceSimulator, ConditionedView};
 use sliq_dense::DenseSimulator;
 use sliq_qmdd::{Edge, QmddSimulator};
 use sliq_stabilizer::{StabilizerSimulator, Tableau};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, TryReserveError};
 
 /// A histogram of measurement outcomes over all qubits.
 ///
@@ -205,10 +210,15 @@ impl Histogram {
 }
 
 /// The uniform draws for `shots` shots under `seed` — one `u ∈ [0, 1)` per
-/// shot, identical for every backend.
-fn uniform_draws(shots: u64, seed: u64) -> Vec<f64> {
+/// shot, identical for every backend.  The buffer is reserved up front and
+/// fallibly, so a shot count that cannot fit in memory is an error rather
+/// than an abort.
+pub(crate) fn uniform_draws(shots: u64, seed: u64) -> Result<Vec<f64>, TryReserveError> {
+    let mut draws = Vec::new();
+    draws.try_reserve_exact(usize::try_from(shots).unwrap_or(usize::MAX))?;
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..shots).map(|_| rng.gen_range(0.0..1.0)).collect()
+    draws.extend((0..shots).map(|_| rng.gen_range(0.0..1.0)));
+    Ok(draws)
 }
 
 /// Keeps a rescaled draw strictly below 1.0 so rounding can never push a
@@ -223,7 +233,8 @@ trait ConditionalChain {
     /// `Pr[qubit = 1]` conditioned on every pushed `(qubit, value)` pair.
     fn conditional_one(&mut self, qubit: usize) -> f64;
     /// Adds the condition `qubit = value`.  Called at most once per branch,
-    /// and only after `conditional_one(qubit)` at the same depth.
+    /// only after `conditional_one(qubit)` at the same depth, and never for
+    /// the last qubit: its branches go straight into the histogram.
     fn push(&mut self, qubit: usize, value: bool);
     /// Removes the most recently pushed condition.
     fn pop(&mut self, qubit: usize);
@@ -231,7 +242,8 @@ trait ConditionalChain {
 
 /// Shared inverse-CDF descent: partitions the draws by the conditional
 /// probability at each qubit, rescaling them into the chosen branch, so
-/// shots with a common outcome prefix traverse that prefix once.
+/// shots with a common outcome prefix traverse that prefix once.  `us` is
+/// never empty and `depth` is below `num_qubits`.
 fn descend<C: ConditionalChain>(
     chain: &mut C,
     num_qubits: usize,
@@ -240,13 +252,6 @@ fn descend<C: ConditionalChain>(
     us: Vec<f64>,
     histogram: &mut Histogram,
 ) {
-    if us.is_empty() {
-        return;
-    }
-    if depth == num_qubits {
-        histogram.add(prefix, us.len() as u64);
-        return;
-    }
     let raw = chain.conditional_one(depth);
     let p1 = if raw.is_finite() {
         raw.clamp(0.0, 1.0)
@@ -264,367 +269,98 @@ fn descend<C: ConditionalChain>(
             zeros.push(rescaled.min(BELOW_ONE));
         }
     }
-    if !ones.is_empty() {
-        chain.push(depth, true);
-        descend(
-            chain,
-            num_qubits,
-            depth + 1,
-            prefix | 1 << depth,
-            ones,
-            histogram,
-        );
-        chain.pop(depth);
-    }
-    if !zeros.is_empty() {
-        chain.push(depth, false);
-        descend(chain, num_qubits, depth + 1, prefix, zeros, histogram);
-        chain.pop(depth);
+    for (value, branch) in [(true, ones), (false, zeros)] {
+        if branch.is_empty() {
+            continue;
+        }
+        let prefix = prefix | u64::from(value) << depth;
+        if depth + 1 == num_qubits {
+            histogram.add(prefix, branch.len() as u64);
+        } else {
+            chain.push(depth, value);
+            descend(chain, num_qubits, depth + 1, prefix, branch, histogram);
+            chain.pop(depth);
+        }
     }
 }
 
 fn run_descent<C: ConditionalChain>(
     chain: &mut C,
     num_qubits: usize,
-    shots: u64,
-    seed: u64,
+    draws: Vec<f64>,
 ) -> Histogram {
     let mut histogram = Histogram::new(num_qubits);
-    let us = uniform_draws(shots, seed);
-    descend(chain, num_qubits, 0, 0, us, &mut histogram);
+    if num_qubits == 0 {
+        // The empty register has one outcome, and every shot reads it.
+        histogram.add(0, draws.len() as u64);
+    } else if !draws.is_empty() {
+        descend(chain, num_qubits, 0, 0, draws, &mut histogram);
+    }
     histogram
 }
 
 // ---------------------------------------------------------------------- //
-// Bit-sliced BDD backend
+// Bit-sliced BDD backend (a stack of conditioned views)
 // ---------------------------------------------------------------------- //
 
-/// One node of the bit-sliced descent: an unregistered conditioned view of
-/// the state plus the draws that landed in its branch.  Views are
-/// conditioned *functionally* (`ConditionedView::condition` returns a new
-/// view through the kernel's `&Manager` apply operations); the partition
-/// arithmetic is byte-for-byte the one `descend` uses.
-struct ViewTask {
-    view: ConditionedView,
-    depth: usize,
-    prefix: u64,
-    us: Vec<f64>,
-    /// Joint probability of the conditions above this node.
-    p_current: f64,
+/// A stack of unregistered conditioned views of the state, each with the
+/// joint probability of the conditions that produced it.  `push` conditions
+/// the top view through the kernel's `&Manager` apply operations and `pop`
+/// drops it, so the state is never modified and no root is pinned.
+struct BitSliceChain<'a> {
+    mgr: &'a Manager,
+    stack: Vec<(ConditionedView, f64)>,
+    /// `Pr[conditions ∧ qubit = 1]` from `conditional_one`, for the `push`
+    /// that follows.
+    joint_one: Vec<f64>,
 }
 
-/// The depth-first inverse-CDF descent on views: partitions the task's
-/// draws between the 1-branch and the 0-branch of its qubit and recurses
-/// into each non-empty branch.
-fn descend_view(mgr: &Manager, task: ViewTask, num_qubits: usize, histogram: &mut Histogram) {
-    if task.us.is_empty() {
-        return;
-    }
-    if task.depth == num_qubits {
-        histogram.add(task.prefix, task.us.len() as u64);
-        return;
-    }
-    let joint_one = task.view.joint_probability_of_one(mgr, task.depth);
-    let raw = if task.p_current <= 0.0 {
-        0.0
-    } else {
-        joint_one / task.p_current
-    };
-    let p1 = if raw.is_finite() {
-        raw.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let p0 = 1.0 - p1;
-    let mut ones = Vec::new();
-    let mut zeros = Vec::new();
-    for u in task.us {
-        if u < p1 {
-            ones.push((u / p1).min(BELOW_ONE));
+impl ConditionalChain for BitSliceChain<'_> {
+    fn conditional_one(&mut self, qubit: usize) -> f64 {
+        let (view, p_current) = self.stack.last().expect("the root view is never popped");
+        let joint = view.joint_probability_of_one(self.mgr, qubit);
+        self.joint_one[qubit] = joint;
+        if *p_current <= 0.0 {
+            0.0
         } else {
-            let rescaled = if p0 > 0.0 { (u - p1) / p0 } else { 0.0 };
-            zeros.push(rescaled.min(BELOW_ONE));
-        }
-    }
-    // Both children are conditioned before either is descended into.
-    let one = (!ones.is_empty()).then(|| ViewTask {
-        view: task.view.condition(mgr, task.depth, true),
-        depth: task.depth + 1,
-        prefix: task.prefix | 1 << task.depth,
-        us: ones,
-        p_current: joint_one,
-    });
-    let zero = (!zeros.is_empty()).then(|| ViewTask {
-        view: task.view.condition(mgr, task.depth, false),
-        depth: task.depth + 1,
-        prefix: task.prefix,
-        us: zeros,
-        p_current: (task.p_current - joint_one).max(0.0),
-    });
-    for child in [one, zero].into_iter().flatten() {
-        descend_view(mgr, child, num_qubits, histogram);
-    }
-}
-
-/// The uncached bit-sliced sampler.  [`Session::sample`] goes through
-/// [`sample_bitslice_cached`] instead; this stays as the reference
-/// implementation the differential tests compare the cache against.
-///
-/// [`Session::sample`]: crate::Session::sample
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, shots: u64, seed: u64) -> Histogram {
-    let num_qubits = sim.num_qubits();
-    let mut histogram = Histogram::new(num_qubits);
-    {
-        let state = sim.state();
-        let mgr = state.manager();
-        let view = ConditionedView::of_state(state);
-        let p_total = view.total_probability(mgr);
-        let root = ViewTask {
-            view,
-            depth: 0,
-            prefix: 0,
-            us: uniform_draws(shots, seed),
-            p_current: p_total,
-        };
-        descend_view(mgr, root, num_qubits, &mut histogram);
-    }
-    // The descent hash-consed transient conditioned slices that no root
-    // registers; reclaim them if the manager considers it worthwhile.
-    sim.state_mut().maybe_collect_garbage();
-    histogram
-}
-
-// ---------------------------------------------------------------------- //
-// Bit-sliced sampling cache (persists across `Session::sample` calls)
-// ---------------------------------------------------------------------- //
-
-/// Upper bound on cached outcome-trie nodes: enough to memoise the hot
-/// prefixes of any realistic shot batch while keeping the pinned-root
-/// footprint (4·r slots per node) small.
-const SAMPLE_CACHE_MAX_NODES: usize = 1024;
-
-/// One memoised node of the outcome trie: the conditioned view, the
-/// absolute probabilities the descent computed there, and the two
-/// lazily-materialised children.  Storing `p_current` and `joint_one` as
-/// the *absolute* joint probabilities (exactly what [`descend_view`] passes
-/// around) makes a cached descent's partition arithmetic byte-for-byte the
-/// uncached one's, so caching can never change a histogram.
-struct CacheNode {
-    view: ConditionedView,
-    depth: usize,
-    /// Joint probability of the conditions above this node.
-    p_current: f64,
-    /// `Pr[conditions ∧ qubit_{depth} = 1]`, once a descent computed it.
-    joint_one: Option<f64>,
-    /// Trie children, indexed by the branch value (`[0-branch, 1-branch]`).
-    children: [Option<usize>; 2],
-}
-
-/// A memoised outcome trie for repeated [`sample_bitslice_cached`] calls on
-/// an **unchanged** state: conditioned views and their SAT-count
-/// probabilities — the entirety of a descent's BDD work — are computed once
-/// and replayed for every later seed.  The owner must drop the cache (via
-/// [`SampleCache::release`], to unpin its views) whenever the state
-/// mutates.
-pub(crate) struct SampleCache {
-    /// Trie nodes; index 0 is the unconditioned root.
-    nodes: Vec<CacheNode>,
-    /// Root-registry pins keeping every cached view alive across the GC at
-    /// the end of each sampling call.
-    pins: Vec<sliq_bdd::RootSlot>,
-    /// Nodes `0..pinned` have their views pinned already.
-    pinned: usize,
-}
-
-impl SampleCache {
-    /// A cache rooted at the state's current (unconditioned) view.
-    fn new(state: &sliq_core::BitSliceState) -> Self {
-        let view = ConditionedView::of_state(state);
-        let p_total = view.total_probability(state.manager());
-        Self {
-            nodes: vec![CacheNode {
-                view,
-                depth: 0,
-                p_current: p_total,
-                joint_one: None,
-                children: [None, None],
-            }],
-            pins: Vec::new(),
-            pinned: 0,
+            joint / p_current
         }
     }
 
-    /// Pins the views of nodes added since the last call.  Must run before
-    /// the post-sampling garbage collection: node materialisation happens
-    /// under a `&Manager` borrow, so pinning (which needs `&mut`) is
-    /// deferred to the end of the call — sound because GC itself needs
-    /// `&mut` and therefore cannot run in between.
-    fn pin_new(&mut self, state: &mut sliq_core::BitSliceState) {
-        while self.pinned < self.nodes.len() {
-            let roots: Vec<_> = self.nodes[self.pinned].view.roots().collect();
-            for f in roots {
-                self.pins.push(state.pin_root(f));
-            }
-            self.pinned += 1;
-        }
-    }
-
-    /// Unpins every cached view; call when the state mutates.
-    pub(crate) fn release(self, state: &mut sliq_core::BitSliceState) {
-        for slot in self.pins {
-            state.unpin_root(slot);
-        }
-    }
-}
-
-/// The cached counterpart of [`descend_view`]: walks the memoised trie,
-/// filling in probabilities and children on first visit (up to the node
-/// budget) and pushing the subtrees that fall off the cached region onto
-/// `overflow` for the ordinary descent to finish.
-#[allow(clippy::too_many_arguments)]
-fn descend_cached(
-    mgr: &Manager,
-    cache: &mut SampleCache,
-    node: usize,
-    prefix: u64,
-    us: Vec<f64>,
-    num_qubits: usize,
-    histogram: &mut Histogram,
-    overflow: &mut Vec<ViewTask>,
-) {
-    if us.is_empty() {
-        return;
-    }
-    let depth = cache.nodes[node].depth;
-    if depth == num_qubits {
-        histogram.add(prefix, us.len() as u64);
-        return;
-    }
-    let p_current = cache.nodes[node].p_current;
-    let joint_one = match cache.nodes[node].joint_one {
-        Some(cached) => cached,
-        None => {
-            let computed = cache.nodes[node].view.joint_probability_of_one(mgr, depth);
-            cache.nodes[node].joint_one = Some(computed);
-            computed
-        }
-    };
-    let raw = if p_current <= 0.0 {
-        0.0
-    } else {
-        joint_one / p_current
-    };
-    let p1 = if raw.is_finite() {
-        raw.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let p0 = 1.0 - p1;
-    let mut ones = Vec::new();
-    let mut zeros = Vec::new();
-    for u in us {
-        if u < p1 {
-            ones.push((u / p1).min(BELOW_ONE));
-        } else {
-            let rescaled = if p0 > 0.0 { (u - p1) / p0 } else { 0.0 };
-            zeros.push(rescaled.min(BELOW_ONE));
-        }
-    }
-    for (value, branch_us) in [(true, ones), (false, zeros)] {
-        if branch_us.is_empty() {
-            continue;
-        }
-        let child_prefix = if value { prefix | 1 << depth } else { prefix };
-        // Leaves are counted inline, never cached: their views carry no
-        // information the histogram needs.
-        if depth + 1 == num_qubits {
-            histogram.add(child_prefix, branch_us.len() as u64);
-            continue;
-        }
-        let child_p = if value {
+    fn push(&mut self, qubit: usize, value: bool) {
+        let (view, p_current) = self.stack.last().expect("the root view is never popped");
+        let joint_one = self.joint_one[qubit];
+        let p = if value {
             joint_one
         } else {
             (p_current - joint_one).max(0.0)
         };
-        let child_slot = cache.nodes[node].children[value as usize];
-        let child = match child_slot {
-            Some(existing) => Some(existing),
-            None if cache.nodes.len() < SAMPLE_CACHE_MAX_NODES => {
-                let view = cache.nodes[node].view.condition(mgr, depth, value);
-                let fresh = cache.nodes.len();
-                cache.nodes.push(CacheNode {
-                    view,
-                    depth: depth + 1,
-                    p_current: child_p,
-                    joint_one: None,
-                    children: [None, None],
-                });
-                cache.nodes[node].children[value as usize] = Some(fresh);
-                Some(fresh)
-            }
-            None => None,
-        };
-        match child {
-            Some(child) => descend_cached(
-                mgr,
-                cache,
-                child,
-                child_prefix,
-                branch_us,
-                num_qubits,
-                histogram,
-                overflow,
-            ),
-            None => overflow.push(ViewTask {
-                view: cache.nodes[node].view.condition(mgr, depth, value),
-                depth: depth + 1,
-                prefix: child_prefix,
-                us: branch_us,
-                p_current: child_p,
-            }),
-        }
+        let child = view.condition(self.mgr, qubit, value);
+        self.stack.push((child, p));
+    }
+
+    fn pop(&mut self, _qubit: usize) {
+        self.stack.pop();
     }
 }
 
-/// [`sample_bitslice`] with a persistent outcome-trie cache: the first call
-/// on a state pays the full SAT-count descent; later calls on the same
-/// (unchanged) state replay the memoised probabilities and views and only
-/// do BDD work where a new seed's draws reach prefixes no earlier call
-/// visited.  The caller owns the cache slot and must invalidate it (see
-/// [`SampleCache::release`]) on any state mutation.
-pub(crate) fn sample_bitslice_cached(
-    sim: &mut BitSliceSimulator,
-    cache_slot: &mut Option<SampleCache>,
-    shots: u64,
-    seed: u64,
-) -> Histogram {
+pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, draws: Vec<f64>) -> Histogram {
     let num_qubits = sim.num_qubits();
-    let mut histogram = Histogram::new(num_qubits);
-    {
+    let histogram = {
         let state = sim.state();
         let mgr = state.manager();
-        let cache = cache_slot.get_or_insert_with(|| SampleCache::new(state));
-        let mut overflow = Vec::new();
-        descend_cached(
+        let view = ConditionedView::of_state(state);
+        let p_total = view.total_probability(mgr);
+        let mut chain = BitSliceChain {
             mgr,
-            cache,
-            0,
-            0,
-            uniform_draws(shots, seed),
-            num_qubits,
-            &mut histogram,
-            &mut overflow,
-        );
-        for task in overflow {
-            descend_view(mgr, task, num_qubits, &mut histogram);
-        }
-    }
-    let state = sim.state_mut();
-    if let Some(cache) = cache_slot.as_mut() {
-        cache.pin_new(state);
-    }
-    state.maybe_collect_garbage();
+            stack: vec![(view, p_total)],
+            joint_one: vec![0.0; num_qubits],
+        };
+        run_descent(&mut chain, num_qubits, draws)
+    };
+    // The descent hash-consed transient conditioned slices that no root
+    // registers; reclaim them if the manager considers it worthwhile.
+    sim.state_mut().maybe_collect_garbage();
     histogram
 }
 
@@ -660,7 +396,7 @@ impl ConditionalChain for DenseChain {
     }
 }
 
-pub(crate) fn sample_dense(sim: &DenseSimulator, shots: u64, seed: u64) -> Histogram {
+pub(crate) fn sample_dense(sim: &DenseSimulator, draws: Vec<f64>) -> Histogram {
     let num_qubits = sim.num_qubits();
     let mut sums: Vec<Vec<f64>> = Vec::with_capacity(num_qubits + 1);
     sums.push(sim.probabilities());
@@ -672,7 +408,7 @@ pub(crate) fn sample_dense(sim: &DenseSimulator, shots: u64, seed: u64) -> Histo
     }
     sums.reverse();
     let mut chain = DenseChain { sums, prefix: 0 };
-    run_descent(&mut chain, num_qubits, shots, seed)
+    run_descent(&mut chain, num_qubits, draws)
 }
 
 // ---------------------------------------------------------------------- //
@@ -724,7 +460,7 @@ impl ConditionalChain for QmddChain<'_> {
     }
 }
 
-pub(crate) fn sample_qmdd(sim: &mut QmddSimulator, shots: u64, seed: u64) -> Histogram {
+pub(crate) fn sample_qmdd(sim: &mut QmddSimulator, draws: Vec<f64>) -> Histogram {
     let num_qubits = sim.num_qubits();
     let root = sim.root_edge();
     let p_total = sim.edge_norm_sqr(root);
@@ -737,7 +473,7 @@ pub(crate) fn sample_qmdd(sim: &mut QmddSimulator, shots: u64, seed: u64) -> His
         p_one_abs: vec![0.0; num_qubits],
         gc_limit,
     };
-    run_descent(&mut chain, num_qubits, shots, seed)
+    run_descent(&mut chain, num_qubits, draws)
 }
 
 // ---------------------------------------------------------------------- //
@@ -768,19 +504,23 @@ impl ConditionalChain for StabilizerChain {
     }
 }
 
-pub(crate) fn sample_stabilizer(sim: &StabilizerSimulator, shots: u64, seed: u64) -> Histogram {
+pub(crate) fn sample_stabilizer(sim: &StabilizerSimulator, draws: Vec<f64>) -> Histogram {
     let num_qubits = sim.tableau().num_qubits();
     let mut chain = StabilizerChain {
         current: sim.tableau().clone(),
         stack: Vec::new(),
     };
-    run_descent(&mut chain, num_qubits, shots, seed)
+    run_descent(&mut chain, num_qubits, draws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sliq_circuit::{Circuit, Simulator};
+
+    fn draws(shots: u64, seed: u64) -> Vec<f64> {
+        uniform_draws(shots, seed).expect("a small draw buffer fits")
+    }
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -795,16 +535,16 @@ mod tests {
         let seed = 11;
         let mut bitslice = BitSliceSimulator::new(2);
         bitslice.run(&circuit).unwrap();
-        let h_bitslice = sample_bitslice(&mut bitslice, shots, seed);
+        let h_bitslice = sample_bitslice(&mut bitslice, draws(shots, seed));
         let mut dense = DenseSimulator::new(2);
         dense.run(&circuit).unwrap();
-        let h_dense = sample_dense(&dense, shots, seed);
+        let h_dense = sample_dense(&dense, draws(shots, seed));
         let mut qmdd = QmddSimulator::new(2);
         qmdd.run(&circuit).unwrap();
-        let h_qmdd = sample_qmdd(&mut qmdd, shots, seed);
+        let h_qmdd = sample_qmdd(&mut qmdd, draws(shots, seed));
         let mut stab = StabilizerSimulator::new(2);
         stab.run(&circuit).unwrap();
-        let h_stab = sample_stabilizer(&stab, shots, seed);
+        let h_stab = sample_stabilizer(&stab, draws(shots, seed));
         assert_eq!(h_bitslice, h_dense);
         assert_eq!(h_bitslice, h_qmdd);
         assert_eq!(h_bitslice, h_stab);
@@ -819,12 +559,12 @@ mod tests {
         let circuit = bell();
         let mut bitslice = BitSliceSimulator::new(2);
         bitslice.run(&circuit).unwrap();
-        let _ = sample_bitslice(&mut bitslice, 200, 1);
+        let _ = sample_bitslice(&mut bitslice, draws(200, 1));
         assert!((bitslice.probability_of_one(0) - 0.5).abs() < 1e-12);
         assert!(bitslice.is_exactly_normalized());
         let mut qmdd = QmddSimulator::new(2);
         qmdd.run(&circuit).unwrap();
-        let _ = sample_qmdd(&mut qmdd, 200, 1);
+        let _ = sample_qmdd(&mut qmdd, draws(200, 1));
         assert!((qmdd.probability_of_one(0) - 0.5).abs() < 1e-9);
     }
 
@@ -834,7 +574,7 @@ mod tests {
         circuit.x(0).x(2);
         let mut sim = BitSliceSimulator::new(3);
         sim.run(&circuit).unwrap();
-        let hist = sample_bitslice(&mut sim, 64, 5);
+        let hist = sample_bitslice(&mut sim, draws(64, 5));
         assert_eq!(hist.count_of(0b101), 64);
         assert_eq!(hist.counts().len(), 1);
         assert_eq!(hist.marginal_one(0), 1.0);
@@ -862,50 +602,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_sampling_matches_the_uncached_reference() {
-        let mut circuit = Circuit::new(4);
-        circuit.h(0).cx(0, 1).h(2).t(2).cx(2, 3).h(3);
-        let shots = 2000;
-        let mut cache = None;
-        let mut cached_sim = BitSliceSimulator::new(4);
-        cached_sim.run(&circuit).unwrap();
-        let mut reference_sim = BitSliceSimulator::new(4);
-        reference_sim.run(&circuit).unwrap();
-        // Cold cache, warm cache, and a fresh seed that reaches prefixes
-        // the first seed never visited — all bit-identical to the uncached
-        // sampler.
-        for seed in [7, 7, 8, 1234] {
-            let cached = sample_bitslice_cached(&mut cached_sim, &mut cache, shots, seed);
-            let reference = sample_bitslice(&mut reference_sim, shots, seed);
-            assert_eq!(cached, reference, "seed {seed}");
-        }
-        assert!(cache.is_some(), "the cache must persist across calls");
-    }
-
-    #[test]
-    fn cache_release_unpins_every_view() {
-        let mut circuit = Circuit::new(3);
-        circuit.h(0).cx(0, 1).t(1).h(2);
-        let mut sim = BitSliceSimulator::new(3);
-        sim.run(&circuit).unwrap();
-        let mut cache = None;
-        let _ = sample_bitslice_cached(&mut sim, &mut cache, 500, 3);
-        let cache = cache.expect("sampling builds the cache");
-        assert!(!cache.pins.is_empty(), "cached views must be pinned");
-        cache.release(sim.state_mut());
-        // With the pins gone, a forced GC reclaims the cached conditioned
-        // slices but must keep the live state intact.
-        sim.state_mut().collect_garbage();
-        assert!((sim.probability_of_one(0) - 0.5).abs() < 1e-12);
-        assert!(sim.is_exactly_normalized());
-    }
-
-    #[test]
     fn shared_seed_draws_are_deterministic() {
-        assert_eq!(uniform_draws(16, 9), uniform_draws(16, 9));
-        assert_ne!(uniform_draws(16, 9), uniform_draws(16, 10));
-        assert!(uniform_draws(1000, 3)
-            .iter()
-            .all(|u| (0.0..1.0).contains(u)));
+        assert_eq!(draws(16, 9), draws(16, 9));
+        assert_ne!(draws(16, 9), draws(16, 10));
+        assert!(draws(1000, 3).iter().all(|u| (0.0..1.0).contains(u)));
     }
 }

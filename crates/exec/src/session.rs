@@ -274,10 +274,6 @@ pub struct Session {
     config: SessionConfig,
     num_qubits: usize,
     gates_applied: usize,
-    /// Memoised outcome trie for repeated [`Session::sample`] calls on an
-    /// unchanged bit-sliced state (conditioned views + SAT-count
-    /// probabilities); dropped on any state mutation.
-    sample_cache: Option<sample::SampleCache>,
     /// The attached circuit-level result cache, if any (see [`crate::cache`]
     /// for the keying and soundness argument).
     result_cache: Option<Arc<ResultCache>>,
@@ -405,7 +401,6 @@ impl Session {
             config,
             num_qubits,
             gates_applied: 0,
-            sample_cache: None,
             result_cache: config
                 .use_result_cache
                 .then(|| ResultCache::global().clone()),
@@ -461,16 +456,6 @@ impl Session {
             self.config.max_nodes,
             self.config.max_bytes,
         )
-    }
-
-    /// Drops the memoised sampling trie (unpinning its views).  Called by
-    /// every state-mutating path; cheap no-op when no cache exists.
-    fn invalidate_sample_cache(&mut self) {
-        if let Some(cache) = self.sample_cache.take() {
-            if let Inner::BitSlice(s) = &mut self.inner {
-                cache.release(s.state_mut());
-            }
-        }
     }
 
     /// Opens a session negotiated for `circuit`: resolves
@@ -542,7 +527,6 @@ impl Session {
         self.materialize();
         self.pristine = false;
         self.state_fingerprint = None;
-        self.invalidate_sample_cache();
         self.sim().apply_gate(gate)?;
         self.gates_applied += 1;
         Ok(())
@@ -595,7 +579,6 @@ impl Session {
         if let Some((cache, fingerprint)) = &consulted {
             let lookup = Instant::now();
             if let Some(entry) = cache.get_run(self.run_key(*fingerprint)) {
-                self.invalidate_sample_cache();
                 self.pristine = false;
                 self.state_fingerprint = Some(*fingerprint);
                 self.pending_replay = Some(circuit.clone());
@@ -609,7 +592,6 @@ impl Session {
         self.materialize();
         self.pristine = false;
         self.state_fingerprint = None;
-        self.invalidate_sample_cache();
         let start = Instant::now();
         let seed = self.config.measurement_seed;
         let (gates, readout) = interpret_circuit(self.sim(), circuit, seed)?;
@@ -678,7 +660,6 @@ impl Session {
         self.materialize();
         self.pristine = false;
         self.state_fingerprint = None;
-        self.invalidate_sample_cache();
         self.sim().measure_with(qubit, u)
     }
 
@@ -687,7 +668,8 @@ impl Session {
     /// state**; see [`crate::sample`] for the per-backend mechanics.  Shots
     /// are reproducible: the same `seed` yields the same histogram, and
     /// backends computing identical probabilities yield identical
-    /// histograms under a shared seed.
+    /// histograms under a shared seed.  Fails with [`ExecError::Resource`]
+    /// when the `8·shots`-byte buffer of uniform draws cannot be allocated.
     pub fn sample(&mut self, shots: u64, seed: u64) -> Result<SampleResult, ExecError> {
         if self.num_qubits > 64 {
             return Err(ExecError::Unsupported {
@@ -719,13 +701,15 @@ impl Session {
         }
         self.materialize();
         let start = Instant::now();
+        let draws = sample::uniform_draws(shots, seed).map_err(|_| ExecError::Resource {
+            backend: self.kind.name(),
+            detail: format!("no memory for the draw buffer of {shots} shots"),
+        })?;
         let histogram = Arc::new(match &mut self.inner {
-            Inner::BitSlice(s) => {
-                sample::sample_bitslice_cached(s, &mut self.sample_cache, shots, seed)
-            }
-            Inner::Dense(s) => sample::sample_dense(s, shots, seed),
-            Inner::Qmdd(s) => sample::sample_qmdd(s, shots, seed),
-            Inner::Stabilizer(s) => sample::sample_stabilizer(s, shots, seed),
+            Inner::BitSlice(s) => sample::sample_bitslice(s, draws),
+            Inner::Dense(s) => sample::sample_dense(s, draws),
+            Inner::Qmdd(s) => sample::sample_qmdd(s, draws),
+            Inner::Stabilizer(s) => sample::sample_stabilizer(s, draws),
         });
         let elapsed = start.elapsed();
         if let Some((cache, fingerprint)) = consulted {
@@ -774,7 +758,6 @@ impl Session {
                 backend: self.kind.name(),
             });
         }
-        self.invalidate_sample_cache();
         match (&mut self.inner, &snapshot.inner) {
             (Inner::BitSlice(s), SnapshotInner::BitSlice(snap)) => s.restore(snap),
             (Inner::Dense(s), SnapshotInner::Dense(snap)) => s.restore(snap),
@@ -868,13 +851,12 @@ impl Session {
     }
 
     /// Raw-backend access hands out `&mut`: the caller can mutate the state
-    /// arbitrarily, so every memoised view of it must be dropped and the
-    /// session permanently loses result-cache eligibility.
+    /// arbitrarily, so the session permanently loses result-cache
+    /// eligibility.
     fn on_raw_access(&mut self) {
         self.materialize();
         self.pristine = false;
         self.state_fingerprint = None;
-        self.invalidate_sample_cache();
     }
 
     /// The underlying bit-sliced simulator, when that is the owned backend

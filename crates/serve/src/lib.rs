@@ -208,6 +208,39 @@ mod tests {
     }
 
     #[test]
+    fn shot_counts_beyond_the_frame_cap_are_rejected_at_admission() {
+        let handle = spawn_server(ServerConfig::default().workers(1));
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let mut circuit = Circuit::new(2);
+        circuit.h(0).cx(0, 1).t(1);
+        // 8 bytes of draws per shot: both requests would need terabytes.
+        for shots in [1 << 40, u64::MAX] {
+            let options = RunOptions {
+                shots,
+                ..RunOptions::default()
+            };
+            match client.run_circuit(&circuit, options).unwrap_err() {
+                ClientError::Remote { code, .. } => {
+                    assert_eq!(code, sliq_exec::wire::CAPACITY_BYTES, "{shots} shots");
+                }
+                other => panic!("expected a capacity rejection, got {other}"),
+            }
+        }
+        // The connection and the server keep serving.
+        let outcome = client
+            .run_circuit(
+                &circuit,
+                RunOptions {
+                    shots: 100,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.histogram.expect("shots requested").shots, 100);
+        handle.shutdown();
+    }
+
+    #[test]
     fn full_queue_sheds_with_an_explicit_overloaded_response() {
         // One worker, queue depth 1: pipeline enough cheap requests that
         // some must be shed while the worker is busy.

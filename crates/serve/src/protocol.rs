@@ -22,7 +22,7 @@ use std::io::{self, Read, Write};
 /// The protocol version this build speaks (payload byte 0 of every frame).
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Default cap on a frame's payload length; [`read_frame`] rejects larger
+/// Default cap on a frame's payload length; `read_frame` rejects larger
 /// frames before allocating their buffer.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 

@@ -20,7 +20,7 @@ use crate::protocol::{
 use crate::scheduler::{Refusal, Scheduler};
 use sliq_circuit::qasm::{self, ParseLimits};
 use sliq_circuit::Circuit;
-use sliq_exec::{BackendKind, ExecError, ResultCache, Session, SessionConfig};
+use sliq_exec::{BackendKind, CapacityResource, ExecError, ResultCache, Session, SessionConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,7 +55,9 @@ pub struct ServerConfig {
     pub result_cache: Option<Arc<ResultCache>>,
     /// Limits applied to QASM text and binary circuit payloads.
     pub parse_limits: ParseLimits,
-    /// Maximum accepted frame payload, checked before allocation.
+    /// Maximum accepted frame payload, checked before allocation.  It also
+    /// caps a run's draw buffer: requests with `8·shots` above it are
+    /// rejected at admission.
     pub max_frame_bytes: usize,
 }
 
@@ -619,6 +621,19 @@ fn admit(
                 "sampling {} qubits (outcomes are 64-bit words)",
                 circuit.num_qubits()
             ),
+        });
+        return;
+    }
+    // The sampler holds one 8-byte draw per shot: bound that buffer by the
+    // cap that already bounds a request's bytes.
+    let draw_bytes = options.shots.saturating_mul(8);
+    if draw_bytes > shared.config.max_frame_bytes as u64 {
+        reject(ExecError::CapacityExceeded {
+            backend: backend.name(),
+            resource: CapacityResource::Bytes {
+                used: usize::try_from(draw_bytes).unwrap_or(usize::MAX),
+                limit: shared.config.max_frame_bytes,
+            },
         });
         return;
     }

@@ -3,9 +3,9 @@
 //! The build environment has no access to crates.io, so this crate implements
 //! the subset of the proptest 1.x API the workspace's property tests use:
 //!
-//! * the [`Strategy`] trait with `prop_map`, `prop_filter` and
-//!   `prop_recursive`,
-//! * ranges and tuples of strategies, [`any`] for primitives,
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`,
+//!   `prop_filter` and `prop_recursive`,
+//! * ranges and tuples of strategies, [`any`](strategy::any) for primitives,
 //! * [`collection::vec`], the [`prop_oneof!`], [`proptest!`],
 //!   [`prop_assert!`] and [`prop_assert_eq!`] macros,
 //! * a deterministic per-test RNG (seeded from the test name), so failures
@@ -31,7 +31,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -138,7 +138,8 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
     }
 }
 
-/// Uniform choice among type-erased strategies (built by [`prop_oneof!`]).
+/// Uniform choice among type-erased strategies (built by
+/// [`prop_oneof!`](crate::prop_oneof)).
 pub struct Union<T> {
     choices: Vec<BoxedStrategy<T>>,
 }
