@@ -1,5 +1,5 @@
 //! Exact model counting: one traversal, a fixed-width fast path, and a memo
-//! shared by every count of a query.
+//! shared by every count made through one counter.
 //!
 //! The number of satisfying assignments of a function over `c` counted
 //! variables is at most `2^c`.  While `c ≤ 127` every intermediate value of
@@ -20,12 +20,17 @@
 //! * the counter borrows `&Manager`, while garbage collection and
 //!   reordering need `&mut Manager` — the borrow checker rules out a freed
 //!   (and later recycled) node id or a changed order while the memo exists;
-//! * apply operations (`and`, …) may run between counts through the same
-//!   shared borrow; a node they create gets an id no memoised node holds,
-//!   and the stored nodes they reuse never change.
+//! * apply operations (`and`, `cofactor`, …) may run between counts through
+//!   the same shared borrow; a node they create gets an id no memoised node
+//!   holds, and the stored nodes they reuse never change.
 //!
-//! Callers keep the counter for one query and drop it when the query
-//! returns, so the memo never outgrows the nodes that query touched.
+//! The memo holds one entry per regular node the counter has visited, so a
+//! counter is as long-lived as the set of nodes it should share.  A
+//! probability query keeps one for the query; the sampling descent keeps one
+//! for a whole sample, and its memo is bounded by the nodes the descent
+//! touches — nodes the kernel holds anyway until the garbage collection
+//! after sampling, which needs `&mut Manager` and so runs only after the
+//! counter is dropped.
 
 use crate::hash::FxHashMap;
 use crate::manager::{Manager, NodeId};
@@ -87,6 +92,16 @@ impl<'m> ModelCounter<'m> {
         match &mut self.memo {
             Memo::Narrow(memo) => UBig::from(count_edge(self.mgr, f, 0, &self.prefix, memo)),
             Memo::Wide(memo) => count_edge(self.mgr, f, 0, &self.prefix, memo),
+        }
+    }
+
+    /// The same exact count as [`ModelCounter::count`] as a `u128`, or
+    /// `None` when the counter runs on [`UBig`] (more than 127 counted
+    /// variables).  Lets callers sum counts on machine words.
+    pub fn count_narrow(&mut self, f: NodeId) -> Option<u128> {
+        match &mut self.memo {
+            Memo::Narrow(memo) => Some(count_edge(self.mgr, f, 0, &self.prefix, memo)),
+            Memo::Wide(_) => None,
         }
     }
 }

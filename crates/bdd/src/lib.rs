@@ -33,7 +33,7 @@
 //! * cofactors, cubes, existential quantification,
 //! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
 //!   127 counted variables, arbitrary precision above, and a memo shared
-//!   by all the counts of one query,
+//!   by all the counts of one query or one sampling descent,
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
 //! * node counting / support / model extraction utilities,

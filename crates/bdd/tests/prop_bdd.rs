@@ -400,6 +400,21 @@ proptest! {
             prop_assert_eq!(mgr.sat_count(f, NVARS), expected.clone());
             prop_assert_eq!(mgr.sat_count(f.complement(), NVARS), complement);
         }
+        // Cofactors built after the first counts, as the sampling descent
+        // builds them: the sifted order makes them new nodes, and the same
+        // counter, memo and all, must count them like a fresh one.
+        for &f in &roots {
+            for var in 0..NVARS {
+                for value in [false, true] {
+                    let g = mgr.cofactor(f, var, value);
+                    prop_assert_eq!(counter.count(g), mgr.sat_count(g, NVARS));
+                    prop_assert_eq!(
+                        counter.count(g.complement()),
+                        mgr.sat_count(g.complement(), NVARS)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl IBig {
     }
 
     /// Returns `(mantissa, exponent)` with value = `mantissa · 2^exponent`,
-    /// `|mantissa| ∈ [0.5, 1)`; `(0, 0)` for zero.
+    /// `|mantissa|` the magnitude's correctly rounded mantissa (see
+    /// [`UBig::to_f64_exp`]); `(0, 0)` for zero.
     pub fn to_f64_exp(&self) -> (f64, i64) {
         let (m, e) = self.mag.to_f64_exp();
         (if self.negative { -m } else { m }, e)

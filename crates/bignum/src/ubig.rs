@@ -221,20 +221,31 @@ impl UBig {
     }
 
     /// Returns `(mantissa, exponent)` such that the value is
-    /// `mantissa · 2^exponent` with `mantissa ∈ [0.5, 1)` (or `(0, 0)` for
-    /// zero).  Unlike [`UBig::to_f64`] this never overflows to infinity.
+    /// `mantissa · 2^exponent` with `mantissa ∈ [0.5, 1]` (or `(0, 0)` for
+    /// zero; `1` only when rounding carries into the next power of two).
+    /// Unlike [`UBig::to_f64`] this never overflows to infinity.
+    ///
+    /// The mantissa is the value correctly rounded to 53 bits (to nearest,
+    /// ties to even), so it does not depend on scale: `x·2^s` has the same
+    /// mantissa as `x` and an exponent `s` higher.
     pub fn to_f64_exp(&self) -> (f64, i64) {
         if self.is_zero() {
             return (0.0, 0);
         }
         let bits = self.bit_len();
-        // Take the top (up to) 64 bits as the mantissa.
+        // The top (up to) two limbs, 65 bits or more when there are
+        // further limbs: at least 12 bits below f64's rounding bit.  The
+        // lowest of them doubles as the sticky bit for the dropped limbs, so
+        // the one rounding `u128 → f64` conversion is exact-then-round.
         let top = self.limbs.len() - 1;
         let mut mant = self.limbs[top] as u128;
         let mut mant_bits = 64 - self.limbs[top].leading_zeros() as usize;
         if top > 0 {
             mant = (mant << 64) | self.limbs[top - 1] as u128;
             mant_bits += 64;
+            if self.limbs[..top - 1].iter().any(|&limb| limb != 0) {
+                mant |= 1;
+            }
         }
         (mant as f64 / 2f64.powi(mant_bits as i32), bits as i64)
     }
@@ -379,6 +390,22 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn subtraction_underflow_panics() {
         let _ = UBig::sub(&UBig::one(), &UBig::from(2u64));
+    }
+
+    #[test]
+    fn to_f64_rounds_once_above_two_limbs() {
+        let pow2 = |e: usize| UBig::pow2(e);
+        // 2^191 + 2^138 is exactly half an ulp above 2^191; the trailing 1
+        // in the lowest limb makes it round up, not to even.
+        let x = pow2(191) + pow2(138) + UBig::one();
+        assert_eq!(x.to_f64(), 2f64.powi(191) + 2f64.powi(139));
+        // The same tie broken by a bit in the middle limb, at two scales.
+        let x = pow2(191) + pow2(138) + pow2(100);
+        let (m, e) = x.to_f64_exp();
+        assert_eq!(m * 2f64.powi(e as i32), 2f64.powi(191) + 2f64.powi(139));
+        assert_eq!(x.shl(1).to_f64_exp(), (m, e + 1));
+        // An exact tie still rounds to even.
+        assert_eq!((pow2(191) + pow2(138)).to_f64(), 2f64.powi(191));
     }
 
     #[test]

@@ -5,6 +5,35 @@
 use proptest::prelude::*;
 use sliq_bignum::{IBig, Sqrt2Big, UBig};
 
+/// The value of little-endian `limbs`.
+fn from_limbs(limbs: &[u64]) -> UBig {
+    limbs
+        .iter()
+        .enumerate()
+        .fold(UBig::zero(), |acc, (i, &limb)| {
+            acc + UBig::from(limb).shl(64 * i)
+        })
+}
+
+/// `x` converts like Rust's decimal parser, which rounds correctly and so
+/// is an independent oracle; and `X·2^s` read at `k + s` is `X` read at
+/// `k`, for both parts of an `x − y·√2` reading.
+fn check_reading(x: &UBig, y: &UBig, k: i64, s: usize) {
+    let oracle: f64 = x.to_string().parse().expect("a decimal integer");
+    assert_eq!(x.to_f64(), oracle, "{x}");
+    let (m, e) = x.to_f64_exp();
+    assert_eq!(x.shl(s).to_f64_exp(), (m, e + s as i64), "{x} << {s}");
+    let reading = Sqrt2Big::new(
+        IBig::from(x.clone()),
+        IBig::from_sign_magnitude(true, y.clone()),
+    );
+    assert_eq!(
+        reading.shl(s).to_f64_div_pow2(k + s as i64),
+        reading.to_f64_div_pow2(k),
+        "{reading} << {s} at k = {k}"
+    );
+}
+
 proptest! {
     #[test]
     fn ubig_add_sub_matches_u128(a in any::<u64>(), b in any::<u64>()) {
@@ -70,6 +99,32 @@ proptest! {
         let y = Sqrt2Big::new(IBig::from(c), IBig::from(d));
         let sum = x.clone() + y.clone();
         prop_assert!((sum.to_f64() - (x.to_f64() + y.to_f64())).abs() < 1e-6);
+    }
+
+    #[test]
+    fn readings_are_correctly_rounded_at_every_scale(
+        limbs in proptest::collection::vec(any::<u64>(), 1..5),
+        sqrt2_limbs in proptest::collection::vec(any::<u64>(), 1..5),
+        k in 0i64..300,
+        s in 0usize..200,
+    ) {
+        check_reading(&from_limbs(&limbs), &from_limbs(&sqrt2_limbs), k, s);
+    }
+
+    #[test]
+    fn readings_next_to_a_rounding_tie_are_correctly_rounded(
+        mantissa in any::<u64>(),
+        t in 76usize..200,
+        low in prop_oneof![0u64..1, any::<u64>(), (0u32..64).prop_map(|bit| 1u64 << bit)],
+        k in 0i64..300,
+        s in 0usize..200,
+    ) {
+        // A 53-bit mantissa, exactly half an ulp, then `low` below the top
+        // two limbs: random limbs almost never land this close to a tie,
+        // and here rounding the top limbs alone reads one ulp low.
+        let tie = UBig::from((mantissa >> 11) | 1 << 52).shl(t) + UBig::pow2(t - 1);
+        let x = tie + UBig::from(low);
+        check_reading(&x, &x, k, s);
     }
 
     #[test]

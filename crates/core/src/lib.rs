@@ -17,8 +17,9 @@
 //!    Boolean formulas (symbolic ripple-carry adders), replacing
 //!    matrix–vector multiplication by BDD manipulation.
 //! 4. **Exact measurement** : outcome probabilities are exact weighted SAT
-//!    counts accumulated in `x + y·√2` big-integer form; only the final
-//!    conversion to `f64` rounds (mirroring the paper's use of MPFR).
+//!    counts accumulated in `x + y·√2` integer form (machine words while
+//!    they fit, big integers beyond); only the final conversion to `f64`
+//!    rounds (mirroring the paper's use of MPFR).
 //!
 //! ```
 //! use sliq_circuit::{Circuit, Simulator};

@@ -9,83 +9,170 @@
 //!
 //! restricted to the basis states compatible with the outcome.  Every sum of
 //! products `Σᵢ uᵢ·vᵢ` expands over the bit slices into weighted *SAT counts*
-//! of slice conjunctions: one query counts `10·r²` conjunctions (four
-//! squares and four cross products, `r²` slice pairs each).  The whole
-//! quantity is accumulated as an exact `x + y·√2` with big-integer
-//! coefficients and only the final division by `2ᵏ` is performed in floating
-//! point.  This computes the same value as the paper's monolithic-BDD
-//! traversal, with the same "only the last step rounds" property.
+//! of slice conjunctions: one reading counts up to `8·r²` conjunctions
+//! (four squares and four cross products, `r²` slice pairs each).  The whole
+//! quantity is accumulated as an exact `x + y·√2` and only the final
+//! division by `2ᵏ` is performed in floating point.  This computes the same
+//! value as the paper's monolithic-BDD traversal, with the same "only the
+//! last step rounds" property.
+//!
+//! # The term list
+//!
+//! With two's-complement slices, `Σᵢ uᵢ·vᵢ = Σⱼ,ₗ ±2ʲ⁺ˡ·|uⱼ ∧ vₗ|`, where
+//! the sign is negative when exactly one of `j`, `l` is the sign slice.  A
+//! reading first builds the *term list*: one entry per non-FALSE
+//! conjunction `uⱼ ∧ vₗ` of the eight products, with its weight `±2ʲ⁺ˡ`
+//! (negated once more for the `a·d` product) and a flag for the integer or
+//! the `√2` part.  A reading restricted by `R` is then
+//! `Σ weight · |term ∧ R|`.
+//!
+//! # Conditioned views
+//!
+//! The sampling descent reads one state under growing prefixes of
+//! conditions `q₀ = v₀, q₁ = v₁, …`.  Since `(u ∧ P) ∧ (v ∧ P) = (u ∧ v) ∧
+//! P`, the terms do not depend on the prefix `P`: a [`ConditionedView`]
+//! builds them once and conditions by replacing every term with its
+//! cofactor `term|_{q=v}`, which in an unsifted state is a child pointer.
+//! A cofactor no longer depends on its variable, so over all `n` variables
+//! it has two models for every model of `term ∧ literal`: a view conditioned
+//! on `f` qubits divides its counts by `2^(k+f)` instead of `2ᵏ`.  The
+//! integers agree up to that power of two and the float conversion is
+//! correctly rounded at every scale, so the readings are bit-identical to
+//! conjoining the literals.
 //!
 //! # Counting
-//!
-//! Each query builds one [`ModelCounter`] and counts all of its
-//! conjunctions through it:
 //!
 //! * **Fixed width.**  Over at most 127 qubits every model count fits a
 //!   `u128`, so the traversal does machine-word arithmetic and allocates no
 //!   big integers; wider registers switch to arbitrary precision.  Either
 //!   way the count is exact, so the probabilities are bit-identical to
 //!   counting every conjunction separately in big integers.
-//! * **One memo per query.**  The conjunctions of one query share most of
-//!   their nodes, and the counter's memo lets each shared node be counted
-//!   once.  The memo is dropped when the query returns, so it holds only
-//!   the nodes of one query and peak memory stays flat.
+//! * **Machine-word sums.**  The weighted counts are summed in `i128` with
+//!   checked arithmetic; on an overflow, or above 127 counted variables,
+//!   the reading is summed again in [`IBig`].
+//! * **One memo per query, or per descent.**  The terms of a reading share
+//!   most of their nodes, and a [`ModelCounter`]'s memo counts each shared
+//!   node once.  A state query keeps one counter for the query; the
+//!   sampling descent keeps one for the whole sample and passes it to every
+//!   view's reading, so each node of the term DAGs — and of their cofactors
+//!   — is counted once per sample.
 //! * **Why the memo stays valid.**  A memo entry is keyed by a node and
 //!   depends only on that node and the variable order.  The counter borrows
 //!   `&Manager`; garbage collection and reordering need `&mut Manager`, so
 //!   neither can free a node or change the order while it lives.  The
-//!   `and` calls that build the conjunctions mid-query share the borrow,
-//!   and the nodes they create get fresh ids that no memo entry holds.
+//!   `and` and `cofactor` calls that build terms mid-count share the
+//!   borrow, and the nodes they create get fresh ids that no memo entry
+//!   holds.
 
-use crate::state::{shrink_slices, BitSliceState, FAMILIES};
+use crate::state::BitSliceState;
 use sliq_bdd::{Manager, ModelCounter, NodeId};
 use sliq_bignum::{IBig, Sqrt2Big};
 
-/// `Σᵢ uᵢ·vᵢ` over the basis states selected by `restriction` (all states
-/// when `None`), where `u`/`v` are two of the coefficient vectors of
-/// `slices`.  A free function over `(&Manager, slices)` so both the state
-/// and the non-mutating sampling views ([`ConditionedView`]) share one
-/// implementation — and therefore bit-identical floating-point behaviour.
-fn weighted_inner_product_of(
-    mgr: &Manager,
-    counter: &mut ModelCounter<'_>,
-    slices: &[Vec<NodeId>; 4],
-    r: usize,
-    u: usize,
-    v: usize,
-    restriction: Option<NodeId>,
-) -> IBig {
-    let mut total = IBig::zero();
-    for j in 0..r {
-        let fu = slices[u][j];
-        if fu.is_false() {
-            continue;
-        }
-        for (l, &fv) in slices[v].iter().enumerate().take(r) {
-            if fv.is_false() {
+/// One weighted conjunction `uⱼ ∧ vₗ` of the probability formula (see the
+/// module docs).
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    node: NodeId,
+    /// `j + l`: the weight is `±2^shift`.
+    shift: u32,
+    negative: bool,
+    /// The term counts towards the `√2` part rather than the integer part.
+    sqrt2: bool,
+}
+
+/// The eight products of the formula as `(u, v, √2 part, negated)` over the
+/// family indices `a, b, c, d = 0, 1, 2, 3`.
+const PRODUCTS: [(usize, usize, bool, bool); 8] = [
+    (0, 0, false, false),
+    (1, 1, false, false),
+    (2, 2, false, false),
+    (3, 3, false, false),
+    (0, 1, true, false),
+    (1, 2, true, false),
+    (2, 3, true, false),
+    (0, 3, true, true),
+];
+
+/// The term list of `slices` (width `r`): every non-FALSE `uⱼ ∧ vₗ` of the
+/// eight products with its weight.
+fn terms_of(mgr: &Manager, slices: &[Vec<NodeId>; 4], r: usize) -> Vec<Term> {
+    let mut terms = Vec::new();
+    for (u, v, sqrt2, negated) in PRODUCTS {
+        for (j, &fu) in slices[u].iter().enumerate() {
+            if fu.is_false() {
                 continue;
             }
-            let mut conj = mgr.and(fu, fv);
-            if let Some(lit) = restriction {
-                conj = mgr.and(conj, lit);
+            for (l, &fv) in slices[v].iter().enumerate() {
+                let node = mgr.and(fu, fv);
+                if node.is_false() {
+                    continue;
+                }
+                // Two's-complement weights: the top slice weighs −2^{r−1}.
+                let negative = (j == r - 1) != (l == r - 1);
+                terms.push(Term {
+                    node,
+                    shift: (j + l) as u32,
+                    negative: negative != negated,
+                    sqrt2,
+                });
             }
-            if conj.is_false() {
-                continue;
-            }
-            let count = counter.count(conj);
-            // Two's-complement weights: the top slice weighs −2^{r−1}.
-            let negative = (j == r - 1) != (l == r - 1);
-            let term = IBig::from_sign_magnitude(negative, count).shl(j + l);
-            total += term;
         }
     }
-    total
+    terms
+}
+
+/// `Σ weight · |restrict(term)|` over `terms` as an exact `x + y·√2`.
+fn weighted_count(
+    counter: &mut ModelCounter<'_>,
+    terms: &[Term],
+    mut restrict: impl FnMut(NodeId) -> NodeId,
+) -> Sqrt2Big {
+    if let Some(sum) = narrow_weighted_count(counter, terms, &mut restrict) {
+        return sum;
+    }
+    let mut parts = [IBig::zero(), IBig::zero()];
+    for term in terms {
+        let node = restrict(term.node);
+        if !node.is_false() {
+            let count = IBig::from_sign_magnitude(term.negative, counter.count(node));
+            parts[usize::from(term.sqrt2)] += count.shl(term.shift as usize);
+        }
+    }
+    let [int, sqrt2] = parts;
+    Sqrt2Big::new(int, sqrt2)
+}
+
+/// [`weighted_count`] on machine words: `None` if a count needs more than
+/// 127 variables or any product or partial sum overflows `i128`.
+fn narrow_weighted_count(
+    counter: &mut ModelCounter<'_>,
+    terms: &[Term],
+    restrict: &mut impl FnMut(NodeId) -> NodeId,
+) -> Option<Sqrt2Big> {
+    let mut parts = [0i128; 2];
+    for term in terms {
+        let node = restrict(term.node);
+        if node.is_false() {
+            continue;
+        }
+        let count = i128::try_from(counter.count_narrow(node)?).ok()?;
+        let weight = (term.shift < 127).then(|| 1i128 << term.shift)?;
+        let weighted = count.checked_mul(weight)?;
+        let part = &mut parts[usize::from(term.sqrt2)];
+        *part = if term.negative {
+            part.checked_sub(weighted)?
+        } else {
+            part.checked_add(weighted)?
+        };
+    }
+    let [int, sqrt2] = parts;
+    Some(Sqrt2Big::new(IBig::from(int), IBig::from(sqrt2)))
 }
 
 /// The exact value of `2ᵏ · Σ |αᵢ|²` over the selected basis states as an
-/// `x + y·√2` pair (before the `1/2ᵏ` scaling and the `s²` factor).  All
-/// `10·r²` conjunction counts go through one [`ModelCounter`], dropped on
-/// return (see the module docs).
+/// `x + y·√2` pair (before the `1/2ᵏ` scaling and the `s²` factor): the
+/// term list restricted by conjunction with `restriction` (no restriction
+/// when `None`), counted through one [`ModelCounter`] dropped on return.
 fn unscaled_probability_of(
     mgr: &Manager,
     slices: &[Vec<NodeId>; 4],
@@ -93,95 +180,100 @@ fn unscaled_probability_of(
     n: usize,
     restriction: Option<NodeId>,
 ) -> Sqrt2Big {
-    let [a, b, c, d] = [0usize, 1, 2, 3];
+    let terms = terms_of(mgr, slices, r);
     let mut counter = ModelCounter::new(mgr, n);
-    let mut inner = |u: usize, v: usize| {
-        weighted_inner_product_of(mgr, &mut counter, slices, r, u, v, restriction)
-    };
-    let mut square_sum = IBig::zero();
-    for family in FAMILIES {
-        square_sum += inner(family as usize, family as usize);
-    }
-    let mut cross = inner(a, b);
-    cross += inner(b, c);
-    cross += inner(c, d);
-    cross += -inner(a, d);
-    Sqrt2Big::new(square_sum, cross)
+    weighted_count(&mut counter, &terms, |node| match restriction {
+        Some(restriction) => mgr.and(node, restriction),
+        None => node,
+    })
 }
 
-/// An immutable, unregistered view of a (possibly conditioned) bit-sliced
-/// state: the `4·r` slice roots plus the scalars, outside the root
-/// registry.  The batched-sampling descent conditions views functionally —
+/// An immutable, unregistered view of a bit-sliced state under a prefix of
+/// measurement conditions: the term list of its probability formula with
+/// every term cofactored by the conditions, plus the scalars.  The
+/// batched-sampling descent conditions views functionally —
 /// `view.condition(mgr, q, v)` returns a new view, the original stays valid
-/// — so a descent can keep every view on its path while it builds new
-/// conditioned slices through the kernel's `&Manager` apply operations.
+/// — so a descent can keep every view on its path while it builds
+/// cofactors through the kernel's `&Manager` operations.
+///
+/// The readings take a [`ModelCounter`] over the state's qubits, which the
+/// descent shares across every view it reads (see the module docs).
+///
+/// Each qubit may be conditioned at most once, and a view is read only on
+/// unconditioned qubits: a cofactor by an already conditioned variable
+/// changes nothing, so it would read as a further halving.  The descent
+/// conditions qubits 0, 1, 2, … in order and reads the next one.
 ///
 /// Why unregistered nodes stay alive: a view's nodes are only guaranteed
 /// alive while no garbage collection runs, and GC needs `&mut Manager` —
 /// which cannot coexist with the `&Manager` the view's methods borrow.  The
 /// borrow checker therefore enforces the "no GC during descent" discipline;
-/// run one afterwards to reclaim the transient conditioned slices.
+/// run one afterwards to reclaim the transient terms and cofactors.
 #[derive(Debug, Clone)]
 pub struct ConditionedView {
-    slices: [Vec<NodeId>; 4],
-    r: usize,
+    terms: Vec<Term>,
+    /// The number `f` of conditioned qubits: every count is `2^f` times
+    /// the count of the conditioned conjunction.
+    conditioned: i64,
     k: i64,
-    num_qubits: usize,
     norm_factor: f64,
 }
 
 impl ConditionedView {
-    /// A view of the state as it currently is.
+    /// A view of the state as it currently is (no conditions).
     pub fn of_state(state: &BitSliceState) -> Self {
         Self {
-            slices: state.slices.clone(),
-            r: state.r,
+            terms: terms_of(&state.mgr, &state.slices, state.r),
+            conditioned: 0,
             k: state.k,
-            num_qubits: state.num_qubits,
             norm_factor: state.norm_factor,
         }
     }
 
-    /// The view restricted to `qubit = value` **without renormalising** —
-    /// the same slice conjunctions and width normalisation as the collapse
-    /// in [`BitSliceState::measure_with`], as a pure function.
+    /// The view restricted to `qubit = value` **without renormalising**:
+    /// every term replaced by its cofactor, FALSE ones dropped.  `qubit`
+    /// must not be conditioned already.
     pub fn condition(&self, mgr: &Manager, qubit: usize, value: bool) -> Self {
-        let literal = if value {
-            mgr.var(qubit)
-        } else {
-            mgr.nvar(qubit)
-        };
-        let mut slices = self.slices.clone();
-        for family in slices.iter_mut() {
-            for slice in family.iter_mut() {
-                *slice = mgr.and(*slice, literal);
-            }
-        }
-        let mut r = self.r;
-        let mut k = self.k;
-        shrink_slices(&mut slices, &mut r, &mut k);
+        let terms = self
+            .terms
+            .iter()
+            .filter_map(|term| {
+                let node = mgr.cofactor(term.node, qubit, value);
+                (!node.is_false()).then_some(Term { node, ..*term })
+            })
+            .collect();
         Self {
-            slices,
-            r,
-            k,
-            num_qubits: self.num_qubits,
+            terms,
+            conditioned: self.conditioned + 1,
+            k: self.k,
             norm_factor: self.norm_factor,
         }
     }
 
     /// The joint probability `Pr[conditions ∧ qubit = 1]` (an exact SAT
-    /// count, rounded only at the final conversion).
-    pub fn joint_probability_of_one(&self, mgr: &Manager, qubit: usize) -> f64 {
-        let literal = mgr.var(qubit);
-        let unscaled =
-            unscaled_probability_of(mgr, &self.slices, self.r, self.num_qubits, Some(literal));
-        unscaled.to_f64_div_pow2(self.k) * self.norm_factor * self.norm_factor
+    /// count, rounded only at the final conversion).  `counter` counts the
+    /// state's qubits; `qubit` must not be conditioned.
+    pub fn joint_probability_of_one(
+        &self,
+        mgr: &Manager,
+        counter: &mut ModelCounter<'_>,
+        qubit: usize,
+    ) -> f64 {
+        let unscaled = weighted_count(counter, &self.terms, |node| mgr.cofactor(node, qubit, true));
+        self.reading(&unscaled, self.conditioned + 1)
     }
 
-    /// The joint probability of every condition applied so far.
-    pub fn total_probability(&self, mgr: &Manager) -> f64 {
-        let unscaled = unscaled_probability_of(mgr, &self.slices, self.r, self.num_qubits, None);
-        unscaled.to_f64_div_pow2(self.k) * self.norm_factor * self.norm_factor
+    /// The joint probability of every condition applied so far.  `counter`
+    /// counts the state's qubits.
+    pub fn total_probability(&self, counter: &mut ModelCounter<'_>) -> f64 {
+        let unscaled = weighted_count(counter, &self.terms, |node| node);
+        self.reading(&unscaled, self.conditioned)
+    }
+
+    /// `s² · unscaled / 2^(k + freed)`, where `freed` cofactored variables
+    /// doubled every count.
+    fn reading(&self, unscaled: &Sqrt2Big, freed: i64) -> f64 {
+        unscaled.to_f64_div_pow2(self.k + freed) * self.norm_factor * self.norm_factor
     }
 }
 
@@ -637,37 +729,41 @@ mod tests {
             "{case}: minterm probability"
         );
 
-        // A view two conditions deep: its own (shrunk) slices against the
-        // state's slices under both conditions, rescaled by the powers of
-        // two the shrink factored out of the coefficients.
-        let (q1, q2) = (0, n - 1);
-        let view = ConditionedView::of_state(state)
-            .condition(mgr, q1, true)
-            .condition(mgr, q2, false);
-        let rescale = (k - view.k) as usize;
-        let conditioned = |bits: &[bool]| bits[q1] && !bits[q2];
-        let expected = brute_force(mgr, slices, r, n, conditioned);
-        let view_exact = |restriction| {
-            unscaled_probability_of(mgr, &view.slices, view.r, view.num_qubits, restriction)
-        };
-        assert_eq!(
-            view_exact(None).shl(rescale),
-            expected,
-            "{case}: view total"
-        );
-        assert_eq!(view.total_probability(mgr), reading(&expected), "{case}");
-        let q3 = n / 2;
-        let expected = brute_force(mgr, slices, r, n, |bits| conditioned(bits) && bits[q3]);
-        assert_eq!(
-            view_exact(Some(mgr.var(q3))).shl(rescale),
-            expected,
-            "{case}: view joint q{q3}=1"
-        );
-        assert_eq!(
-            view.joint_probability_of_one(mgr, q3),
-            reading(&expected),
-            "{case}: view joint probability"
-        );
+        // Every view of the sampling descent: each prefix of qubits 0..d in
+        // descent order (1 before 0), with one counter over the whole walk.
+        // A view conditioned on d qubits counts 2^d times the conditioned
+        // sum exactly, and its public readings equal the state's.
+        let mut counter = ModelCounter::new(mgr, n);
+        let mut walk = vec![(ConditionedView::of_state(state), Vec::<bool>::new())];
+        while let Some((view, prefix)) = walk.pop() {
+            let d = prefix.len();
+            let on_prefix = |bits: &[bool]| bits[..d] == prefix[..];
+            let expected = brute_force(mgr, slices, r, n, on_prefix);
+            assert_eq!(
+                weighted_count(&mut counter, &view.terms, |node| node),
+                expected.shl(d),
+                "{case}: view total under {prefix:?}"
+            );
+            assert_eq!(
+                view.total_probability(&mut counter),
+                reading(&expected),
+                "{case}: view total probability under {prefix:?}"
+            );
+            if d == n {
+                continue;
+            }
+            let expected = brute_force(mgr, slices, r, n, |bits| on_prefix(bits) && bits[d]);
+            assert_eq!(
+                view.joint_probability_of_one(mgr, &mut counter, d),
+                reading(&expected),
+                "{case}: view joint q{d}=1 under {prefix:?}"
+            );
+            for value in [false, true] {
+                let mut next = prefix.clone();
+                next.push(value);
+                walk.push((view.condition(mgr, d, value), next));
+            }
+        }
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub enum Family {
     D = 3,
 }
 
-/// All four families, in storage order.
-pub const FAMILIES: [Family; 4] = [Family::A, Family::B, Family::C, Family::D];
-
 /// The bit-sliced BDD representation of an `n`-qubit state vector.
 #[derive(Debug, Clone)]
 pub struct BitSliceState {
@@ -57,41 +54,6 @@ pub struct BitSliceState {
 
 /// The minimum representable bit width (value +1 needs a sign bit).
 pub(crate) const MIN_WIDTH: usize = 2;
-
-/// The width-normalisation shared by [`BitSliceState::shrink`] and the
-/// sampling views ([`crate::ConditionedView`]): drop redundant sign slices,
-/// then factor common powers of two into `k`.  Kept as one function so the
-/// non-mutating sampling descent normalises *exactly* like the state
-/// mutations do (bit-identical widths and exponents ⇒ bit-identical
-/// probabilities).
-pub(crate) fn shrink_slices(slices: &mut [Vec<NodeId>; 4], r: &mut usize, k: &mut i64) {
-    while *r > MIN_WIDTH && slices.iter().all(|s| s[*r - 1] == s[*r - 2]) {
-        for s in slices.iter_mut() {
-            s.pop();
-        }
-        *r -= 1;
-    }
-    // Factor out common powers of two into k.
-    while *k >= 2 && slices.iter().all(|s| s[0].is_false()) {
-        let all_zero = slices.iter().all(|s| s.iter().all(|f| f.is_false()));
-        if all_zero {
-            // The zero vector would reduce forever; it only occurs for an
-            // unnormalised state, so leave it alone.
-            break;
-        }
-        for s in slices.iter_mut() {
-            s.remove(0);
-            let msb = *s.last().expect("width at least MIN_WIDTH - 1");
-            if s.len() < MIN_WIDTH {
-                s.push(msb);
-            }
-        }
-        if *r > MIN_WIDTH {
-            *r -= 1;
-        }
-        *k -= 2;
-    }
-}
 
 /// A checkpoint of a [`BitSliceState`] taken by [`BitSliceState::snapshot`].
 ///
@@ -365,7 +327,32 @@ impl BitSliceState {
     /// the bit width proportional to the *significant* precision rather than
     /// to the circuit depth.
     pub(crate) fn shrink(&mut self) {
-        shrink_slices(&mut self.slices, &mut self.r, &mut self.k);
+        while self.r > MIN_WIDTH && self.slices.iter().all(|s| s[self.r - 1] == s[self.r - 2]) {
+            for s in self.slices.iter_mut() {
+                s.pop();
+            }
+            self.r -= 1;
+        }
+        // Factor out common powers of two into k.
+        while self.k >= 2 && self.slices.iter().all(|s| s[0].is_false()) {
+            let all_zero = self.slices.iter().all(|s| s.iter().all(|f| f.is_false()));
+            if all_zero {
+                // The zero vector would reduce forever; it only occurs for an
+                // unnormalised state, so leave it alone.
+                break;
+            }
+            for s in self.slices.iter_mut() {
+                s.remove(0);
+                let msb = *s.last().expect("width at least MIN_WIDTH - 1");
+                if s.len() < MIN_WIDTH {
+                    s.push(msb);
+                }
+            }
+            if self.r > MIN_WIDTH {
+                self.r -= 1;
+            }
+            self.k -= 2;
+        }
     }
 
     // ------------------------------------------------------------------ //

@@ -248,10 +248,18 @@ mod tests {
         hash
     }
 
-    fn bitslice_histogram(circuit: &Circuit, shots: u64, seed: u64) -> Histogram {
+    /// The bit-sliced histogram of `circuit`; with `sifted`, the state is
+    /// sifted away from the identity variable order before sampling.
+    fn bitslice_histogram(circuit: &Circuit, shots: u64, seed: u64, sifted: bool) -> Histogram {
         let config = SessionConfig::with_backend(BackendKind::BitSlice);
         let mut session = Session::new(circuit.num_qubits(), config).unwrap();
         session.run(circuit).unwrap();
+        if sifted {
+            let sim = session.bitslice_mut().unwrap();
+            sim.reorder();
+            let identity: Vec<usize> = (0..circuit.num_qubits()).collect();
+            assert_ne!(sim.state().manager().current_order(), identity);
+        }
         Histogram::clone(&session.sample(shots, seed).unwrap().histogram)
     }
 
@@ -260,41 +268,39 @@ mod tests {
         use sliq_workloads::random::random_clifford_t;
         // Irrational outcome probabilities: every partition of the descent
         // depends on exact SAT counts rounded once, so any change to the
-        // sampler's arithmetic or draw order shows up here.
-        for (circuit_seed, digest, distinct) in [
-            (1, 0x45a9_db7b_cad1_aed3, 363),
-            (2, 0x5f7a_d08d_4cc1_e5b8, 253),
-            (3, 0x4913_4424_7068_7b95, 443),
-        ] {
-            let histogram = bitslice_histogram(&random_clifford_t(10, circuit_seed), 1024, 7);
-            assert_eq!(
-                histogram.counts().len(),
-                distinct,
-                "rc_t(10, {circuit_seed})"
-            );
-            assert_eq!(
-                histogram_digest(&histogram),
-                digest,
-                "rc_t(10, {circuit_seed})"
-            );
+        // sampler's arithmetic shows up here.  The histograms may not
+        // depend on the variable order either: under a sifted order the
+        // descent's cofactors build nodes that its one counter then counts.
+        for sifted in [false, true] {
+            for (circuit_seed, digest, distinct) in [
+                (1, 0x45a9_db7b_cad1_aed3, 363),
+                (2, 0x5f7a_d08d_4cc1_e5b8, 253),
+                (3, 0x4913_4424_7068_7b95, 443),
+            ] {
+                let circuit = random_clifford_t(10, circuit_seed);
+                let histogram = bitslice_histogram(&circuit, 1024, 7, sifted);
+                let case = format!("rc_t(10, {circuit_seed}), sifted {sifted}");
+                assert_eq!(histogram.counts().len(), distinct, "{case}");
+                assert_eq!(histogram_digest(&histogram), digest, "{case}");
+            }
+            // A wide descent: more than 2048 distinct outcomes, so more
+            // than 1024 distinct prefixes one qubit above the leaves.
+            let wide = bitslice_histogram(&random_clifford_t(14, 1), 8192, 7, sifted);
+            assert_eq!(wide.counts().len(), 3610, "sifted {sifted}");
+            assert_eq!(histogram_digest(&wide), 0x61cb_57ae_42e1_31cf);
         }
-        // A wide descent: more than 2048 distinct outcomes, so more than
-        // 1024 distinct prefixes one qubit above the leaves.
-        let wide = bitslice_histogram(&random_clifford_t(14, 1), 8192, 7);
-        assert_eq!(wide.counts().len(), 3610);
-        assert_eq!(histogram_digest(&wide), 0x61cb_57ae_42e1_31cf);
         // One and two qubits: the root's branches are already leaves, or
         // the leaves' parents.
         let mut one = Circuit::new(1);
         one.h(0).t(0).h(0);
         assert_eq!(
-            bitslice_histogram(&one, 1000, 7),
+            bitslice_histogram(&one, 1000, 7, false),
             Histogram::from_counts(1, [(0, 845), (1, 155)])
         );
         let mut two = Circuit::new(2);
         two.h(0).t(0).h(0).cx(0, 1).h(1).t(1).h(1);
         assert_eq!(
-            bitslice_histogram(&two, 1000, 7),
+            bitslice_histogram(&two, 1000, 7, false),
             Histogram::from_counts(2, [(0, 729), (1, 17), (2, 116), (3, 138)])
         );
     }

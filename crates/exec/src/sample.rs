@@ -9,10 +9,12 @@
 //! prefix, so the cost scales with the number of *distinct* outcome
 //! prefixes rather than with `shots × circuit`:
 //!
-//! * **bit-sliced BDD** — a stack of [`sliq_core::ConditionedView`]s:
-//!   conditioning a view conjoins every slice with the qubit's literal
+//! * **bit-sliced BDD** — a stack of [`sliq_core::ConditionedView`]s: the
+//!   slice conjunctions of the probability formula are built once per
+//!   sample, conditioning a view replaces each of them by its cofactor
 //!   (without renormalising), and conditional probabilities are exact
-//!   weighted SAT counts of `slice ∧ literal`.  The views are unregistered
+//!   weighted SAT counts of those cofactors, all through one model counter
+//!   whose memo lives for the whole descent.  The views are unregistered
 //!   transients, so the state is never modified and nothing is pinned.
 //! * **dense** — a single pass over the state vector builds the probability
 //!   vector and its per-level subtree sums (a CDF tree); the descent then
@@ -24,9 +26,11 @@
 //!   conditional probabilities are 0, ½ or 1 by the CHP determinism rule.
 //!
 //! One descent drives all four through a private `ConditionalChain` trait
-//! (`conditional_one`, `push`, `pop`).  It counts the last qubit's branches
-//! straight into the histogram, so `ConditionalChain::push` is never called
-//! for the last qubit: no backend conditions, projects or clones a leaf.
+//! (`conditional_one`, `push`, `pop`).  It partitions the draws in place
+//! (the 1-branch's draws first) and recurses on the two halves, and it
+//! counts the last qubit's branches straight into the histogram, so
+//! `ConditionalChain::push` is never called for the last qubit: no backend
+//! conditions, projects or clones a leaf.
 //! Because all four backends partition the *same* `u` sequence with the
 //! same descent, backends that compute bit-identical conditional
 //! probabilities (e.g. every exact backend on a dyadic-probability circuit)
@@ -34,7 +38,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sliq_bdd::Manager;
+use sliq_bdd::{Manager, ModelCounter};
 use sliq_circuit::Simulator as _;
 use sliq_core::{BitSliceSimulator, ConditionedView};
 use sliq_dense::DenseSimulator;
@@ -242,14 +246,16 @@ trait ConditionalChain {
 
 /// Shared inverse-CDF descent: partitions the draws by the conditional
 /// probability at each qubit, rescaling them into the chosen branch, so
-/// shots with a common outcome prefix traverse that prefix once.  `us` is
-/// never empty and `depth` is below `num_qubits`.
+/// shots with a common outcome prefix traverse that prefix once.  The
+/// partition is in place — the 1-branch's draws first — so the order of
+/// draws inside a branch is arbitrary; only how many reach each outcome
+/// counts.  `us` is never empty and `depth` is below `num_qubits`.
 fn descend<C: ConditionalChain>(
     chain: &mut C,
     num_qubits: usize,
     depth: usize,
     prefix: u64,
-    us: Vec<f64>,
+    us: &mut [f64],
     histogram: &mut Histogram,
 ) {
     let raw = chain.conditional_one(depth);
@@ -259,16 +265,19 @@ fn descend<C: ConditionalChain>(
         0.0
     };
     let p0 = 1.0 - p1;
-    let mut ones = Vec::new();
-    let mut zeros = Vec::new();
-    for u in us {
+    let mut split = 0;
+    for i in 0..us.len() {
+        let u = us[i];
         if u < p1 {
-            ones.push((u / p1).min(BELOW_ONE));
+            us[i] = (u / p1).min(BELOW_ONE);
+            us.swap(split, i);
+            split += 1;
         } else {
             let rescaled = if p0 > 0.0 { (u - p1) / p0 } else { 0.0 };
-            zeros.push(rescaled.min(BELOW_ONE));
+            us[i] = rescaled.min(BELOW_ONE);
         }
     }
+    let (ones, zeros) = us.split_at_mut(split);
     for (value, branch) in [(true, ones), (false, zeros)] {
         if branch.is_empty() {
             continue;
@@ -287,14 +296,14 @@ fn descend<C: ConditionalChain>(
 fn run_descent<C: ConditionalChain>(
     chain: &mut C,
     num_qubits: usize,
-    draws: Vec<f64>,
+    mut draws: Vec<f64>,
 ) -> Histogram {
     let mut histogram = Histogram::new(num_qubits);
     if num_qubits == 0 {
         // The empty register has one outcome, and every shot reads it.
         histogram.add(0, draws.len() as u64);
     } else if !draws.is_empty() {
-        descend(chain, num_qubits, 0, 0, draws, &mut histogram);
+        descend(chain, num_qubits, 0, 0, &mut draws, &mut histogram);
     }
     histogram
 }
@@ -305,10 +314,13 @@ fn run_descent<C: ConditionalChain>(
 
 /// A stack of unregistered conditioned views of the state, each with the
 /// joint probability of the conditions that produced it.  `push` conditions
-/// the top view through the kernel's `&Manager` apply operations and `pop`
-/// drops it, so the state is never modified and no root is pinned.
+/// the top view through the kernel's `&Manager` cofactors and `pop` drops
+/// it, so the state is never modified and no root is pinned.  Every
+/// reading goes through the one `counter`, so a node shared by the views of
+/// a descent is counted once.
 struct BitSliceChain<'a> {
     mgr: &'a Manager,
+    counter: ModelCounter<'a>,
     stack: Vec<(ConditionedView, f64)>,
     /// `Pr[conditions ∧ qubit = 1]` from `conditional_one`, for the `push`
     /// that follows.
@@ -318,7 +330,7 @@ struct BitSliceChain<'a> {
 impl ConditionalChain for BitSliceChain<'_> {
     fn conditional_one(&mut self, qubit: usize) -> f64 {
         let (view, p_current) = self.stack.last().expect("the root view is never popped");
-        let joint = view.joint_probability_of_one(self.mgr, qubit);
+        let joint = view.joint_probability_of_one(self.mgr, &mut self.counter, qubit);
         self.joint_one[qubit] = joint;
         if *p_current <= 0.0 {
             0.0
@@ -349,16 +361,18 @@ pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, draws: Vec<f64>) -> H
     let histogram = {
         let state = sim.state();
         let mgr = state.manager();
+        let mut counter = ModelCounter::new(mgr, num_qubits);
         let view = ConditionedView::of_state(state);
-        let p_total = view.total_probability(mgr);
+        let p_total = view.total_probability(&mut counter);
         let mut chain = BitSliceChain {
             mgr,
+            counter,
             stack: vec![(view, p_total)],
             joint_one: vec![0.0; num_qubits],
         };
         run_descent(&mut chain, num_qubits, draws)
     };
-    // The descent hash-consed transient conditioned slices that no root
+    // The descent hash-consed transient terms and cofactors that no root
     // registers; reclaim them if the manager considers it worthwhile.
     sim.state_mut().maybe_collect_garbage();
     histogram
