@@ -24,19 +24,20 @@
 //!   reordering — see the [`Manager::reorder`] /
 //!   [`Manager::swap_adjacent_levels`] / [`Manager::register_root`] family
 //!   and the `reorder` module docs,
-//! * dedicated memoised apply recursions (`AND`/`XOR` — with `OR` and `NOT`
-//!   folded onto them through the complement bit — the full-adder
-//!   `XOR3`/`MAJ`, the literal multiplexer `MUX` and the cofactor swap
-//!   `FLIP`) plus generic `ITE`, all backed by lossy direct-mapped
-//!   operation caches whose growth cap auto-tunes from GC-time eviction
-//!   rates,
-//! * cofactors, cubes, existential quantification,
+//! * dedicated memoised apply recursions, with no generic if-then-else:
+//!   `AND`/`XOR` (with `OR` and `NOT` folded onto them through the
+//!   complement bit), the full-adder `XOR3`/`MAJ`, the controlled flip
+//!   ([`Manager::controlled_flip`], the row permutation of X, CNOT and
+//!   Toffoli) and the cube multiplexer ([`Manager::mux`]), all backed by
+//!   lossy direct-mapped operation caches whose growth cap auto-tunes from
+//!   GC-time eviction rates,
+//! * cofactors (by one variable or a cube of literals) and cubes,
 //! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
 //!   127 counted variables, arbitrary precision above, and a memo shared
 //!   by all the counts of one query or one sampling descent,
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
-//! * node counting / support / model extraction utilities,
+//! * node and complement-edge counting,
 //! * per-cache hit/miss/eviction statistics ([`ManagerStats`]).
 //!
 //! ```

@@ -14,8 +14,8 @@
 //! manager (see the `compile_fail` example on [`Manager`]).  Parallelism
 //! comes from independent sessions, each with its own manager.
 //!
-//! Every apply recursion (`and`, `xor`, `ite`, `xor3`, `maj`, `flip_var`,
-//! `mux_var`, `cofactor`) and the node constructor take **`&self`** and
+//! Every apply recursion (`and`, `xor`, `xor3`, `maj`, `controlled_flip`,
+//! `mux`, `cofactor`) and the node constructor take **`&self`** and
 //! write through cells, so read-only helpers that borrow the manager — a
 //! [`ModelCounter`] memo, the sampler's conditioned views — stay usable
 //! while new nodes are built.  Garbage collection, variable reordering,
@@ -49,7 +49,7 @@
 //! * **XOR parity folding.** `¬f ⊕ g = ¬(f ⊕ g)`: complement bits are
 //!   stripped off XOR/XOR3 operands and re-applied to the result, so the
 //!   caches are probed with regular operands only and the XNOR terminal
-//!   cases disappear (ITE routes `ite(f, g, ¬g)` straight to XOR).
+//!   cases disappear.
 //! * **Self-dual majority.** `maj(¬f, ¬g, ¬h) = ¬maj(f, g, h)` normalises
 //!   the carry recursion to at most one complemented operand per cache key.
 //!
@@ -63,11 +63,12 @@
 //!   two-operand recursions with commutative key normalisation; `not` and
 //!   `or` reduce to them in O(1) via the complement bit.  On top of those,
 //!   the gate formulas get single-pass recursions for their dominant
-//!   three-operand shapes: [`Manager::xor3`] (the full-adder sum),
-//!   [`Manager::maj`] (the full-adder carry), [`Manager::flip_var`] (the
-//!   X-gate cofactor swap) and [`Manager::mux_var`] (ITE on a variable
-//!   literal), each replacing a chain of two to four generic applies with
-//!   one traversal.
+//!   shapes: [`Manager::xor3`] (the full-adder sum), [`Manager::maj`] (the
+//!   full-adder carry), [`Manager::controlled_flip`] (the row permutation
+//!   of X, CNOT and Toffoli, which SWAP and Fredkin compose three times)
+//!   and [`Manager::mux`] (the multiplexer on a cube of positive literals),
+//!   each replacing a chain of two to four generic applies with one
+//!   traversal.  There is no generic if-then-else.
 //!
 //! * **Lossy direct-mapped operation caches.**  Each operation memoises into
 //!   a power-of-two array of entries indexed by a strong 64-bit mix of the
@@ -102,9 +103,9 @@
 //! subtables.  Because subtables are keyed by variable, a swap only touches
 //! the upper-level nodes that actually depend on the lower variable — every
 //! other node (and every external edge into the swapped levels) keeps its
-//! id and its function.  The public read API (`eval`, `support`,
-//! `pick_one`, `cofactor`, …) is expressed in *variable* space throughout,
-//! so callers never observe the order.
+//! id and its function.  The public read API (`eval`, `cofactor`,
+//! `sat_count`, …) is expressed in *variable* space throughout, so callers
+//! never observe the order.
 //!
 //! External handles survive reordering through the **root registry**
 //! ([`Manager::register_root`]): registered edges act as GC roots and as
@@ -345,17 +346,18 @@ pub struct ManagerStats {
     pub and_cache: CacheStats,
     /// Counters of the `xor` apply cache (complement parity folded out).
     pub xor_cache: CacheStats,
-    /// Counters of the `ite` cache.
-    pub ite_cache: CacheStats,
     /// Counters of the `cofactor` cache.
     pub cofactor_cache: CacheStats,
     /// Counters of the three-operand `xor3` cache (the full-adder sum).
     pub xor3_cache: CacheStats,
     /// Counters of the three-operand `maj` cache (the full-adder carry).
     pub maj_cache: CacheStats,
-    /// Counters of the `flip_var` cache (the X-gate permutation).
+    /// Counters of the [`Manager::controlled_flip`] cache (the row
+    /// permutation of X, CNOT and Toffoli, keyed by function, control cube
+    /// and target).
     pub flip_cache: CacheStats,
-    /// Counters of the `mux_var` cache (ITE on a variable literal).
+    /// Counters of the [`Manager::mux`] cache (the cube multiplexer of the
+    /// phase gates and of controls below a flipped target).
     pub mux_cache: CacheStats,
 }
 
@@ -365,11 +367,10 @@ impl ManagerStats {
     /// `or` and `not` no longer appear: OR folds into the AND cache via
     /// De Morgan and NOT is a cache-free bit flip (see
     /// [`ManagerStats::not_ops`]).
-    pub fn caches(&self) -> [(&'static str, &CacheStats); 8] {
+    pub fn caches(&self) -> [(&'static str, &CacheStats); 7] {
         [
             ("and", &self.and_cache),
             ("xor", &self.xor_cache),
-            ("ite", &self.ite_cache),
             ("cofactor", &self.cofactor_cache),
             ("xor3", &self.xor3_cache),
             ("maj", &self.maj_cache),
@@ -423,12 +424,11 @@ pub(crate) struct ExclusiveCounters {
 /// order as [`ManagerStats::caches`]).
 const AND: usize = 0;
 const XOR: usize = 1;
-const ITE: usize = 2;
-const COFACTOR: usize = 3;
-const XOR3: usize = 4;
-const MAJ: usize = 5;
-const FLIP: usize = 6;
-const MUX: usize = 7;
+const COFACTOR: usize = 2;
+const XOR3: usize = 3;
+const MAJ: usize = 4;
+const FLIP: usize = 5;
+const MUX: usize = 6;
 
 /// A reduced ordered BDD manager with complement edges.
 ///
@@ -495,8 +495,8 @@ pub struct Manager {
     reorder_threshold_floor: usize,
     /// Whether [`Manager::reorder`] repeats sifting passes to convergence.
     pub(crate) converging_sifting: bool,
-    /// The eight operation caches, indexed by the `AND..MUX` constants.
-    caches: [DirectCache; 8],
+    /// The seven operation caches, indexed by the `AND..MUX` constants.
+    caches: [DirectCache; 7],
     /// Generation stamp giving O(1) cache clear: entries whose `epoch` field
     /// differs are stale.
     cache_epoch: u32,
@@ -549,11 +549,10 @@ impl Manager {
             caches: [
                 DirectCache::new(2), // and
                 DirectCache::new(2), // xor
-                DirectCache::new(3), // ite
                 DirectCache::new(2), // cofactor
                 DirectCache::new(3), // xor3
                 DirectCache::new(3), // maj
-                DirectCache::new(2), // flip
+                DirectCache::new(3), // flip
                 DirectCache::new(3), // mux
             ],
             cache_epoch: 1,
@@ -659,7 +658,6 @@ impl Manager {
             reorder_micros: self.exclusive.reorder_micros,
             and_cache: cache(AND),
             xor_cache: cache(XOR),
-            ite_cache: cache(ITE),
             cofactor_cache: cache(COFACTOR),
             xor3_cache: cache(XOR3),
             maj_cache: cache(MAJ),
@@ -1037,20 +1035,11 @@ impl Manager {
     // Boolean operations
     // ----------------------------------------------------------------- //
 
-    /// The cofactors of `f` with respect to `level`: `f`'s own children
-    /// (complement pushed down) when `f` sits at `level`, else `f` twice.
-    #[inline]
-    fn split(&self, f: NodeId, level: u32) -> (NodeId, NodeId) {
-        if self.level(f) == level {
-            self.cofactors_of(f)
-        } else {
-            (f, f)
-        }
-    }
-
-    /// [`Manager::split`] with `f`'s level already at hand (the apply
-    /// recursions compute it for the top-level comparison anyway; passing
-    /// it through avoids a second permutation-array lookup per operand).
+    /// The cofactors of `f` with respect to level `top`: `f`'s own children
+    /// (complement pushed down) when `f` sits at `top`, else `f` twice.
+    /// Takes `f`'s level at hand (the apply recursions compute it for the
+    /// top-level comparison anyway; passing it through avoids a second
+    /// permutation-array lookup per operand).
     #[inline]
     fn split_at(&self, f: NodeId, flevel: u32, top: u32) -> (NodeId, NodeId) {
         if flevel == top {
@@ -1150,88 +1139,6 @@ impl Manager {
         let result = self.mk_level(top, low, high);
         self.cache_store2(XOR, epoch, key, result);
         result.xor_mask(parity)
-    }
-
-    /// If-then-else: `ite(f, g, h) = (f ∧ g) ∨ (¬f ∧ h)`.
-    ///
-    /// Calls whose shape matches a two-operand operation are routed to the
-    /// specialised recursions (and their caches) instead; the standard
-    /// triple is normalised so the predicate and the then-branch are
-    /// regular edges (`ite(¬f, g, h) = ite(f, h, g)` and
-    /// `ite(f, ¬g, ¬h) = ¬ite(f, g, h)`).
-    pub fn ite(&self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        // Predicate normalisation: regular f.
-        let (f, g, h) = if f.is_complemented() {
-            (f.complement(), h, g)
-        } else {
-            (f, g, h)
-        };
-        if g.0 ^ h.0 == COMPLEMENT {
-            // ite(f, g, ¬g) = ¬(f ⊕ g): the XNOR terminal case folds into
-            // the XOR recursion via the complement bit.
-            return self.xor(f, g).complement();
-        }
-        // Two-operand shapes: reuse the specialised recursions.
-        if g.is_true() {
-            if h.is_false() {
-                return f;
-            }
-            return self.or(f, h);
-        }
-        if g.is_false() {
-            if h.is_true() {
-                return f.complement();
-            }
-            return self.and(f.complement(), h);
-        }
-        if h.is_false() || f == h {
-            return self.and(f, g);
-        }
-        if f == g {
-            return self.or(f, h);
-        }
-        if h.is_true() {
-            return self.or(f.complement(), g);
-        }
-        if f.0 ^ g.0 == COMPLEMENT {
-            // g = ¬f: ite(f, ¬f, h) = ¬f ∧ h.
-            return self.and(f.complement(), h);
-        }
-        if f.0 ^ h.0 == COMPLEMENT {
-            // h = ¬f: ite(f, g, ¬f) = ¬f ∨ g.
-            return self.or(f.complement(), g);
-        }
-        // Then-branch normalisation: regular g, so ite(f, g, h) and
-        // ¬ite(f, ¬g, ¬h) probe the same cache line.
-        let out_c = g.cmask();
-        let (g, h) = (g.xor_mask(out_c), h.xor_mask(out_c));
-        let key_fg = ((f.0 as u64) << 32) | g.0 as u64;
-        let key_h = h.0 as u64;
-        let epoch = self.epoch();
-        if let Some(result) = self.caches[ITE].probe3(epoch, key_fg, key_h) {
-            bump(&self.hot.caches[ITE].hits);
-            return result.xor_mask(out_c);
-        }
-        bump(&self.hot.caches[ITE].misses);
-        let (lf, lg, lh) = (self.level(f), self.level(g), self.level(h));
-        let top = lf.min(lg).min(lh);
-        let (f0, f1) = self.split_at(f, lf, top);
-        let (g0, g1) = self.split_at(g, lg, top);
-        let (h0, h1) = self.split_at(h, lh, top);
-        let low = self.ite(f0, g0, h0);
-        let high = self.ite(f1, g1, h1);
-        let result = self.mk_level(top, low, high);
-        self.cache_store3(ITE, epoch, key_fg, key_h, result);
-        result.xor_mask(out_c)
     }
 
     /// Three-operand exclusive or `f ⊕ g ⊕ h` — the full-adder *sum* — as a
@@ -1365,115 +1272,146 @@ impl Manager {
         result.xor_mask(out_c)
     }
 
-    /// The composition `f(…, ¬x_var, …)`: swaps the two cofactors along
-    /// `var` in one traversal (the X-gate permutation), instead of the
-    /// three-pass `ite(x, f|₀, f|₁)` construction.  The swap commutes with
-    /// complementation, so the cache is keyed on the regular edge.
-    pub fn flip_var(&self, f: NodeId, var: usize) -> NodeId {
-        let vlevel = self.var_to_level[var];
-        self.flip_var_rec(f, var as u32, vlevel)
+    /// The controlled flip: `f` with variable `t` negated on the rows where
+    /// the positive cube `controls` holds, `controls ? f(…, ¬x_t, …) : f` —
+    /// the row permutation of X (`controls` is [`NodeId::TRUE`]), CNOT (one
+    /// literal) and the multi-controlled Toffoli, in one traversal.  Above
+    /// `t` the recursion walks `f` and the cube together, and every control
+    /// it steps past keeps `f` unchanged as its 0-branch; at `t` it swaps
+    /// the children, through [`Manager::mux`] when controls remain below
+    /// `t`.  The flip commutes with complementation, so the cache is keyed
+    /// on the regular edge.
+    ///
+    /// `controls` must be a positive cube (see [`Manager::cube`]) that does
+    /// not contain `t`; debug builds check this.
+    pub fn controlled_flip(&self, f: NodeId, controls: NodeId, t: usize) -> NodeId {
+        debug_assert!(
+            self.positive_cube_vars(controls)
+                .is_some_and(|vars| !vars.contains(&t)),
+            "controls must be a positive cube without the target"
+        );
+        let tlevel = self.var_to_level[t];
+        self.controlled_flip_rec(f, controls, self.level(controls), t as u32, tlevel)
     }
 
-    fn flip_var_rec(&self, f: NodeId, var: u32, vlevel: u32) -> NodeId {
+    /// [`Manager::controlled_flip`] with the levels of the remaining cube
+    /// (`clevel`, [`TERMINAL_LEVEL`] once every control is consumed) and of
+    /// the target at hand; `clevel` changes only when a control is passed.
+    fn controlled_flip_rec(
+        &self,
+        f: NodeId,
+        cube: NodeId,
+        clevel: u32,
+        t: u32,
+        tlevel: u32,
+    ) -> NodeId {
         let out_c = f.cmask();
         let fr = f.xor_mask(out_c);
-        if fr.is_terminal() || self.level(fr) > vlevel {
+        let flevel = self.level(fr);
+        if flevel > tlevel {
+            // `f` does not depend on `t` (terminals sit below every level).
             return f;
         }
-        if self.var_of(fr) == var {
+        if flevel == tlevel && cube.is_true() {
             let (low, high) = (self.raw_low(fr), self.raw_high(fr));
-            return self.mk(var, high, low).xor_mask(out_c);
+            return self.mk(t, high, low).xor_mask(out_c);
         }
-        let key = ((fr.0 as u64) << 32) | var as u64;
+        let key_fc = ((fr.0 as u64) << 32) | cube.0 as u64;
+        let key_t = t as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[FLIP].probe2(epoch, key) {
+        if let Some(result) = self.caches[FLIP].probe3(epoch, key_fc, key_t) {
             bump(&self.hot.caches[FLIP].hits);
             return result.xor_mask(out_c);
         }
         bump(&self.hot.caches[FLIP].misses);
-        let top_var = self.var_of(fr);
-        let (f0, f1) = (self.raw_low(fr), self.raw_high(fr));
-        let low = self.flip_var_rec(f0, var, vlevel);
-        let high = self.flip_var_rec(f1, var, vlevel);
-        let result = self.mk(top_var, low, high);
-        self.cache_store2(FLIP, epoch, key, result);
+        let result = if clevel <= flevel {
+            // The cube's top control: rows where it is 0 keep `f`.
+            let (f0, f1) = self.split_at(fr, flevel, clevel);
+            let rest = self.cofactors_of(cube).1;
+            let high = self.controlled_flip_rec(f1, rest, self.level(rest), t, tlevel);
+            self.mk_level(clevel, f0, high)
+        } else if flevel == tlevel {
+            // The target, with controls left below it.
+            let (f0, f1) = (self.raw_low(fr), self.raw_high(fr));
+            let low = self.mux_rec(cube, clevel, f1, f0);
+            let high = self.mux_rec(cube, clevel, f0, f1);
+            self.mk(t, low, high)
+        } else {
+            let (f0, f1) = (self.raw_low(fr), self.raw_high(fr));
+            let low = self.controlled_flip_rec(f0, cube, clevel, t, tlevel);
+            let high = self.controlled_flip_rec(f1, cube, clevel, t, tlevel);
+            self.mk_level(flevel, low, high)
+        };
+        self.cache_store3(FLIP, epoch, key_fc, key_t, result);
         result.xor_mask(out_c)
     }
 
-    /// `ite(x_var, g, h)` without materialising the literal: the row
-    /// multiplexer used by controlled and phase gates, in one recursion with
-    /// a two-word cache key.  Normalised so the then-input is regular
-    /// (`mux(v, ¬g, ¬h) = ¬mux(v, g, h)`).
-    pub fn mux_var(&self, var: usize, g: NodeId, h: NodeId) -> NodeId {
-        let vlevel = self.var_to_level[var];
-        self.mux_var_rec(var as u32, vlevel, g, h)
+    /// The cube multiplexer `cube ? g : h` for a positive cube `cube`: with
+    /// one literal, the row multiplexer of the phase gates; the controlled
+    /// flip uses it for the controls below its target.  Normalised so the
+    /// then-input is regular (`mux(c, ¬g, ¬h) = ¬mux(c, g, h)`).
+    pub fn mux(&self, cube: NodeId, g: NodeId, h: NodeId) -> NodeId {
+        debug_assert!(
+            self.positive_cube_vars(cube).is_some(),
+            "mux needs a positive cube"
+        );
+        self.mux_rec(cube, self.level(cube), g, h)
     }
 
-    fn mux_var_rec(&self, var: u32, vlevel: u32, g: NodeId, h: NodeId) -> NodeId {
-        if g == h {
+    /// [`Manager::mux`] with the level of the cube's top control at hand.
+    fn mux_rec(&self, cube: NodeId, clevel: u32, g: NodeId, h: NodeId) -> NodeId {
+        if g == h || cube.is_true() {
             return g;
         }
         let out_c = g.cmask();
         let (g, h) = (g.xor_mask(out_c), h.xor_mask(out_c));
-        let top = self.level(g).min(self.level(h));
-        if top > vlevel {
-            // Neither operand depends on variables at or above `var`'s level.
-            return self.mk(var, h, g).xor_mask(out_c);
+        let (lg, lh) = (self.level(g), self.level(h));
+        let top = lg.min(lh);
+        if top > clevel && self.cofactors_of(cube).1.is_true() {
+            // One literal above both inputs.
+            return self.mk_level(clevel, h, g).xor_mask(out_c);
         }
         let key_gh = ((g.0 as u64) << 32) | h.0 as u64;
-        let key_var = var as u64;
+        let key_cube = cube.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[MUX].probe3(epoch, key_gh, key_var) {
+        if let Some(result) = self.caches[MUX].probe3(epoch, key_gh, key_cube) {
             bump(&self.hot.caches[MUX].hits);
             return result.xor_mask(out_c);
         }
         bump(&self.hot.caches[MUX].misses);
-        let result = if top == vlevel {
-            // At the multiplexer level: low output comes from h, high from g.
-            let low = if self.level(h) == vlevel {
-                self.cofactors_of(h).0
-            } else {
-                h
-            };
-            let high = if self.level(g) == vlevel {
-                self.cofactors_of(g).1
-            } else {
-                g
-            };
-            self.mk(var, low, high)
-        } else {
-            let (g0, g1) = self.split(g, top);
-            let (h0, h1) = self.split(h, top);
-            let low = self.mux_var_rec(var, vlevel, g0, h0);
-            let high = self.mux_var_rec(var, vlevel, g1, h1);
+        let result = if top < clevel {
+            let (g0, g1) = self.split_at(g, lg, top);
+            let (h0, h1) = self.split_at(h, lh, top);
+            let low = self.mux_rec(cube, clevel, g0, h0);
+            let high = self.mux_rec(cube, clevel, g1, h1);
             self.mk_level(top, low, high)
+        } else {
+            // The cube's top control: rows where it is 0 take `h`.
+            let (_, g1) = self.split_at(g, lg, clevel);
+            let (h0, h1) = self.split_at(h, lh, clevel);
+            let rest = self.cofactors_of(cube).1;
+            let high = self.mux_rec(rest, self.level(rest), g1, h1);
+            self.mk_level(clevel, h0, high)
         };
-        self.cache_store3(MUX, epoch, key_gh, key_var, result);
+        self.cache_store3(MUX, epoch, key_gh, key_cube, result);
         result.xor_mask(out_c)
     }
 
-    /// Conjunction of many functions.
-    pub fn and_many(&self, fs: &[NodeId]) -> NodeId {
-        let mut acc = NodeId::TRUE;
-        for &f in fs {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                break;
+    /// The variables of `cube` if it is a conjunction of positive literals
+    /// (`TRUE` is the empty one), else `None`: the precondition that
+    /// [`Manager::controlled_flip`] and [`Manager::mux`] check in debug
+    /// builds.
+    fn positive_cube_vars(&self, mut cube: NodeId) -> Option<Vec<usize>> {
+        let mut vars = Vec::new();
+        while !cube.is_terminal() {
+            let (low, high) = self.cofactors_of(cube);
+            if !low.is_false() {
+                return None;
             }
+            vars.push(self.var_of(cube) as usize);
+            cube = high;
         }
-        acc
-    }
-
-    /// Disjunction of many functions.
-    pub fn or_many(&self, fs: &[NodeId]) -> NodeId {
-        let mut acc = NodeId::FALSE;
-        for &f in fs {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
+        cube.is_true().then_some(vars)
     }
 
     /// The cube (conjunction of literals) described by `(variable, phase)`
@@ -1535,13 +1473,6 @@ impl Manager {
             acc = self.cofactor(acc, v, phase);
         }
         acc
-    }
-
-    /// Existential quantification of a single variable.
-    pub fn exists(&self, f: NodeId, var: usize) -> NodeId {
-        let f0 = self.cofactor(f, var, false);
-        let f1 = self.cofactor(f, var, true);
-        self.or(f0, f1)
     }
 
     // ----------------------------------------------------------------- //
@@ -1631,47 +1562,6 @@ impl Manager {
             stack.push(high.regular());
         }
         (complemented, seen.len())
-    }
-
-    /// The set of variables `f` depends on, as *variable indices* in
-    /// increasing order (independent of the current variable order).
-    pub fn support(&self, f: NodeId) -> Vec<usize> {
-        let mut seen: std::collections::HashSet<NodeId, crate::hash::FxBuildHasher> =
-            Default::default();
-        let mut vars: std::collections::BTreeSet<usize> = Default::default();
-        let mut stack = vec![f.regular()];
-        while let Some(g) = stack.pop() {
-            if g.is_terminal() || !seen.insert(g) {
-                continue;
-            }
-            vars.insert(self.var_of(g) as usize);
-            stack.push(self.raw_low(g));
-            stack.push(self.raw_high(g).regular());
-        }
-        vars.into_iter().collect()
-    }
-
-    /// Returns one satisfying assignment (as `(variable, value)` pairs over
-    /// the support of `f`, in *variable* space), or `None` if `f` is
-    /// unsatisfiable.
-    pub fn pick_one(&self, f: NodeId) -> Option<Vec<(usize, bool)>> {
-        if f.is_false() {
-            return None;
-        }
-        let mut cube = Vec::new();
-        let mut cur = f;
-        while !cur.is_terminal() {
-            let v = self.var_of(cur) as usize;
-            let (low, high) = self.cofactors_of(cur);
-            if low.is_false() {
-                cube.push((v, true));
-                cur = high;
-            } else {
-                cube.push((v, false));
-                cur = low;
-            }
-        }
-        Some(cube)
     }
 
     // ----------------------------------------------------------------- //
@@ -2052,20 +1942,22 @@ mod tests {
     }
 
     #[test]
-    fn xor_and_ite_consistency() {
+    fn xor_and_xnor_consistency() {
         let mgr = Manager::new(2);
         let x = mgr.var(0);
         let y = mgr.var(1);
         let x_xor_y = mgr.xor(x, y);
+        // XNOR is XOR with one operand complemented: the same cache entry,
+        // the complemented edge.
+        let ny = mgr.not(y);
+        let xnor = mgr.xor(x, ny);
+        assert_eq!(xnor, x_xor_y.complement());
         for a in [false, true] {
             for b in [false, true] {
                 assert_eq!(mgr.eval(x_xor_y, &[a, b]), a ^ b);
+                assert_eq!(mgr.eval(xnor, &[a, b]), a == b);
             }
         }
-        // The XNOR shape routes through the XOR cache via the complement bit.
-        let ny = mgr.not(y);
-        let xnor = mgr.ite(x, y, ny);
-        assert_eq!(xnor, x_xor_y.complement());
     }
 
     #[test]
@@ -2121,12 +2013,11 @@ mod tests {
     }
 
     #[test]
-    fn support_and_node_count() {
+    fn node_count_shares_subgraphs() {
         let mgr = Manager::new(5);
         let x = mgr.var(1);
         let y = mgr.var(3);
         let f = mgr.and(x, y);
-        assert_eq!(mgr.support(f), vec![1, 3]);
         assert_eq!(mgr.node_count(f), 2);
         assert_eq!(mgr.node_count_many(&[f, y]), 2, "subgraphs are shared");
         assert_eq!(mgr.node_count_many(&[f, x]), 3, "x is a distinct root node");
@@ -2136,30 +2027,6 @@ mod tests {
         let (complemented, nodes) = mgr.complement_edge_count(&[f]);
         assert_eq!(nodes, mgr.node_count(f));
         assert!(complemented <= nodes, "only high edges can be complemented");
-    }
-
-    #[test]
-    fn pick_one_returns_a_model() {
-        let mgr = Manager::new(3);
-        let x = mgr.var(0);
-        let nz = mgr.nvar(2);
-        let f = mgr.and(x, nz);
-        let cube = mgr.pick_one(f).expect("satisfiable");
-        let mut assignment = [false; 3];
-        for (v, val) in cube {
-            assignment[v] = val;
-        }
-        assert!(mgr.eval(f, &assignment));
-        assert_eq!(mgr.pick_one(NodeId::FALSE), None);
-        // The complement of a satisfiable-but-not-tautological function is
-        // satisfiable too, through the same shared nodes.
-        let nf = mgr.not(f);
-        let ncube = mgr.pick_one(nf).expect("¬f satisfiable");
-        let mut nassignment = [false; 3];
-        for (v, val) in ncube {
-            nassignment[v] = val;
-        }
-        assert!(!mgr.eval(f, &nassignment));
     }
 
     #[test]
@@ -2228,24 +2095,12 @@ mod tests {
         assert!(mgr.arena.allocated_slots() <= slots_before + 1);
     }
 
-    #[test]
-    fn exists_quantification() {
-        let mgr = Manager::new(2);
-        let x = mgr.var(0);
-        let y = mgr.var(1);
-        let f = mgr.and(x, y);
-        let ex = mgr.exists(f, 0);
-        assert_eq!(ex, y);
-        let both = mgr.exists(ex, 1);
-        assert!(both.is_true());
-    }
-
     // ------------------------------------------------------------------ //
     // Kernel specifics: lossy caches, epochs, auto-tuning, unique table
     // ------------------------------------------------------------------ //
 
     #[test]
-    fn specialized_ops_agree_with_ite_lowering() {
+    fn specialized_ops_match_their_truth_tables() {
         let mgr = Manager::new(6);
         let mut functions = Vec::new();
         for i in 0..6 {
@@ -2256,18 +2111,18 @@ mod tests {
                 functions.push(mgr.and(x, y));
             }
         }
+        let assignments: Vec<Vec<bool>> = (0..64u32)
+            .map(|bits| (0..6).map(|v| bits >> v & 1 == 1).collect())
+            .collect();
         for &f in &functions {
             for &g in &functions {
-                let and_direct = mgr.and(f, g);
-                let and_ite = mgr.ite(f, g, NodeId::FALSE);
-                assert_eq!(and_direct, and_ite);
-                let or_direct = mgr.or(f, g);
-                let or_ite = mgr.ite(f, NodeId::TRUE, g);
-                assert_eq!(or_direct, or_ite);
-                let xor_direct = mgr.xor(f, g);
-                let ng = mgr.not(g);
-                let xor_ite = mgr.ite(f, ng, g);
-                assert_eq!(xor_direct, xor_ite);
+                let (and, or, xor) = (mgr.and(f, g), mgr.or(f, g), mgr.xor(f, g));
+                for a in &assignments {
+                    let (fa, ga) = (mgr.eval(f, a), mgr.eval(g, a));
+                    assert_eq!(mgr.eval(and, a), fa && ga);
+                    assert_eq!(mgr.eval(or, a), fa || ga);
+                    assert_eq!(mgr.eval(xor, a), fa ^ ga);
+                }
             }
         }
     }

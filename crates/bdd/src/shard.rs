@@ -20,7 +20,7 @@
 //! tells them apart:
 //!
 //! * **Apply operations** (`&Manager`): every apply recursion (`and`, `xor`,
-//!   `ite`, `xor3`, `maj`, `flip_var`, `mux_var`, `cofactor`) and the node
+//!   `xor3`, `maj`, `controlled_flip`, `mux`, `cofactor`) and the node
 //!   constructor `mk` take `&self`, so read-only helpers that borrow the
 //!   manager — a [`crate::ModelCounter`] memo, the sampler's conditioned
 //!   views — stay usable while new nodes are built.  Apply operations only
@@ -848,8 +848,8 @@ pub(crate) const CACHE_HARD_MAX_LOG2: u32 = 20;
 /// A lossy direct-mapped memoisation cache.
 ///
 /// Entry layouts (`stride` words per entry):
-/// * stride 2 (`and`/`xor`, `cofactor`, `flip`): `[key, epoch<<32|result]`
-/// * stride 3 (`ite`, `xor3`, `maj`, `mux`): `[k0, k1, epoch<<32|result]`
+/// * stride 2 (`and`/`xor`, `cofactor`): `[key, epoch<<32|result]`
+/// * stride 3 (`xor3`, `maj`, `flip`, `mux`): `[k0, k1, epoch<<32|result]`
 ///
 /// A store overwrites whatever the entry held; a probe hits only when the
 /// stored key words and epoch match, so entries never lie.  An all-zero
@@ -1066,9 +1066,9 @@ pub(crate) struct CacheCounters {
 /// read them.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct HotCounters {
-    /// Indexed like [`crate::ManagerStats::caches`]: and, xor, ite,
-    /// cofactor, xor3, maj, flip, mux.
-    pub(crate) caches: [CacheCounters; 8],
+    /// Indexed like [`crate::ManagerStats::caches`]: and, xor, cofactor,
+    /// xor3, maj, flip, mux.
+    pub(crate) caches: [CacheCounters; 7],
     pub(crate) not_ops: Cell<u64>,
     pub(crate) complement_flips: Cell<u64>,
     pub(crate) created_nodes: Cell<u64>,

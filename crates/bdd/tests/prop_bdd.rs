@@ -86,10 +86,14 @@ fn build_bdd(mgr: &Manager, e: &Expr) -> NodeId {
             mgr.xor(fa, fb)
         }
         Expr::Ite(a, b, c) => {
+            // (a ∧ b) ∨ (¬a ∧ c): the kernel has no generic if-then-else.
             let fa = build_bdd(mgr, a);
             let fb = build_bdd(mgr, b);
             let fc = build_bdd(mgr, c);
-            mgr.ite(fa, fb, fc)
+            let then = mgr.and(fa, fb);
+            let nfa = mgr.not(fa);
+            let otherwise = mgr.and(nfa, fc);
+            mgr.or(then, otherwise)
         }
     }
 }
@@ -136,8 +140,9 @@ proptest! {
             a[var] = value;
             prop_assert_eq!(mgr.eval(cf, &a), eval_expr(&e, &a));
         }
-        // The cofactor never depends on the restricted variable.
-        prop_assert!(!mgr.support(cf).contains(&var));
+        // The cofactor never depends on the restricted variable, so
+        // restricting it again, either way, returns the identical edge.
+        prop_assert_eq!(mgr.cofactor(cf, var, !value), cf);
     }
 
     #[test]
@@ -147,8 +152,12 @@ proptest! {
         let f0 = mgr.cofactor(f, var, false);
         let f1 = mgr.cofactor(f, var, true);
         let x = mgr.var(var);
-        let rebuilt = mgr.ite(x, f1, f0);
-        prop_assert_eq!(rebuilt, f);
+        let then = mgr.and(x, f1);
+        let nx = mgr.not(x);
+        let otherwise = mgr.and(nx, f0);
+        prop_assert_eq!(mgr.or(then, otherwise), f);
+        // The literal multiplexer is the same expansion in one recursion.
+        prop_assert_eq!(mgr.mux(x, f1, f0), f);
     }
 
     #[test]
@@ -170,39 +179,33 @@ proptest! {
     }
 
     #[test]
-    fn specialized_applies_equal_their_ite_encodings(e1 in expr_strategy(), e2 in expr_strategy()) {
-        // The dedicated two-operand recursions must return the *identical*
-        // node (not merely an equivalent function) as the generic ITE
-        // formulations they replace — BDD canonicity makes this an equality
-        // on NodeIds.
+    fn specialized_applies_match_the_regular_edge_reference(e1 in expr_strategy(), e2 in expr_strategy()) {
+        // The dedicated two-operand recursions, applied to two independently
+        // built functions, must unfold node for node to the reference
+        // manager's ITE formulations of the same operations.
         let mgr = Manager::new(NVARS);
         let f = build_bdd(&mgr, &e1);
         let g = build_bdd(&mgr, &e2);
-
-        let and_direct = mgr.and(f, g);
-        let and_ite = mgr.ite(f, g, NodeId::FALSE);
-        prop_assert_eq!(and_direct, and_ite);
-
-        let or_direct = mgr.or(f, g);
-        let or_ite = mgr.ite(f, NodeId::TRUE, g);
-        prop_assert_eq!(or_direct, or_ite);
-
-        let xor_direct = mgr.xor(f, g);
-        let ng = mgr.not(g);
-        let xor_ite = mgr.ite(f, ng, g);
-        prop_assert_eq!(xor_direct, xor_ite);
-
-        let not_direct = mgr.not(f);
-        let not_ite = mgr.ite(f, NodeId::FALSE, NodeId::TRUE);
-        prop_assert_eq!(not_direct, not_ite);
+        let mut r = RefManager::new();
+        let rf = build_ref(&mut r, &e1);
+        let rg = build_ref(&mut r, &e2);
+        let pairs = [
+            (mgr.and(f, g), r.and(rf, rg)),
+            (mgr.or(f, g), r.or(rf, rg)),
+            (mgr.xor(f, g), r.xor(rf, rg)),
+            (mgr.not(f), r.not(rf)),
+        ];
+        for (direct, reference) in pairs {
+            let mut memo = HashMap::new();
+            prop_assert!(structurally_equal(&mgr, direct, &r, reference, &mut memo));
+        }
     }
 
     #[test]
-    fn three_operand_applies_equal_their_ite_encodings(
+    fn three_operand_applies_equal_their_chained_encodings(
         e1 in expr_strategy(),
         e2 in expr_strategy(),
         e3 in expr_strategy(),
-        var in 0..NVARS,
     ) {
         let mgr = Manager::new(NVARS);
         let f = build_bdd(&mgr, &e1);
@@ -222,33 +225,48 @@ proptest! {
         let propagate = mgr.and(fg_or, h);
         let maj_chained = mgr.or(fg_and, propagate);
         prop_assert_eq!(maj_direct, maj_chained);
-
-        // mux_var = ite(x_var, g, h) with the literal materialised.
-        let mux_direct = mgr.mux_var(var, g, h);
-        let x = mgr.var(var);
-        let mux_ite = mgr.ite(x, g, h);
-        prop_assert_eq!(mux_direct, mux_ite);
-
-        // flip_var = ite(x_var, f|_{var=0}, f|_{var=1}).
-        let flip_direct = mgr.flip_var(f, var);
-        let f0 = mgr.cofactor(f, var, false);
-        let f1 = mgr.cofactor(f, var, true);
-        let flip_ite = mgr.ite(x, f0, f1);
-        prop_assert_eq!(flip_direct, flip_ite);
     }
 
     #[test]
-    fn exists_matches_truth_table(e in expr_strategy(), var in 0..NVARS) {
-        let mgr = Manager::new(NVARS);
-        let f = build_bdd(&mgr, &e);
-        let ex = mgr.exists(f, var);
+    fn controlled_flip_and_mux_match_their_definitions(
+        e1 in expr_strategy(),
+        e2 in expr_strategy(),
+        e3 in expr_strategy(),
+        picks in proptest::collection::vec(0..NVARS, 0..4),
+        target in 0..NVARS,
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..6),
+    ) {
+        // At a random variable order, with 0–3 distinct positive controls
+        // anywhere above or below a random target:
+        //   flip(f)(x) = f(x with x_t negated) where every control is 1,
+        //   f(x) elsewhere;  mux(cube, g, h)(x) = cube(x) ? g(x) : h(x).
+        let mut mgr = Manager::new(NVARS);
+        for &level in &swaps {
+            mgr.swap_adjacent_levels(level);
+        }
+        let mut controls: Vec<usize> = picks.into_iter().filter(|&c| c != target).collect();
+        controls.sort_unstable();
+        controls.dedup();
+        let literals: Vec<(usize, bool)> = controls.iter().map(|&c| (c, true)).collect();
+        let cube = mgr.cube(&literals);
+        let (f, g, h) = (build_bdd(&mgr, &e1), build_bdd(&mgr, &e2), build_bdd(&mgr, &e3));
+        let flipped = mgr.controlled_flip(f, cube, target);
+        let muxed = mgr.mux(cube, g, h);
         for a in assignments() {
-            let mut a0 = a.clone();
-            a0[var] = false;
-            let mut a1 = a.clone();
-            a1[var] = true;
-            let expected = eval_expr(&e, &a0) || eval_expr(&e, &a1);
-            prop_assert_eq!(mgr.eval(ex, &a), expected);
+            let on = controls.iter().all(|&c| a[c]);
+            let mut moved = a.clone();
+            if on {
+                moved[target] = !moved[target];
+            }
+            prop_assert_eq!(mgr.eval(flipped, &a), eval_expr(&e1, &moved));
+            let chosen = if on { &e2 } else { &e3 };
+            prop_assert_eq!(mgr.eval(muxed, &a), eval_expr(chosen, &a));
+        }
+        // The flip is an involution and commutes with complementation.
+        prop_assert_eq!(mgr.controlled_flip(flipped, cube, target), f);
+        prop_assert_eq!(mgr.controlled_flip(f.complement(), cube, target), flipped.complement());
+        if let Err(violation) = mgr.check_integrity() {
+            prop_assert!(false, "integrity after flip and mux: {}", violation);
         }
     }
 
@@ -590,6 +608,16 @@ mod reference {
             self.ite(f, ng, g)
         }
 
+        /// `f` with `t` negated where `cube` holds, by its definition:
+        /// `ite(cube, ite(x_t, f|₀, f|₁), f)`.
+        pub fn controlled_flip(&mut self, f: usize, cube: usize, t: usize) -> usize {
+            let f0 = self.restrict(f, t, false);
+            let f1 = self.restrict(f, t, true);
+            let x = self.var(t);
+            let swapped = self.ite(x, f0, f1);
+            self.ite(cube, swapped, f)
+        }
+
         pub fn restrict(&mut self, f: usize, var: usize, value: bool) -> usize {
             let (level, low, high) = self.nodes[f];
             if level > var as u32 {
@@ -714,21 +742,26 @@ fn assert_low_edges_regular(mgr: &Manager, f: NodeId) -> Result<(), String> {
 
 /// One step of a random Clifford+T-shaped workload over a pool of slice
 /// functions, expressed in the kernel ops the gate formulas of
-/// `sliq-core::gates` actually use (flip for X, mux for CX, XOR for the
-/// conditional phase flip, cofactor + XOR3/MAJ full-adder steps for H).
+/// `sliq-core::gates` actually use (the controlled flip for X, CX and CCX,
+/// XOR for the conditional phase flip, cofactor + XOR3/MAJ full-adder
+/// steps for H).
 #[derive(Debug, Clone)]
 enum CtOp {
     X { t: usize },
     Cx { c: usize, t: usize },
+    Ccx { c1: usize, c2: usize, t: usize },
     Phase { t: usize, slice: usize },
     H { t: usize, slice: usize },
 }
 
 fn ct_op_strategy() -> impl Strategy<Value = CtOp> {
     let distinct = (0..NVARS, 0..NVARS).prop_filter("distinct", |(a, b)| a != b);
+    let distinct3 = (0..NVARS, 0..NVARS, 0..NVARS)
+        .prop_filter("distinct", |(a, b, c)| a != b && b != c && a != c);
     prop_oneof![
         (0..NVARS).prop_map(|t| CtOp::X { t }),
         distinct.prop_map(|(c, t)| CtOp::Cx { c, t }),
+        distinct3.prop_map(|(c1, c2, t)| CtOp::Ccx { c1, c2, t }),
         (0..NVARS, 0..4usize).prop_map(|(t, slice)| CtOp::Phase { t, slice }),
         (0..NVARS, 0..4usize).prop_map(|(t, slice)| CtOp::H { t, slice }),
     ]
@@ -797,23 +830,25 @@ proptest! {
             match *op {
                 CtOp::X { t } => {
                     for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
-                        *f = mgr.flip_var(*f, t);
-                        let r0 = r.restrict(*rf, t, false);
-                        let r1 = r.restrict(*rf, t, true);
-                        let x = r.var(t);
-                        *rf = r.ite(x, r0, r1);
+                        *f = mgr.controlled_flip(*f, NodeId::TRUE, t);
+                        *rf = r.controlled_flip(*rf, R_TRUE, t);
                     }
                 }
                 CtOp::Cx { c, t } => {
+                    let cube = mgr.var(c);
+                    let rcube = r.var(c);
                     for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
-                        let swapped = mgr.flip_var(*f, t);
-                        *f = mgr.mux_var(c, swapped, *f);
-                        let r0 = r.restrict(*rf, t, false);
-                        let r1 = r.restrict(*rf, t, true);
-                        let x = r.var(t);
-                        let rswapped = r.ite(x, r0, r1);
-                        let qc = r.var(c);
-                        *rf = r.ite(qc, rswapped, *rf);
+                        *f = mgr.controlled_flip(*f, cube, t);
+                        *rf = r.controlled_flip(*rf, rcube, t);
+                    }
+                }
+                CtOp::Ccx { c1, c2, t } => {
+                    let cube = mgr.cube(&[(c1, true), (c2, true)]);
+                    let (rc1, rc2) = (r.var(c1), r.var(c2));
+                    let rcube = r.and(rc1, rc2);
+                    for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
+                        *f = mgr.controlled_flip(*f, cube, t);
+                        *rf = r.controlled_flip(*rf, rcube, t);
                     }
                 }
                 CtOp::Phase { t, slice } => {

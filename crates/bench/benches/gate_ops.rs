@@ -50,6 +50,39 @@ fn bench_single_gates(c: &mut Criterion) {
                 target: 10,
             },
         ),
+        // The controlled flip's other shapes: a control below its target
+        // (the flip multiplexes under the target), and SWAP/Fredkin, which
+        // compose three controlled flips.
+        (
+            "cx_below",
+            Gate::Cnot {
+                control: 9,
+                target: 2,
+            },
+        ),
+        (
+            "cccx_below",
+            Gate::Toffoli {
+                controls: vec![1, 5, 12],
+                target: 10,
+            },
+        ),
+        (
+            "swap",
+            Gate::Fredkin {
+                controls: vec![],
+                target1: 4,
+                target2: 11,
+            },
+        ),
+        (
+            "cswap",
+            Gate::Fredkin {
+                controls: vec![7],
+                target1: 4,
+                target2: 11,
+            },
+        ),
     ];
 
     // SLIQ_AUTO_REORDER=1 (the CI bench-smoke job sets it) runs the whole

@@ -248,21 +248,7 @@ impl Circuit {
     /// Returns the first [`CircuitError`] encountered, if any.
     pub fn validate(&self) -> Result<(), CircuitError> {
         for (i, gate) in self.gates.iter().enumerate() {
-            for q in gate.qubits() {
-                if q >= self.num_qubits {
-                    return Err(CircuitError::QubitOutOfRange {
-                        qubit: q,
-                        num_qubits: self.num_qubits,
-                        gate_index: i,
-                    });
-                }
-            }
-            if !gate.operands_distinct() {
-                return Err(CircuitError::DuplicateOperands {
-                    gate_index: i,
-                    gate: gate.to_string(),
-                });
-            }
+            gate.check_operands(self.num_qubits, i)?;
             if let Gate::Conditional {
                 width,
                 value,

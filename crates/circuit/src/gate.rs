@@ -6,6 +6,7 @@
 //! are the inverse permutations of S and T and they keep the algebraic
 //! representation closed).
 
+use crate::error::CircuitError;
 use std::fmt;
 
 /// A quantum gate applied to specific qubits.
@@ -246,6 +247,31 @@ impl Gate {
         let mut qs = self.qubits();
         qs.sort_unstable();
         qs.windows(2).all(|w| w[0] != w[1])
+    }
+
+    /// Checks that every operand is one of `num_qubits` qubits and that no
+    /// two operands coincide — the precondition of every simulator's update
+    /// rule.  `gate_index` is the gate's position, reported in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::QubitOutOfRange`] or
+    /// [`CircuitError::DuplicateOperands`].
+    pub fn check_operands(&self, num_qubits: usize, gate_index: usize) -> Result<(), CircuitError> {
+        if let Some(qubit) = self.qubits().into_iter().find(|&q| q >= num_qubits) {
+            return Err(CircuitError::QubitOutOfRange {
+                qubit,
+                num_qubits,
+                gate_index,
+            });
+        }
+        if !self.operands_distinct() {
+            return Err(CircuitError::DuplicateOperands {
+                gate_index,
+                gate: self.to_string(),
+            });
+        }
+        Ok(())
     }
 }
 

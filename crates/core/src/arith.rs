@@ -11,6 +11,11 @@
 //! applied slice-wise, with a per-row conditional complement (for the
 //! subtracted operand) folded into the initial carry — exactly the
 //! construction the paper derives for the Hadamard gate in Proposition 1.
+//!
+//! Only the adder-shaped stages live here.  Row permutations and the
+//! phase gates' family selection call the kernel's
+//! [`sliq_bdd::Manager::controlled_flip`], [`sliq_bdd::Manager::mux`] and
+//! [`sliq_bdd::Manager::cofactor`] directly.
 
 use sliq_bdd::{Manager, NodeId};
 
@@ -65,32 +70,6 @@ pub fn negate_where(mgr: &Manager, v: &[NodeId], cond: NodeId) -> Vec<NodeId> {
         }
     }
     out
-}
-
-/// The value at every row with qubit `t` flipped (the "swap halves along
-/// qubit `t`" permutation used by the X/Y gates): `F'(…, qₜ, …) = F(…, ¬qₜ, …)`,
-/// computed by the manager's one-pass cofactor swap.
-pub fn swap_along(mgr: &Manager, f: NodeId, t: usize) -> NodeId {
-    mgr.flip_var(f, t)
-}
-
-/// The value at every row with qubits `t1` and `t2` exchanged (the SWAP
-/// permutation used by the Fredkin gate).
-pub fn swap_pair(mgr: &Manager, f: NodeId, t1: usize, t2: usize) -> NodeId {
-    let f00 = mgr.cofactor_cube(f, &[(t1, false), (t2, false)]);
-    let f01 = mgr.cofactor_cube(f, &[(t1, false), (t2, true)]);
-    let f10 = mgr.cofactor_cube(f, &[(t1, true), (t2, false)]);
-    let f11 = mgr.cofactor_cube(f, &[(t1, true), (t2, true)]);
-    // New value at (t1, t2) = (x, y) is the old value at (y, x).
-    let when_t1_set = mgr.mux_var(t2, f11, f01);
-    let when_t1_clear = mgr.mux_var(t2, f10, f00);
-    mgr.mux_var(t1, when_t1_set, when_t1_clear)
-}
-
-/// The replicated cofactor `F|_{qₜ = value}` (a function that no longer
-/// depends on qubit `t`).
-pub fn cofactor_replicated(mgr: &Manager, f: NodeId, t: usize, value: bool) -> NodeId {
-    mgr.cofactor(f, t, value)
 }
 
 #[cfg(test)]
@@ -160,50 +139,5 @@ mod tests {
         v.push(msb); // sign extension to 5 bits
         let negated = negate_where(&mgr, &v, NodeId::TRUE);
         assert_eq!(value_at(&mgr, &negated, &[false]), 8);
-    }
-
-    #[test]
-    fn swap_along_exchanges_the_two_halves() {
-        let mgr = Manager::new(2);
-        // f = q0 (value 1 exactly on rows with q0 = 1)
-        let f = mgr.var(0);
-        let swapped = swap_along(&mgr, f, 0);
-        assert!(mgr.eval(swapped, &[false, false]));
-        assert!(!mgr.eval(swapped, &[true, false]));
-        // Swapping along an independent qubit is a no-op.
-        let same = swap_along(&mgr, f, 1);
-        assert_eq!(same, f);
-    }
-
-    #[test]
-    fn swap_pair_permutes_rows() {
-        let mgr = Manager::new(3);
-        // f is true exactly on (q0, q1, q2) = (1, 0, *).
-        let q0 = mgr.var(0);
-        let nq1 = mgr.nvar(1);
-        let f = mgr.and(q0, nq1);
-        let g = swap_pair(&mgr, f, 0, 1);
-        // g must be true exactly on (0, 1, *).
-        assert!(mgr.eval(g, &[false, true, false]));
-        assert!(mgr.eval(g, &[false, true, true]));
-        assert!(!mgr.eval(g, &[true, false, false]));
-        assert!(!mgr.eval(g, &[true, true, false]));
-        // Swapping twice restores the original function.
-        let back = swap_pair(&mgr, g, 0, 1);
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn mux_var_is_a_row_multiplexer() {
-        let mgr = Manager::new(1);
-        let three = constant_vector(&mgr, 3, 4);
-        let five = constant_vector(&mgr, 5, 4);
-        let mixed: Vec<_> = three
-            .iter()
-            .zip(five.iter())
-            .map(|(&x, &y)| mgr.mux_var(0, x, y))
-            .collect();
-        assert_eq!(value_at(&mgr, &mixed, &[true]), 3);
-        assert_eq!(value_at(&mgr, &mixed, &[false]), 5);
     }
 }

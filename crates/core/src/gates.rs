@@ -5,6 +5,12 @@
 //! Fredkin) only rearrange rows; diagonal and rotation gates additionally run
 //! the symbolic two's-complement adders from [`crate::arith`].
 //!
+//! Every row permutation is the kernel's controlled flip
+//! ([`Manager::controlled_flip`]): X, CNOT and Toffoli make one flip pass
+//! per slice, with the control cube built once per gate, and SWAP and
+//! Fredkin make three, by the exact identity
+//! `CSWAP(C; t₁, t₂) = CX(t₂→t₁) · CCX(C ∪ {t₁} → t₂) · CX(t₂→t₁)`.
+//!
 //! The formulas were re-derived from the gate matrices (several overlines in
 //! the published table are typographically ambiguous) and are cross-checked
 //! against the dense state-vector oracle by the crate's property tests.
@@ -14,9 +20,10 @@
 //! Every gate decomposes into per-slice BDD updates, applied in plain
 //! loops on the state's single-owner manager.  They come in two shapes:
 //!
-//! * **permutation-shaped stages** (X/CNOT/Toffoli/Fredkin row permutations,
-//!   the cofactor and swap stages of H/Ry/Rx/Y, the family selection of
-//!   S/S†/T/T†) update each of the `4·r` slices on its own;
+//! * **permutation-shaped stages** (the controlled flips of
+//!   X/CNOT/Toffoli/Fredkin and of the half-swaps inside Y and Rx, the
+//!   cofactor stage of H/Ry, the family multiplexer of S/S†/T/T†) update
+//!   each of the `4·r` slices on its own;
 //! * **adder-shaped stages** (the ripple-carry chains of H/Ry/Rx and the
 //!   conditional negations of Z/CZ/Y/S-family) carry a dependency across
 //!   the slices of one family but none across families.
@@ -40,22 +47,14 @@ pub(crate) fn apply(state: &mut BitSliceState, gate: &Gate) {
 
 fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
     match gate {
-        Gate::X(t) => permute_all(state, |mgr, f| arith::swap_along(mgr, f, *t)),
+        Gate::X(t) => flip_all(state, NodeId::TRUE, *t),
         Gate::Cnot { control, target } => {
-            let (c, t) = (*control, *target);
-            permute_all(state, |mgr, f| {
-                let swapped = arith::swap_along(mgr, f, t);
-                mgr.mux_var(c, swapped, f)
-            });
+            let control = state.mgr.var(*control);
+            flip_all(state, control, *target);
         }
         Gate::Toffoli { controls, target } => {
-            let t = *target;
-            permute_all(state, |mgr, f| {
-                let swapped = arith::swap_along(mgr, f, t);
-                let control_vars: Vec<NodeId> = controls.iter().map(|&c| mgr.var(c)).collect();
-                let qc = mgr.and_many(&control_vars);
-                mgr.ite(qc, swapped, f)
-            });
+            let controls = all_set(&state.mgr, controls.iter().copied());
+            flip_all(state, controls, *target);
         }
         Gate::Fredkin {
             controls,
@@ -63,12 +62,11 @@ fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
             target2,
         } => {
             let (t1, t2) = (*target1, *target2);
-            permute_all(state, |mgr, f| {
-                let swapped = arith::swap_pair(mgr, f, t1, t2);
-                let control_vars: Vec<NodeId> = controls.iter().map(|&c| mgr.var(c)).collect();
-                let qc = mgr.and_many(&control_vars);
-                mgr.ite(qc, swapped, f)
-            });
+            let outer = state.mgr.var(t2);
+            let inner = all_set(&state.mgr, controls.iter().copied().chain([t1]));
+            flip_all(state, outer, t1);
+            flip_all(state, inner, t2);
+            flip_all(state, outer, t1);
         }
         Gate::Z(t) => {
             state.extend(1);
@@ -101,11 +99,18 @@ fn apply_inner(state: &mut BitSliceState, gate: &Gate) {
     }
 }
 
-/// Applies the same row permutation to every slice of every family.
-fn permute_all(state: &mut BitSliceState, permute: impl Fn(&Manager, NodeId) -> NodeId) {
+/// The positive cube of `qubits`: the rows where every one of them is 1.
+fn all_set(mgr: &Manager, qubits: impl Iterator<Item = usize>) -> NodeId {
+    let literals: Vec<(usize, bool)> = qubits.map(|q| (q, true)).collect();
+    mgr.cube(&literals)
+}
+
+/// Flips qubit `t` on the rows where the positive cube `controls` holds,
+/// in every slice of every family.
+fn flip_all(state: &mut BitSliceState, controls: NodeId, t: usize) {
     let mgr = &state.mgr;
     for slice in state.slices.iter_mut().flatten() {
-        *slice = permute(mgr, *slice);
+        *slice = mgr.controlled_flip(*slice, controls, t);
     }
 }
 
@@ -173,7 +178,7 @@ fn apply_phase_family_rotation(state: &mut BitSliceState, t: usize, rotation: Ph
     let mut mixed: [Vec<NodeId>; 4] = std::array::from_fn(|family| {
         let (source_when_set, keep_otherwise, _) = plan[family];
         (0..r)
-            .map(|j| mgr.mux_var(t, source_when_set[j], keep_otherwise[j]))
+            .map(|j| mgr.mux(qt, source_when_set[j], keep_otherwise[j]))
             .collect()
     });
     // Stage 2: the conditional negations — one carry chain per family.
@@ -186,13 +191,14 @@ fn apply_phase_family_rotation(state: &mut BitSliceState, t: usize, rotation: Ph
     state.shrink();
 }
 
-/// Applies the "swap halves along qubit `t`" permutation to every slice of
-/// every family, returning the permuted copies (originals untouched).
+/// Applies the "swap halves along qubit `t`" permutation (the value at
+/// every row with qubit `t` flipped) to every slice of every family,
+/// returning the permuted copies (originals untouched).
 fn swap_all_families(state: &BitSliceState, t: usize) -> [Vec<NodeId>; 4] {
     std::array::from_fn(|family| {
         state.slices[family]
             .iter()
-            .map(|&f| arith::swap_along(&state.mgr, f, t))
+            .map(|&f| state.mgr.controlled_flip(f, NodeId::TRUE, t))
             .collect()
     })
 }
@@ -243,8 +249,8 @@ fn apply_hadamard_like(state: &mut BitSliceState, t: usize, kind: HadamardKind) 
         state.slices[family]
             .iter()
             .map(|&f| {
-                let f0 = arith::cofactor_replicated(mgr, f, t, false);
-                let f1 = arith::cofactor_replicated(mgr, f, t, true);
+                let f0 = mgr.cofactor(f, t, false);
+                let f1 = mgr.cofactor(f, t, true);
                 (f0, mgr.xor(f1, negate_cond))
             })
             .unzip()

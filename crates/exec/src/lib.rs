@@ -119,6 +119,49 @@ mod tests {
     }
 
     #[test]
+    fn invalid_operands_are_errors_on_every_backend() {
+        use sliq_circuit::{CircuitError, Gate};
+        let out_of_range = |e: &ExecError| {
+            matches!(
+                e,
+                ExecError::Circuit(CircuitError::QubitOutOfRange { qubit: 7, .. })
+            )
+        };
+        let repeated = |e: &ExecError| {
+            matches!(
+                e,
+                ExecError::Circuit(CircuitError::DuplicateOperands { .. })
+            )
+        };
+        for kind in BackendKind::ALL {
+            let mut session = Session::new(3, SessionConfig::with_backend(kind)).unwrap();
+            let mut wide = Circuit::new(3);
+            wide.h(0).x(7);
+            assert!(out_of_range(&session.run(&wide).unwrap_err()), "{kind}");
+            let mut self_controlled = Circuit::new(3);
+            self_controlled.h(0).cx(1, 1);
+            assert!(
+                repeated(&session.run(&self_controlled).unwrap_err()),
+                "{kind}"
+            );
+            let err = session.apply_gate(&Gate::X(7)).unwrap_err();
+            assert!(out_of_range(&err), "{kind}");
+            let err = session
+                .apply_gate(&Gate::Cnot {
+                    control: 1,
+                    target: 1,
+                })
+                .unwrap_err();
+            assert!(repeated(&err), "{kind}");
+            // Nothing ran: the session is still |000⟩ and keeps working.
+            assert_eq!(session.gates_applied(), 0, "{kind}");
+            assert!((session.probability_of_basis_state(&[false; 3]) - 1.0).abs() < 1e-12);
+            let result = session.run(&ghz(3)).unwrap();
+            assert!(result.probability_error() < 1e-12, "{kind}");
+        }
+    }
+
+    #[test]
     fn snapshots_roll_back_every_backend() {
         for kind in BackendKind::ALL {
             let mut session = Session::new(2, SessionConfig::with_backend(kind)).unwrap();

@@ -300,7 +300,9 @@ static NEXT_SESSION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// [`Gate::Measure`], [`Gate::Reset`] and [`Gate::Conditional`], which no
 /// backend implements natively — against a backend, returning the number of
 /// operations executed and the final classical register (`None` for static
-/// circuits).
+/// circuits).  The circuit must be valid ([`Circuit::validate`]):
+/// [`Session::run`] checks it before anything reads it, and a cache-hit
+/// replay repeats a circuit that a run has checked.
 ///
 /// Dynamic operations consume randomness from a private
 /// `StdRng::seed_from_u64(measurement_seed)` stream, one draw per
@@ -322,9 +324,6 @@ fn interpret_circuit(
         }
         return Ok((gates, None));
     }
-    // Dynamic interpretation indexes the classical register, so the clbit
-    // ranges must be validated before touching the backend.
-    circuit.validate()?;
     let mut creg = vec![false; circuit.num_clbits()];
     let mut rng = StdRng::seed_from_u64(measurement_seed);
     let mut ops = 0usize;
@@ -513,7 +512,9 @@ impl Session {
     /// Dynamic operations are rejected here: they need the classical
     /// register and the seeded measurement stream that only whole-circuit
     /// execution carries.  Run them through [`Session::run`], or collapse
-    /// qubits directly with [`Session::measure_with`].
+    /// qubits directly with [`Session::measure_with`].  A gate on a qubit
+    /// outside the session, or with a repeated operand, fails with
+    /// [`ExecError::Circuit`] and leaves the state untouched.
     pub fn apply_gate(&mut self, gate: &Gate) -> Result<(), ExecError> {
         if gate.is_dynamic() {
             return Err(ExecError::Unsupported {
@@ -524,6 +525,9 @@ impl Session {
                 ),
             });
         }
+        // Backends index their state by the operands and assume them
+        // distinct, so a streamed gate is checked like a circuit's.
+        gate.check_operands(self.num_qubits, self.gates_applied)?;
         self.materialize();
         self.pristine = false;
         self.state_fingerprint = None;
@@ -551,6 +555,10 @@ impl Session {
     /// operation needs the concrete state); a miss simulates and publishes.
     /// A cached result carries its publisher's `stats` and timing-free
     /// counters verbatim, with `elapsed` rewritten to the lookup time.
+    ///
+    /// A circuit that fails [`Circuit::validate`] (a qubit outside the
+    /// session, a repeated operand, a malformed dynamic operation) fails
+    /// with [`ExecError::Circuit`] before anything runs.
     pub fn run(&mut self, circuit: &Circuit) -> Result<RunResult, ExecError> {
         if circuit.num_qubits() != self.num_qubits {
             return Err(ExecError::QubitMismatch {
@@ -558,6 +566,10 @@ impl Session {
                 circuit: circuit.num_qubits(),
             });
         }
+        // Before the cache fingerprints the circuit or a backend indexes its
+        // state (or the dynamic interpreter its classical register) by the
+        // operands.
+        circuit.validate()?;
         // Soundness gate: only a pristine session may consult or publish —
         // a cached entry describes `circuit` applied to `|0…0⟩` and nothing
         // else (see `crate::cache`).  Dynamic circuits are keyed by

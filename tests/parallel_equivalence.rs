@@ -230,7 +230,9 @@ fn sessions_report_identical_kernel_work_counters() {
     // cofactors build nodes.  (At a fixed order every slice conjunction
     // the sampler needs may already exist, and a cofactor by the top
     // variable is a child pointer, so sampling need not create a node.)
-    let circuit = random::random_clifford_t(16, 1);
+    // The instance must allocate past the 65 536-node GC threshold at the
+    // fixed order: this one creates about 120 000 nodes and collects once.
+    let circuit = random::random_clifford_t(20, 1);
     for reorder in [false, true] {
         let work = assert_side_by_side_invariant("session kernel work", || {
             let config = SessionConfig::with_backend(BackendKind::BitSlice).auto_reorder(reorder);

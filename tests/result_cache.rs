@@ -146,7 +146,9 @@ fn warm_hits_perform_zero_backend_simulation() {
 /// fixed order and under auto-reorder.
 #[test]
 fn cache_hit_replay_repeats_the_publishers_kernel_work() {
-    let circuit = sliq_workloads::random::random_clifford_t(16, 1);
+    // The instance must allocate past the 65 536-node GC threshold at the
+    // fixed order: this one creates about 120 000 nodes and collects once.
+    let circuit = sliq_workloads::random::random_clifford_t(20, 1);
     let work = |stats: sliqsim::bdd::ManagerStats| sliqsim::bdd::ManagerStats {
         reorder_micros: 0,
         ..stats
