@@ -19,8 +19,8 @@
 //!   apply (see the `shard` module docs).  Parallelism comes from
 //!   independent managers, one per session,
 //! * **dynamic variable reordering**: an in-place adjacent-level swap and
-//!   Rudell-style sifting (with a converging option and an automatic
-//!   trigger), plus a root registry so external [`NodeId`] handles survive
+//!   Rudell-style sifting (one pass per run, with an automatic trigger),
+//!   plus a root registry so external [`NodeId`] handles survive
 //!   reordering — see the [`Manager::reorder`] /
 //!   [`Manager::swap_adjacent_levels`] / [`Manager::register_root`] family
 //!   and the `reorder` module docs,

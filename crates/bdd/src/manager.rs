@@ -493,8 +493,6 @@ pub struct Manager {
     /// Caller-configured lower bound the re-armed threshold never drops
     /// below (defaults to [`DEFAULT_REORDER_THRESHOLD`]).
     reorder_threshold_floor: usize,
-    /// Whether [`Manager::reorder`] repeats sifting passes to convergence.
-    pub(crate) converging_sifting: bool,
     /// The seven operation caches, indexed by the `AND..MUX` constants.
     caches: [DirectCache; 7],
     /// Generation stamp giving O(1) cache clear: entries whose `epoch` field
@@ -545,7 +543,6 @@ impl Manager {
             auto_reorder: false,
             reorder_threshold: DEFAULT_REORDER_THRESHOLD,
             reorder_threshold_floor: DEFAULT_REORDER_THRESHOLD,
-            converging_sifting: false,
             caches: [
                 DirectCache::new(2), // and
                 DirectCache::new(2), // xor
@@ -1574,11 +1571,6 @@ impl Manager {
         self.allocated_nodes() > self.gc_threshold
     }
 
-    /// Overrides the automatic GC threshold (number of allocated nodes).
-    pub fn set_gc_threshold(&mut self, threshold: usize) {
-        self.gc_threshold = threshold;
-    }
-
     /// GC-time cache-cap auto-tuning: when the eviction rate over the GC
     /// interval stays above 1/4 of the stores for two consecutive
     /// collections, raise the growth cap one power of two (up to 2²⁰).
@@ -1707,13 +1699,6 @@ impl Manager {
     pub fn set_reorder_threshold(&mut self, threshold: usize) {
         self.reorder_threshold = threshold;
         self.reorder_threshold_floor = threshold;
-    }
-
-    /// Enables converging sifting: [`Manager::reorder`] repeats whole
-    /// passes until a pass improves the size by less than 1% (or a small
-    /// pass cap is hit).
-    pub fn set_converging_sifting(&mut self, converge: bool) {
-        self.converging_sifting = converge;
     }
 
     /// Runs [`Manager::reorder`] iff automatic reordering is enabled and

@@ -53,8 +53,8 @@
 //! order by adjacent swaps (closer end first), the best total size seen is
 //! remembered, and the variable is parked there.  A move aborts early when
 //! the size grows past `max(size·6/5, size+20)` — the classic 1.2× growth
-//! limit.  With the converging option the whole pass repeats until a pass
-//! improves the total size by less than 1%.
+//! limit.  A run is one pass over the variables; a caller that wants
+//! another calls [`Manager::reorder`] again.
 //!
 //! ## Cost model
 //!
@@ -98,8 +98,6 @@ pub struct ReorderStats {
     pub size_before: usize,
     /// Live nodes after the run.
     pub size_after: usize,
-    /// Sifting passes executed (> 1 only with converging sifting).
-    pub passes: u32,
     /// Wall-clock duration of the run, in microseconds.
     pub micros: u64,
 }
@@ -266,8 +264,7 @@ impl Manager {
     }
 
     /// One sifting pass over every variable, largest subtable first.
-    /// Returns the total size after the pass.
-    fn sift_pass(&mut self, refs: &mut Vec<u32>) -> usize {
+    fn sift_pass(&mut self, refs: &mut Vec<u32>) {
         let mut vars = self.level_to_var.clone();
         vars.sort_by_key(|&v| std::cmp::Reverse(self.subtables[v as usize].len()));
         for var in vars {
@@ -284,7 +281,6 @@ impl Manager {
             }
             self.sift_var(var, refs);
         }
-        self.live_table_len()
     }
 
     /// Moves `var` through every level of the order, then parks it at
@@ -354,10 +350,9 @@ impl Manager {
 
     /// Full Rudell sifting: garbage-collects against the registered roots
     /// (when any are registered, so sizes are honest), sifts every
-    /// variable, optionally repeats to convergence,
-    /// and retires the op-cache epoch.  Every surviving edge keeps its id
-    /// and function, so external handles — registered or not — remain
-    /// valid; registration is what *guarantees* survival.
+    /// variable once, and retires the op-cache epoch.  Every surviving edge
+    /// keeps its id and function, so external handles — registered or not —
+    /// remain valid; registration is what *guarantees* survival.
     pub fn reorder(&mut self) -> ReorderStats {
         let started = std::time::Instant::now();
         if self.num_vars() < 2 {
@@ -370,24 +365,12 @@ impl Manager {
         let swaps_before = self.exclusive.reorder_swaps;
         let size_before = self.live_table_len();
         let mut refs = self.build_refs();
-        let mut passes = 0u32;
-        let mut previous = size_before;
-        loop {
-            passes += 1;
-            let size = self.sift_pass(&mut refs);
-            // Converge: stop when a pass gains less than 1% (or after a
-            // safety cap of passes).
-            if !self.converging_sifting || passes >= 8 || size * 100 >= previous * 99 {
-                break;
-            }
-            previous = size;
-        }
+        self.sift_pass(&mut refs);
         self.invalidate_caches();
         let stats = ReorderStats {
             swaps: self.exclusive.reorder_swaps - swaps_before,
             size_before,
             size_after: self.live_table_len(),
-            passes,
             micros: started.elapsed().as_micros() as u64,
         };
         self.exclusive.reorders += 1;
@@ -513,17 +496,5 @@ mod tests {
             !mgr.maybe_reorder(),
             "threshold re-armed at twice the post-reorder size"
         );
-    }
-
-    #[test]
-    fn converging_sift_runs_multiple_passes_when_asked() {
-        let n = 10;
-        let mut mgr = Manager::new(n);
-        let f = paired_or(&mut mgr, n);
-        let _slot = mgr.register_root(f);
-        mgr.set_converging_sifting(true);
-        let stats = mgr.reorder();
-        assert!(stats.passes >= 1);
-        mgr.check_integrity().expect("integrity");
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! All backend construction and execution goes through the
 //! [`sliq_exec::Session`] API; this module only adds the wall-clock timeout
-//! (a worker thread per case) and the paper-style `TO/MO/err` aggregation
-//! on top.
+//! (`with_timeout`, the harness's one timeout helper) and the paper-style
+//! `TO/MO/err` aggregation on top.  Cases run one at a time, so a row's
+//! time is the case's own.
 
 use sliq_circuit::Circuit;
 use sliq_exec::{ExecError, Session, SessionConfig};
@@ -81,11 +82,6 @@ pub struct CaseLimits {
     /// forced on by the `SLIQ_AUTO_REORDER` environment variable, which the
     /// CI bench-smoke job uses to exercise the reorder path.
     pub auto_reorder: bool,
-    /// Attaches the process-wide canonical-circuit result cache to every
-    /// session (`--cache` on the `tables` binary): repeated cases are then
-    /// served from memoised results, and the kernel report prints the
-    /// cache's hit/miss/eviction counters.
-    pub use_result_cache: bool,
 }
 
 impl Default for CaseLimits {
@@ -95,7 +91,6 @@ impl Default for CaseLimits {
             max_nodes: 2_000_000,
             max_bytes: None,
             auto_reorder: false,
-            use_result_cache: false,
         }
     }
 }
@@ -117,8 +112,7 @@ impl CaseLimits {
     pub fn session_config(&self, backend: Backend) -> SessionConfig {
         let config = SessionConfig::with_backend(backend)
             .max_nodes(self.max_nodes)
-            .auto_reorder(self.auto_reorder || auto_reorder_env())
-            .result_cache(self.use_result_cache);
+            .auto_reorder(self.auto_reorder || auto_reorder_env());
         match self.max_bytes {
             Some(max_bytes) => config.max_bytes(max_bytes),
             None => config,
@@ -161,19 +155,30 @@ fn run_backend(backend: Backend, circuit: &Circuit, limits: CaseLimits) -> Backe
     }
 }
 
-/// Runs `circuit` on `backend` under the given limits, enforcing the
-/// wall-clock timeout in a worker thread.
-pub fn run_case(backend: Backend, circuit: &Circuit, limits: CaseLimits) -> CaseResult {
+/// Runs `work` on a fresh thread and waits at most `timeout` for its
+/// result; `None` when the limit passes first.  A thread that times out is
+/// detached, not stopped, and keeps its core until its work ends.
+pub(crate) fn with_timeout<T: Send + 'static>(
+    timeout: Duration,
+    work: impl FnOnce() -> T + Send + 'static,
+) -> Option<T> {
     let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver may have given up already; ignore the send error.
+        let _ = tx.send(work());
+    });
+    rx.recv_timeout(timeout).ok()
+}
+
+/// Runs `circuit` on `backend` under the given limits, enforcing the
+/// wall-clock timeout on a thread of its own (`with_timeout`).
+pub fn run_case(backend: Backend, circuit: &Circuit, limits: CaseLimits) -> CaseResult {
     let circuit = circuit.clone();
     let start = Instant::now();
-    std::thread::spawn(move || {
-        let result = run_backend(backend, &circuit, limits);
-        // The receiver may have given up already; ignore the send error.
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(limits.timeout) {
-        Ok((status, memory_mib, probability_error, bdd_stats)) => CaseResult {
+    match with_timeout(limits.timeout, move || {
+        run_backend(backend, &circuit, limits)
+    }) {
+        Some((status, memory_mib, probability_error, bdd_stats)) => CaseResult {
             backend,
             status,
             seconds: start.elapsed().as_secs_f64(),
@@ -181,7 +186,7 @@ pub fn run_case(backend: Backend, circuit: &Circuit, limits: CaseLimits) -> Case
             probability_error,
             bdd_stats,
         },
-        Err(_) => CaseResult {
+        None => CaseResult {
             backend,
             status: CaseStatus::TimedOut,
             seconds: limits.timeout.as_secs_f64(),

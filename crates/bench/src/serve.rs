@@ -7,9 +7,11 @@
 //! Two servers are measured with the same request sequence: one with the
 //! result cache disabled (the cold pass) and one with a fresh shared cache
 //! (a warming pass that populates it, then a warm pass where every request
-//! hits).  The cold/warm throughput ratio is the serving-level analogue of
-//! [`crate::tables::cache_report`]'s single-threaded measurement.
+//! hits).  The warm/cold throughput ratio prices what the result cache buys
+//! under production-shaped traffic; [`SERVE_GATE`] bounds it and checks
+//! that the warm pass really was served from the cache.
 
+use crate::report::{Bound, Check, Report};
 use crate::runner::bench_smoke_env;
 use crate::tables::Scale;
 use rand::rngs::StdRng;
@@ -77,6 +79,8 @@ pub struct ServeReport {
     pub warm: PassReport,
     /// Cache counters after the warm pass.
     pub cache: ResultCacheStats,
+    /// Cache hits during the warm pass alone.
+    pub warm_hits: u64,
 }
 
 impl ServeReport {
@@ -92,10 +96,77 @@ impl ServeReport {
     pub fn warm_speedup(&self) -> f64 {
         self.warm.req_per_sec() / self.cold.req_per_sec().max(1e-9)
     }
+
+    /// The report as written to `BENCH_serve.json`.  The headline latency
+    /// fields are the cold (uncached) pass's; the warm percentiles ride
+    /// along under their own names.
+    pub fn to_report(&self) -> Report {
+        let (cold, warming, warm) = (&self.cold, &self.warming, &self.warm);
+        let fields = vec![
+            ("clients", self.clients.into()),
+            ("requests_per_client", self.requests_per_client.into()),
+            ("shots", self.shots.into()),
+            ("workers", self.workers.into()),
+            ("population", self.population.len().into()),
+            ("sessions_per_sec", self.sessions_per_sec().into()),
+            ("cold_secs", cold.secs.into()),
+            ("cold_rps", cold.req_per_sec().into()),
+            ("cold_ok", cold.ok.into()),
+            ("cold_overloaded", cold.overloaded.into()),
+            ("cold_errors", cold.errors.into()),
+            ("warming_secs", warming.secs.into()),
+            ("warming_rps", warming.req_per_sec().into()),
+            ("warming_ok", warming.ok.into()),
+            ("warming_overloaded", warming.overloaded.into()),
+            ("warming_errors", warming.errors.into()),
+            ("warm_secs", warm.secs.into()),
+            ("warm_rps", warm.req_per_sec().into()),
+            ("warm_ok", warm.ok.into()),
+            ("warm_overloaded", warm.overloaded.into()),
+            ("warm_errors", warm.errors.into()),
+            ("p50_ms", cold.latency.p50_ms.into()),
+            ("p99_ms", cold.latency.p99_ms.into()),
+            ("warm_p50_ms", warm.latency.p50_ms.into()),
+            ("warm_p99_ms", warm.latency.p99_ms.into()),
+            ("warm_speedup", self.warm_speedup().into()),
+            (
+                "warm_hits_per_request",
+                (self.warm_hits as f64 / warm.ok as f64).into(),
+            ),
+            ("cache_hits", self.cache.hits.into()),
+            ("cache_misses", self.cache.misses.into()),
+            ("cache_hit_rate", self.cache.hit_rate().into()),
+        ];
+        Report {
+            fields,
+            rows: Vec::new(),
+        }
+    }
 }
 
-/// The benchmark's circuit population, identical to the result-cache
-/// benchmark's so the two reports stay comparable.
+/// The serving gate (`tables -- serve --baseline <path>`).  Wall-clock
+/// throughput on shared CI runners is noisy, so it checks shape, not
+/// speed:
+/// * every pass completes with no error and a real cold p99;
+/// * the warm pass beats the cold pass, and its speedup stays above 20 %
+///   of the baseline's;
+/// * every warm request is served from the cache: two hits per request,
+///   one for the run and one for the sample.  This one is deterministic,
+///   and does not shrink as cold serving gets faster.
+pub const SERVE_GATE: &[Check] = &[
+    Check("cold_ok", Bound::AtLeast(1.0)),
+    // 1 µs: the p99 is present and nonzero.
+    Check("p99_ms", Bound::AtLeast(0.001)),
+    Check("cold_errors", Bound::AtMost(0.0)),
+    Check("warming_errors", Bound::AtMost(0.0)),
+    Check("warm_errors", Bound::AtMost(0.0)),
+    Check("warm_speedup", Bound::AtLeast(1.0)),
+    Check("warm_speedup", Bound::AtLeastBaseline(0.2)),
+    Check("warm_hits_per_request", Bound::AtLeast(2.0)),
+    Check("warm_hits_per_request", Bound::AtMost(2.0)),
+];
+
+/// The benchmark's circuit population.
 fn population() -> Vec<(String, Circuit)> {
     vec![
         (
@@ -254,8 +325,10 @@ pub fn serve_report(scale: Scale) -> ServeReport {
     .spawn()
     .expect("spawn warm bench server");
     let warming = run_pass(warm_server.addr(), &circuits, &sequences, shots);
+    let hits_before_warm = cache.stats().hits;
     let warm = run_pass(warm_server.addr(), &circuits, &sequences, shots);
     warm_server.shutdown();
+    let cache_stats = cache.stats();
 
     let shares: Vec<f64> = {
         let mut counts = vec![0usize; circuits.len()];
@@ -283,7 +356,8 @@ pub fn serve_report(scale: Scale) -> ServeReport {
         cold,
         warming,
         warm,
-        cache: cache.stats(),
+        warm_hits: cache_stats.hits - hits_before_warm,
+        cache: cache_stats,
     }
 }
 

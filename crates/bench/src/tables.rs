@@ -1,27 +1,23 @@
 //! Reproduction of the paper's evaluation tables (Section IV).
 //!
 //! Each `table*_rows` function generates the corresponding benchmark family,
-//! runs it on the relevant backends under per-case time/node limits and
-//! returns structured rows; the `format_*` functions render them in the same
-//! layout as the paper.  Absolute numbers depend on the machine and on the
-//! (scaled-down) default sizes, but the qualitative shape — which backend
-//! fails where, and who is faster on which family — is what the reproduction
-//! is after (see EXPERIMENTS.md).
+//! runs it on the relevant backends under per-case time/node limits — every
+//! case alone, through [`run_case`] — and returns structured rows; the
+//! `format_*` functions render them in the same layout as the paper.
+//! Absolute numbers depend on the machine and on the (scaled-down) default
+//! sizes, but the qualitative shape — which backend fails where, and who is
+//! faster on which family — is what the reproduction is after.
 
-use crate::parallel::run_cases_parallel;
+use crate::report::{Bound, Check, Report};
 use crate::runner::{
-    bench_smoke_env, run_case, Backend, CaseLimits, CaseResult, CaseStatus, RowSummary,
+    bench_smoke_env, run_case, with_timeout, Backend, CaseLimits, CaseResult, RowSummary,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sliq_circuit::Circuit;
 use sliq_circuit::Simulator;
 use sliq_core::BitSliceSimulator;
-use sliq_exec::{ResultCache, ResultCacheStats, Session};
+use sliq_exec::Session;
 use sliq_qmdd::QmddSimulator;
 use sliq_workloads::{algorithms, random, revlib_like, supremacy};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// How large a sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +41,15 @@ pub struct Table3Row {
     pub bitslice: RowSummary,
 }
 
+/// Runs every circuit of a row on `backend`, one case at a time.
+fn summarize(backend: Backend, circuits: &[Circuit], limits: CaseLimits) -> RowSummary {
+    let cases: Vec<CaseResult> = circuits
+        .iter()
+        .map(|circuit| run_case(backend, circuit, limits))
+        .collect();
+    RowSummary::from_cases(&cases)
+}
+
 /// Generates and runs the Table III sweep.
 pub fn table3_rows(scale: Scale, limits: CaseLimits) -> Vec<Table3Row> {
     let (sizes, seeds): (Vec<usize>, u64) = match scale {
@@ -57,14 +62,11 @@ pub fn table3_rows(scale: Scale, limits: CaseLimits) -> Vec<Table3Row> {
             let circuits: Vec<Circuit> = (0..seeds)
                 .map(|seed| random::random_clifford_t(qubits, seed))
                 .collect();
-            let run_all = |backend: Backend| -> RowSummary {
-                RowSummary::from_cases(&run_cases_parallel(backend, &circuits, limits))
-            };
             Table3Row {
                 qubits,
                 gates: 3 * qubits,
-                qmdd: run_all(Backend::Qmdd),
-                bitslice: run_all(Backend::BitSlice),
+                qmdd: summarize(Backend::Qmdd, &circuits, limits),
+                bitslice: summarize(Backend::BitSlice, &circuits, limits),
             }
         })
         .collect()
@@ -284,14 +286,11 @@ pub fn table6_rows(scale: Scale, limits: CaseLimits) -> Vec<Table6Row> {
                 .map(|seed| supremacy::supremacy_circuit(lattice, depth, seed))
                 .collect();
             let gates = circuits.iter().map(Circuit::len).sum::<usize>() / circuits.len().max(1);
-            let run_all = |backend: Backend| -> RowSummary {
-                RowSummary::from_cases(&run_cases_parallel(backend, &circuits, limits))
-            };
             Table6Row {
                 qubits: lattice.num_qubits(),
                 gates,
-                qmdd: run_all(Backend::Qmdd),
-                bitslice: run_all(Backend::BitSlice),
+                qmdd: summarize(Backend::Qmdd, &circuits, limits),
+                bitslice: summarize(Backend::BitSlice, &circuits, limits),
             }
         })
         .collect()
@@ -594,24 +593,18 @@ fn skipped_cell(backend: Backend, note: String) -> SampleCell {
     }
 }
 
-/// One backend cell under the sweep's wall-clock limit: the simulate+sample
-/// work runs in a worker thread (like [`run_case`] does for the paper
-/// tables), so a pathological case reports `TO` instead of hanging the
-/// binary.
+/// One backend cell under the sweep's wall-clock limit (through
+/// `with_timeout`, like [`run_case`]), so a pathological case reports
+/// `TO` instead of hanging the binary.
 fn sample_cell(backend: Backend, circuit: &Circuit, shots: u64, limits: CaseLimits) -> SampleCell {
     if let Err(e) = backend.check_circuit(circuit) {
         return skipped_cell(backend, format!("n/a ({e})"));
     }
-    let (tx, rx) = std::sync::mpsc::channel();
     let circuit = circuit.clone();
-    std::thread::spawn(move || {
-        // The receiver may have timed out already; ignore the send error.
-        let _ = tx.send(sample_cell_inner(backend, &circuit, shots, limits));
-    });
-    match rx.recv_timeout(limits.timeout) {
-        Ok(cell) => cell,
-        Err(_) => skipped_cell(backend, "TO".to_string()),
-    }
+    with_timeout(limits.timeout, move || {
+        sample_cell_inner(backend, &circuit, shots, limits)
+    })
+    .unwrap_or_else(|| skipped_cell(backend, "TO".to_string()))
 }
 
 fn sample_cell_inner(
@@ -678,216 +671,6 @@ pub fn format_sample(rows: &[SampleRow]) -> String {
             }
         }
     }
-    out
-}
-
-/// The result-cache serving benchmark: a skewed (Zipf-ish) request mix over
-/// a small circuit population, replayed three times — cold (no cache),
-/// warming (attached but empty) and warm (every request a hit) — so the
-/// cold/warm requests-per-second ratio prices what the canonical-circuit
-/// cache buys under production-shaped traffic.
-#[derive(Debug, Clone)]
-pub struct CacheReport {
-    /// The circuit population: `(name, qubits, request share)` sorted by
-    /// popularity (rank `r` is requested with weight `1/(r+1)`).
-    pub population: Vec<(String, usize, f64)>,
-    /// Requests per pass.
-    pub requests: usize,
-    /// Shots sampled per request.
-    pub shots: u64,
-    /// Wall-clock seconds of the cold pass (no cache attached).
-    pub cold_secs: f64,
-    /// Wall-clock seconds of the warming pass (cache attached but empty —
-    /// each distinct circuit misses once, then hits).
-    pub warming_secs: f64,
-    /// Wall-clock seconds of the warm pass (every request served from the
-    /// cache).
-    pub warm_secs: f64,
-    /// Cache counters after the warm pass.
-    pub stats: ResultCacheStats,
-}
-
-impl CacheReport {
-    /// Requests per second with no cache.
-    pub fn cold_rps(&self) -> f64 {
-        self.requests as f64 / self.cold_secs.max(1e-9)
-    }
-
-    /// Requests per second fully warm.
-    pub fn warm_rps(&self) -> f64 {
-        self.requests as f64 / self.warm_secs.max(1e-9)
-    }
-
-    /// `warm_rps / cold_rps`: the serving-throughput multiplier the cache
-    /// buys on this mix.
-    pub fn warm_speedup(&self) -> f64 {
-        self.warm_rps() / self.cold_rps().max(1e-9)
-    }
-}
-
-/// Runs the result-cache benchmark.  Every request is the full serving
-/// shape — open a session for the circuit (`Auto` backend negotiation),
-/// `run`, then `sample` — so a cache hit still pays session construction
-/// and lookup, exactly what a server front-end would pay.
-///
-/// The report manages caching itself (cold pass: none; warming/warm
-/// passes: one explicit shared [`ResultCache`]), so
-/// [`CaseLimits::use_result_cache`] is deliberately overridden — were the
-/// cold pass to pick up the process-global cache it would not be cold.
-pub fn cache_report(scale: Scale, limits: CaseLimits) -> CacheReport {
-    let limits = CaseLimits {
-        use_result_cache: false,
-        ..limits
-    };
-    let population: Vec<(String, Circuit)> = vec![
-        (
-            "random_clifford_t(12,s1)".into(),
-            random::random_clifford_t(12, 1),
-        ),
-        (
-            "random_clifford_t(12,s2)".into(),
-            random::random_clifford_t(12, 2),
-        ),
-        ("ghz(16)".into(), algorithms::ghz(16)),
-        (
-            "bv_ones(14)".into(),
-            algorithms::bernstein_vazirani_all_ones(14),
-        ),
-        (
-            "random_clifford_t(12,s3)".into(),
-            random::random_clifford_t(12, 3),
-        ),
-        (
-            "random_clifford_t(12,s4)".into(),
-            random::random_clifford_t(12, 4),
-        ),
-    ];
-    let requests = if bench_smoke_env() {
-        24
-    } else {
-        match scale {
-            Scale::Quick => 200,
-            Scale::Full => 800,
-        }
-    };
-    let shots: u64 = if bench_smoke_env() {
-        256
-    } else {
-        match scale {
-            Scale::Quick => 1024,
-            Scale::Full => 4096,
-        }
-    };
-    // Zipf-ish popularity: rank r drawn with weight 1/(r+1), so the head of
-    // the population dominates the mix the way a few hot circuits dominate
-    // production traffic.
-    let weights: Vec<f64> = (0..population.len())
-        .map(|rank| 1.0 / (rank as f64 + 1.0))
-        .collect();
-    let total_weight: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(2021);
-    let sequence: Vec<usize> = (0..requests)
-        .map(|_| {
-            let mut x = rng.gen_range(0.0..total_weight);
-            for (rank, w) in weights.iter().enumerate() {
-                if x < *w {
-                    return rank;
-                }
-                x -= w;
-            }
-            population.len() - 1
-        })
-        .collect();
-    let serve = |cache: Option<&Arc<ResultCache>>| -> f64 {
-        let start = Instant::now();
-        for &rank in &sequence {
-            let circuit = &population[rank].1;
-            let mut session = Session::for_circuit(circuit, limits.session_config(Backend::Auto))
-                .expect("population circuits are supported");
-            if let Some(cache) = cache {
-                session.attach_result_cache(cache.clone());
-            }
-            session.run(circuit).expect("population circuits complete");
-            session
-                .sample(shots, 2021)
-                .expect("population registers fit in 64 qubits");
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let cold_secs = serve(None);
-    let cache = ResultCache::shared(64 * 1024 * 1024);
-    let warming_secs = serve(Some(&cache));
-    let warm_secs = serve(Some(&cache));
-    let stats = cache.stats();
-    let shares: Vec<f64> = {
-        let mut counts = vec![0usize; population.len()];
-        for &rank in &sequence {
-            counts[rank] += 1;
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / requests as f64)
-            .collect()
-    };
-    CacheReport {
-        population: population
-            .into_iter()
-            .zip(shares)
-            .map(|((name, circuit), share)| (name, circuit.num_qubits(), share))
-            .collect(),
-        requests,
-        shots,
-        cold_secs,
-        warming_secs,
-        warm_secs,
-        stats,
-    }
-}
-
-/// Formats the result-cache benchmark.
-pub fn format_cache(report: &CacheReport) -> String {
-    let mut out = String::new();
-    out.push_str("RESULT CACHE: skewed request mix, cold vs warm serving throughput\n");
-    out.push_str(&format!(
-        "  population ({} circuits, Zipf-ish shares):\n",
-        report.population.len()
-    ));
-    for (name, qubits, share) in &report.population {
-        out.push_str(&format!(
-            "    {name:<26} {qubits:>3} qubits  {:>5.1}% of requests\n",
-            100.0 * share
-        ));
-    }
-    out.push_str(&format!(
-        "  {} requests/pass, {} shots/request\n",
-        report.requests, report.shots
-    ));
-    out.push_str(&format!(
-        "  cold    {:>8.2} req/s  ({:.3}s, no cache)\n",
-        report.cold_rps(),
-        report.cold_secs
-    ));
-    out.push_str(&format!(
-        "  warming {:>8.2} req/s  ({:.3}s, first pass over an empty cache)\n",
-        report.requests as f64 / report.warming_secs.max(1e-9),
-        report.warming_secs
-    ));
-    out.push_str(&format!(
-        "  warm    {:>8.2} req/s  ({:.3}s, all hits)  speedup {:.1}x\n",
-        report.warm_rps(),
-        report.warm_secs,
-        report.warm_speedup()
-    ));
-    let s = &report.stats;
-    out.push_str(&format!(
-        "  cache: hits {}  misses {}  hit-rate {:.1}%  entries {}  bytes {}  evictions {}\n",
-        s.hits,
-        s.misses,
-        100.0 * s.hit_rate(),
-        s.entries,
-        s.bytes,
-        s.evictions
-    ));
     out
 }
 
@@ -1020,6 +803,40 @@ pub fn memory_geomean_bytes_per_node(rows: &[MemoryRow]) -> Option<f64> {
     (n > 0).then(|| (log_sum / n as f64).exp())
 }
 
+/// The memory gate (`tables -- memory --baseline <path>`): the geomean
+/// bytes/node may not regress more than 10 % against the committed
+/// snapshot.  The layout's savings carry the 28-qubit+ frontier.
+pub const MEMORY_GATE: &[Check] = &[Check("geomean_bytes_per_node", Bound::AtMostBaseline(1.10))];
+
+/// The memory sweep as written to `BENCH_memory.json`.
+pub fn memory_report(rows: &[MemoryRow]) -> Report {
+    Report {
+        fields: vec![(
+            "geomean_bytes_per_node",
+            memory_geomean_bytes_per_node(rows).into(),
+        )],
+        rows: rows
+            .iter()
+            .map(|row| {
+                vec![
+                    ("name", row.name.as_str().into()),
+                    ("qubits", row.qubits.into()),
+                    ("gates", row.gates.into()),
+                    ("status", row.status.as_str().into()),
+                    ("seconds", row.seconds.into()),
+                    ("allocated_nodes", row.allocated_nodes.into()),
+                    ("bytes_per_node", row.bytes_per_node.into()),
+                    ("legacy_bytes_per_node", row.legacy_bytes_per_node.into()),
+                    ("reduction_pct", row.reduction_pct.into()),
+                    ("peak_bytes", row.peak_bytes.into()),
+                    ("peak_nodes", row.peak_nodes.into()),
+                    ("chunks_reclaimed", row.chunks_reclaimed.into()),
+                ]
+            })
+            .collect(),
+    }
+}
+
 /// Formats the memory sweep.
 pub fn format_memory(rows: &[MemoryRow]) -> String {
     let mut out = String::new();
@@ -1061,17 +878,10 @@ pub fn format_memory(rows: &[MemoryRow]) -> String {
     out
 }
 
-/// Convenience: `true` if any case in the pair of results hit a limit (used
-/// by the harness tests).
-pub fn any_failure(results: &[&CaseResult]) -> bool {
-    results
-        .iter()
-        .any(|r| !matches!(r.status, CaseStatus::Completed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::CaseStatus;
     use std::time::Duration;
 
     fn tiny_limits() -> CaseLimits {

@@ -280,11 +280,6 @@ impl BitSliceState {
         self.mgr.set_reorder_threshold(threshold);
     }
 
-    /// Enables converging sifting (repeat passes until < 1% gain).
-    pub fn set_converging_sifting(&mut self, converge: bool) {
-        self.mgr.set_converging_sifting(converge);
-    }
-
     /// Sifts the qubit variable order now, returning the run's statistics.
     pub fn reorder(&mut self) -> ReorderStats {
         self.sync_registered_roots();

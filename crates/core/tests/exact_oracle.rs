@@ -5,7 +5,9 @@
 //! every gate, and with a garbage collection after every gate.  Random
 //! circuits cover the whole gate set over up to six qubits, including
 //! Toffoli with 0–3 controls and SWAP/Fredkin with 0–2 controls placed
-//! above, between and below the targets.
+//! above, between and below the targets.  In the same three modes a
+//! snapshot is taken at a random cut, a random qubit is measured there, and
+//! both the collapsed run and the restored snapshot must stay exact.
 
 use proptest::prelude::*;
 use sliq_circuit::{Gate, Simulator};
@@ -158,6 +160,59 @@ enum Mode {
     CollectEveryGate,
 }
 
+const MODES: [Mode; 3] = [
+    Mode::FixedOrder,
+    Mode::SiftEveryGate,
+    Mode::CollectEveryGate,
+];
+
+/// Applies `gates` to `sim`, with `mode`'s work after each one.
+fn run_in_mode(sim: &mut BitSliceSimulator, gates: &[Gate], mode: Mode) {
+    for gate in gates {
+        sim.apply_gate(gate).unwrap();
+        settle(sim, mode);
+    }
+}
+
+fn settle(sim: &mut BitSliceSimulator, mode: Mode) {
+    match mode {
+        Mode::FixedOrder => {}
+        Mode::SiftEveryGate => {
+            sim.reorder();
+        }
+        Mode::CollectEveryGate => {
+            sim.state_mut().collect_garbage();
+        }
+    }
+}
+
+fn random_gates(n: usize, draws: &[(u8, u64)]) -> Vec<Gate> {
+    draws
+        .iter()
+        .map(|&(kind, seed)| random_gate(n, kind, seed))
+        .collect()
+}
+
+fn reference_after(n: usize, gates: &[Gate]) -> ExactState {
+    let mut reference = ExactState::new(n);
+    for gate in gates {
+        reference.apply(gate);
+    }
+    reference
+}
+
+/// Whether `got` equals `expected` exactly, entry by entry; the first
+/// mismatch otherwise.
+fn mismatch(got: &[Algebraic], expected: &[Algebraic]) -> Option<String> {
+    got.iter()
+        .zip(expected)
+        .enumerate()
+        .find(|(_, (amp, reference))| !amp.value_eq(reference))
+        .map(|(i, (amp, reference))| {
+            format!("basis index {i}: bit-sliced {amp} vs exact {reference}")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -166,34 +221,67 @@ proptest! {
         n in 4..7usize,
         draws in proptest::collection::vec((0..14u8, any::<u64>()), 0..32),
     ) {
-        let gates: Vec<Gate> = draws
-            .iter()
-            .map(|&(kind, seed)| random_gate(n, kind, seed))
-            .collect();
-        let mut reference = ExactState::new(n);
-        for gate in &gates {
-            reference.apply(gate);
-        }
-        for mode in [Mode::FixedOrder, Mode::SiftEveryGate, Mode::CollectEveryGate] {
+        let gates = random_gates(n, &draws);
+        let reference = reference_after(n, &gates);
+        for mode in MODES {
             let mut sim = BitSliceSimulator::new(n);
-            for gate in &gates {
-                sim.apply_gate(gate).unwrap();
-                match mode {
-                    Mode::FixedOrder => {}
-                    Mode::SiftEveryGate => {
-                        sim.reorder();
-                    }
-                    Mode::CollectEveryGate => {
-                        sim.state_mut().collect_garbage();
-                    }
+            run_in_mode(&mut sim, &gates, mode);
+            let got = sim.state_mut().to_algebraic_vector();
+            if let Some(what) = mismatch(&got, &reference.amps) {
+                prop_assert!(false, "{:?}, {}\ncircuit: {:?}", mode, what, gates);
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_collapse_and_restore_stay_exact(
+        n in 4..7usize,
+        draws in proptest::collection::vec((0..14u8, any::<u64>()), 0..32),
+        probe in any::<u64>(),
+        u_bits in any::<u64>(),
+    ) {
+        let gates = random_gates(n, &draws);
+        let cut = (probe % (gates.len() as u64 + 1)) as usize;
+        let qubit = (probe >> 32) as usize % n;
+        let u = (u_bits >> 11) as f64 / (1u64 << 53) as f64;
+        let at_cut = reference_after(n, &gates[..cut]);
+        for mode in MODES {
+            let mut sim = BitSliceSimulator::new(n);
+            run_in_mode(&mut sim, &gates[..cut], mode);
+            let snapshot = sim.snapshot();
+            // The collapse keeps the surviving amplitudes' algebraic form
+            // (the 1/√p goes into the float factor), so the reference only
+            // zeroes the other branch.
+            let outcome = sim.state_mut().measure_with(qubit, u);
+            settle(&mut sim, mode);
+            let mut collapsed = ExactState {
+                amps: at_cut.amps.clone(),
+            };
+            for (i, amp) in collapsed.amps.iter_mut().enumerate() {
+                if (i >> qubit & 1 == 1) != outcome {
+                    *amp = Algebraic::zero();
                 }
             }
+            run_in_mode(&mut sim, &gates[cut..], mode);
+            for gate in &gates[cut..] {
+                collapsed.apply(gate);
+            }
             let got = sim.state_mut().to_algebraic_vector();
-            for (i, (amp, expected)) in got.iter().zip(&reference.amps).enumerate() {
+            if let Some(what) = mismatch(&got, &collapsed.amps) {
                 prop_assert!(
-                    amp.value_eq(expected),
-                    "{:?}, basis index {}: bit-sliced {} vs exact {}\ncircuit: {:?}",
-                    mode, i, amp, expected, gates
+                    false,
+                    "{:?}, measured q{} = {} after gate {}: {}\ncircuit: {:?}",
+                    mode, qubit, outcome, cut, what, gates
+                );
+            }
+            sim.restore(&snapshot);
+            prop_assert_eq!(sim.state().normalization_factor(), 1.0);
+            let got = sim.state_mut().to_algebraic_vector();
+            if let Some(what) = mismatch(&got, &at_cut.amps) {
+                prop_assert!(
+                    false,
+                    "{:?}, restored at gate {}: {}\ncircuit: {:?}",
+                    mode, cut, what, gates
                 );
             }
         }

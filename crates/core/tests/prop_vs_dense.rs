@@ -139,7 +139,7 @@ proptest! {
     #[test]
     fn amplitudes_match_dense_oracle_under_constant_reordering(gates in proptest::collection::vec(any_gate(), 0..35)) {
         // End-to-end reordering equivalence: with the auto-reorder trigger
-        // forced to fire after every gate (threshold 1, converging sifting),
+        // forced to fire after every gate (threshold 1),
         // the slice roots must survive every sift and the final state must
         // still agree amplitude-by-amplitude with the dense oracle.
         let mut circuit = Circuit::new(NQ);
@@ -147,7 +147,6 @@ proptest! {
         let mut dense = DenseSimulator::new(NQ);
         let mut bitslice = BitSliceSimulator::new(NQ).with_auto_reorder(true);
         bitslice.state_mut().set_reorder_threshold(1);
-        bitslice.state_mut().set_converging_sifting(true);
         dense.run(&circuit).unwrap();
         bitslice.run(&circuit).unwrap();
         for bits in all_basis_states() {

@@ -73,7 +73,7 @@
 //! least-recently-used entries are evicted until the configured budget
 //! holds.  Hits, misses, insertions, evictions, entry count and resident
 //! bytes are observable through [`ResultCache::stats`] and flow into
-//! [`crate::ExecStats`] and the bench harness's `tables -- cache` report.
+//! [`crate::ExecStats`] and the bench harness's `tables -- serve` report.
 
 use crate::backend::BackendKind;
 use crate::sample::Histogram;

@@ -128,6 +128,30 @@ mod tests {
     }
 
     #[test]
+    fn too_many_controls_are_refused_before_sending_and_the_connection_survives() {
+        let handle = spawn_server(ServerConfig::default().workers(1));
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let toffoli = |controls: usize| {
+            let mut circuit = Circuit::new(controls + 1);
+            circuit.x(0).mcx((0..controls).collect(), controls);
+            circuit
+        };
+        match client.run_circuit(&toffoli(256), RunOptions::default()) {
+            Err(ClientError::Wire(WireError::Malformed(what))) => {
+                assert!(what.contains("256 controls"), "{what}")
+            }
+            other => panic!("expected a local refusal, got {other:?}"),
+        }
+        client.ping().unwrap();
+        let outcome = client
+            .run_circuit(&toffoli(255), RunOptions::default())
+            .unwrap();
+        assert_eq!(outcome.gates_applied, 2);
+        assert_eq!(outcome.total_probability, 1.0);
+        handle.shutdown();
+    }
+
+    #[test]
     fn parse_and_capability_failures_come_back_as_stable_codes() {
         let handle = spawn_server(ServerConfig::default().workers(1));
         let mut client = Client::connect(handle.addr()).unwrap();

@@ -357,17 +357,19 @@ const OP_COND: u8 = 16;
 
 /// Appends the compact encoding of `circuit` (`u32` qubit count, `u32`
 /// classical-bit count, `u32` gate count, then one opcode + operands per
-/// gate) to `out`.
-pub fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
+/// gate) to `out`.  `ncontrols` is one byte, so a gate with more than 255
+/// controls, conditional or not, is refused with [`WireError::Malformed`].
+pub fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) -> Result<(), WireError> {
     put_u32(out, circuit.num_qubits() as u32);
     put_u32(out, circuit.num_clbits() as u32);
     put_u32(out, circuit.len() as u32);
     for gate in circuit.iter() {
-        encode_gate(out, gate);
+        encode_gate(out, gate)?;
     }
+    Ok(())
 }
 
-fn encode_gate(out: &mut Vec<u8>, gate: &Gate) {
+fn encode_gate(out: &mut Vec<u8>, gate: &Gate) -> Result<(), WireError> {
     match gate {
         Gate::X(q) => single(out, OP_X, *q),
         Gate::Y(q) => single(out, OP_Y, *q),
@@ -391,10 +393,7 @@ fn encode_gate(out: &mut Vec<u8>, gate: &Gate) {
         }
         Gate::Toffoli { controls, target } => {
             out.push(OP_TOFFOLI);
-            out.push(controls.len() as u8);
-            for c in controls {
-                put_u32(out, *c as u32);
-            }
+            encode_controls(out, controls)?;
             put_u32(out, *target as u32);
         }
         Gate::Fredkin {
@@ -403,10 +402,7 @@ fn encode_gate(out: &mut Vec<u8>, gate: &Gate) {
             target2,
         } => {
             out.push(OP_FREDKIN);
-            out.push(controls.len() as u8);
-            for c in controls {
-                put_u32(out, *c as u32);
-            }
+            encode_controls(out, controls)?;
             put_u32(out, *target1 as u32);
             put_u32(out, *target2 as u32);
         }
@@ -426,9 +422,24 @@ fn encode_gate(out: &mut Vec<u8>, gate: &Gate) {
             put_u32(out, *offset as u32);
             put_u32(out, *width as u32);
             put_u64(out, *value);
-            encode_gate(out, gate);
+            encode_gate(out, gate)?;
         }
     }
+    Ok(())
+}
+
+fn encode_controls(out: &mut Vec<u8>, controls: &[usize]) -> Result<(), WireError> {
+    let count = u8::try_from(controls.len()).map_err(|_| {
+        WireError::Malformed(format!(
+            "{} controls exceed the 255 a binary gate can carry",
+            controls.len()
+        ))
+    })?;
+    out.push(count);
+    for c in controls {
+        put_u32(out, *c as u32);
+    }
+    Ok(())
 }
 
 fn single(out: &mut Vec<u8>, op: u8, q: usize) {
@@ -609,7 +620,7 @@ pub fn encode_request(request_id: u32, request: &Request) -> Result<Vec<u8>, Wir
         }
         Request::RunGates { options, circuit } => {
             encode_run_options(&mut body, options)?;
-            encode_circuit(&mut body, circuit);
+            encode_circuit(&mut body, circuit)?;
             MSG_RUN_GATES
         }
         Request::Stats => MSG_STATS,
@@ -1074,6 +1085,49 @@ mod tests {
             read_request(&mut r, MAX_FRAME_BYTES, &ParseLimits::default()),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn control_counts_beyond_one_byte_are_refused_before_encoding() {
+        // `ncontrols` is one byte: 255 controls round-trip, on a plain,
+        // a swap and a conditional gate alike.
+        let circuit = |controls: usize| {
+            let mut c = Circuit::with_clbits(controls + 2, 1);
+            c.mcx((0..controls).collect(), controls)
+                .mcswap((0..controls).collect(), controls, controls + 1)
+                .if_bit(
+                    0,
+                    Gate::Toffoli {
+                        controls: (0..controls).collect(),
+                        target: controls + 1,
+                    },
+                );
+            c
+        };
+        let request = |circuit: Circuit| Request::RunGates {
+            options: RunOptions::default(),
+            circuit,
+        };
+        assert_eq!(
+            roundtrip_request(request(circuit(255))),
+            request(circuit(255))
+        );
+        // 256 would be written as 0 and desynchronise the frame.
+        let mut conditional_only = Circuit::with_clbits(258, 1);
+        conditional_only.if_bit(
+            0,
+            Gate::Fredkin {
+                controls: (0..256).collect(),
+                target1: 256,
+                target2: 257,
+            },
+        );
+        for refused in [circuit(256), conditional_only] {
+            match encode_request(1, &request(refused)) {
+                Err(WireError::Malformed(what)) => assert!(what.contains("256 controls"), "{what}"),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -347,6 +347,19 @@ fn lazy_materialisation_answers_state_queries_exactly() {
             "qubit {q}"
         );
     }
+    // The replayed state is the publisher's, amplitude for amplitude.
+    let exact = |session: &mut Session| {
+        let sim = session.bitslice_mut().expect("bit-sliced backend");
+        sim.state_mut().to_algebraic_vector()
+    };
+    let (replayed, published) = (exact(&mut warm), exact(&mut cold));
+    assert_eq!(replayed.len(), published.len());
+    for (i, (a, b)) in replayed.iter().zip(&published).enumerate() {
+        assert!(
+            a.value_eq(b),
+            "basis index {i}: replayed {a} vs published {b}"
+        );
+    }
     // Continuing to stream after a hit works on the materialised state.
     let mut warm2 = session_with(&circuit, BackendKind::BitSlice, Some(&cache));
     warm2.run(&circuit).expect("hit");
