@@ -29,8 +29,8 @@
 //!   complement bit), the full-adder `XOR3`/`MAJ`, the controlled flip
 //!   ([`Manager::controlled_flip`], the row permutation of X, CNOT and
 //!   Toffoli) and the cube multiplexer ([`Manager::mux`]), all backed by
-//!   lossy direct-mapped operation caches whose growth cap auto-tunes from
-//!   GC-time eviction rates,
+//!   lossy direct-mapped operation caches that grow only while at least
+//!   30 % of their lookups hit,
 //! * cofactors (by one variable or a cube of literals) and cubes,
 //! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
 //!   127 counted variables, arbitrary precision above, and a memo shared
@@ -38,7 +38,7 @@
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
 //! * node and complement-edge counting,
-//! * per-cache hit/miss/eviction statistics ([`ManagerStats`]).
+//! * per-cache hit/miss/eviction/size statistics ([`ManagerStats`]).
 //!
 //! ```
 //! use sliq_bdd::Manager;

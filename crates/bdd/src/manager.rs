@@ -79,11 +79,13 @@
 //!   any mismatch as a miss.
 //!   Memoisation therefore costs zero allocations on the hot path, and
 //!   losing an entry only costs recomputation — never correctness.  Each
-//!   cache starts at 2¹² entries and doubles (at the next exclusive phase)
-//!   whenever the misses since the last resize exceed its capacity, up to a
-//!   cap that itself is auto-tuned at GC time (up to 2²⁰).  All caches are
-//!   cleared in O(1) at GC time by bumping a generation counter
-//!   (`cache_epoch`).
+//!   cache starts at 2¹² entries.  Once its misses since the last check
+//!   reach its capacity, it doubles at the next exclusive phase, up to 2¹⁶
+//!   entries, but only if at least 30 % of its lookups since its last
+//!   resize hit (CUDD's rule); otherwise it stays at its size, so a cache
+//!   whose lookups never repeat costs no more than its initial 2¹² entries.
+//!   All caches are cleared in O(1) at GC time by bumping a generation
+//!   counter (`cache_epoch`).
 //!
 //! * **Per-variable unique subtables.**  Hash consing uses one open-addressed
 //!   linear-probed subtable *per variable* whose slots store the node id
@@ -113,16 +115,13 @@
 //! never freed and the handles stay valid (same id, same function) across
 //! any sequence of swaps.
 //!
-//! [`ManagerStats`] exposes per-cache hit/miss/eviction counters, O(1)
-//! negation and canonical-flip counters, unique table resize counts,
+//! [`ManagerStats`] exposes per-cache hit/miss/eviction counters and sizes,
+//! O(1) negation and canonical-flip counters, unique table resize counts,
 //! and reordering counters (swaps, sizes, time), so benchmark harnesses can
 //! report kernel behaviour.
 
 use crate::count::ModelCounter;
-use crate::shard::{
-    bump, DirectCache, FreeTable, HotCounters, NodeArena, SubTable, CACHE_DEFAULT_MAX_LOG2,
-    CACHE_HARD_MAX_LOG2,
-};
+use crate::shard::{bump, DirectCache, FreeTable, HotCounters, NodeArena, SubTable};
 use sliq_bignum::UBig;
 use std::cell::Cell;
 
@@ -253,7 +252,8 @@ pub enum KernelMode {
     Serial,
 }
 
-/// Hit/miss/eviction counters of one direct-mapped operation cache.
+/// Hit/miss/eviction counters and the size of one direct-mapped operation
+/// cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -263,6 +263,9 @@ pub struct CacheStats {
     /// Stores that overwrote a live entry with a different key (the lossy
     /// direct-mapped collision case).
     pub evictions: u64,
+    /// The cache's current entry count (summed over caches in
+    /// [`ManagerStats::total_cache`]).
+    pub entries: usize,
 }
 
 impl CacheStats {
@@ -280,6 +283,7 @@ impl CacheStats {
         total.hits += self.hits;
         total.misses += self.misses;
         total.evictions += self.evictions;
+        total.entries += self.entries;
     }
 }
 
@@ -327,10 +331,6 @@ pub struct ManagerStats {
     /// Canonical-form flips performed by `mk` (a complemented low edge was
     /// normalised by complementing both children and the result).
     pub complement_flips: u64,
-    /// Current op-cache growth cap (log2 entries; starts at 2¹⁶).
-    pub cache_cap_log2: u32,
-    /// Times the GC auto-tuner raised the op-cache growth cap.
-    pub cache_cap_raises: u32,
     /// Number of variable reorderings (sifting runs) performed.
     pub reorders: usize,
     /// Total adjacent-level swaps executed across all reorderings.
@@ -411,8 +411,6 @@ impl ManagerStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExclusiveCounters {
     pub(crate) gc_runs: usize,
-    pub(crate) cache_cap_log2: u32,
-    pub(crate) cache_cap_raises: u32,
     pub(crate) reorders: usize,
     pub(crate) reorder_swaps: u64,
     pub(crate) reorder_last_before: usize,
@@ -504,14 +502,6 @@ pub struct Manager {
     /// [`Manager::budget_exceeded`] together with the byte budget the
     /// arena's [`crate::shard::MemTracker`] carries.
     node_limit: Option<usize>,
-    /// Current op-cache growth cap (log2), raised by the GC auto-tuner.
-    cache_max_log2: u32,
-    /// Total-cache miss/eviction counts at the end of the previous GC, for
-    /// the auto-tuner's per-GC-interval rates.
-    misses_at_last_gc: u64,
-    evictions_at_last_gc: u64,
-    /// Consecutive GC intervals whose eviction rate exceeded the threshold.
-    high_eviction_streak: u32,
     /// Unique subtable doublings.
     unique_resizes: Cell<usize>,
     /// Peak allocated nodes; exact because nodes are only freed in the
@@ -556,17 +546,10 @@ impl Manager {
             num_vars: num_vars as u32,
             gc_threshold: 1 << 16,
             node_limit: None,
-            cache_max_log2: CACHE_DEFAULT_MAX_LOG2,
-            misses_at_last_gc: 0,
-            evictions_at_last_gc: 0,
-            high_eviction_streak: 0,
             unique_resizes: Cell::new(0),
             peak_nodes: Cell::new(0),
             hot: HotCounters::default(),
-            exclusive: ExclusiveCounters {
-                cache_cap_log2: CACHE_DEFAULT_MAX_LOG2,
-                ..ExclusiveCounters::default()
-            },
+            exclusive: ExclusiveCounters::default(),
         };
         // Charge the retained footprint the struct literal could not: the
         // fresh subtables' slot arrays and the op-cache word arrays.  (The
@@ -627,6 +610,7 @@ impl Manager {
             hits: hot.caches[which].hits.get(),
             misses: hot.caches[which].misses.get(),
             evictions: hot.caches[which].evictions.get(),
+            entries: self.caches[which].entries(),
         };
         ManagerStats {
             kernel_mode: KernelMode::Serial,
@@ -646,8 +630,6 @@ impl Manager {
             cache_write_skips: 0,
             not_ops: hot.not_ops.get(),
             complement_flips: hot.complement_flips.get(),
-            cache_cap_log2: self.exclusive.cache_cap_log2,
-            cache_cap_raises: self.exclusive.cache_cap_raises,
             reorders: self.exclusive.reorders,
             reorder_swaps: self.exclusive.reorder_swaps,
             reorder_last_before: self.exclusive.reorder_last_before,
@@ -1571,40 +1553,22 @@ impl Manager {
         self.allocated_nodes() > self.gc_threshold
     }
 
-    /// GC-time cache-cap auto-tuning: when the eviction rate over the GC
-    /// interval stays above 1/4 of the stores for two consecutive
-    /// collections, raise the growth cap one power of two (up to 2²⁰).
-    /// Intervals with fewer than 4096 stores are ignored as noise.
-    fn tune_cache_cap(&mut self, interval_stores: u64, interval_evictions: u64) {
-        if interval_stores >= 4096 && interval_evictions * 4 >= interval_stores {
-            self.high_eviction_streak += 1;
-        } else {
-            self.high_eviction_streak = 0;
-            return;
-        }
-        if self.high_eviction_streak >= 2 && self.cache_max_log2 < CACHE_HARD_MAX_LOG2 {
-            self.cache_max_log2 += 1;
-            self.exclusive.cache_cap_log2 = self.cache_max_log2;
-            self.exclusive.cache_cap_raises += 1;
-            let cap = self.cache_max_log2;
-            for cache in self.caches.iter_mut() {
-                cache.raise_cap(cap);
-            }
-            self.high_eviction_streak = 0;
-        }
-    }
-
-    /// Applies deferred operation-cache growth: any cache whose miss budget
-    /// ran out since the last exclusive phase doubles now (up to its cap).
-    /// Apply operations never reallocate a cache; the simulator calls this
-    /// at gate boundaries (it is also folded into GC and reordering).
+    /// Applies the deferred, hit-driven operation-cache growth rule: a
+    /// cache whose miss budget ran out since the last exclusive phase
+    /// doubles now (up to 2¹⁶ entries) if at least 30 % of its lookups
+    /// since its last resize hit; otherwise its budget is re-armed at the
+    /// same size.  Apply operations never reallocate a cache; the simulator
+    /// calls this at gate boundaries (it is also folded into GC and
+    /// reordering, after they retire the cache epoch, so growth copies no
+    /// stale entry).
     pub fn maybe_grow_caches(&mut self) {
-        for cache in self.caches.iter_mut() {
+        let epoch = self.epoch();
+        for (cache, counters) in self.caches.iter_mut().zip(&self.hot.caches) {
             // A manager at (or past) its byte budget must not double its
             // caches into it: growth resumes once a GC recovers headroom.
-            while cache.wants_growth() && !self.arena.mem().over_budget() {
+            if cache.wants_growth(counters) && !self.arena.mem().over_budget() {
                 let before = cache.bytes();
-                cache.grow();
+                cache.grow(epoch, counters);
                 self.arena.mem().add(cache.bytes() - before);
             }
         }
@@ -1639,15 +1603,8 @@ impl Manager {
         let live_before = self.allocated_nodes();
         self.rebuild_table(&marked);
         let freed = live_before - self.allocated_nodes();
-        // Cache-cap auto-tuning from the eviction rate of this GC interval.
-        let totals = self.stats().total_cache();
-        let interval_stores = totals.misses - self.misses_at_last_gc;
-        let interval_evictions = totals.evictions - self.evictions_at_last_gc;
-        self.misses_at_last_gc = totals.misses;
-        self.evictions_at_last_gc = totals.evictions;
-        self.tune_cache_cap(interval_stores, interval_evictions);
-        self.maybe_grow_caches();
         self.invalidate_caches();
+        self.maybe_grow_caches();
         self.exclusive.gc_runs += 1;
         // Grow the threshold if little garbage was reclaimed, so we do not
         // thrash on workloads whose live set keeps growing.
@@ -1703,19 +1660,20 @@ impl Manager {
 
     /// Runs [`Manager::reorder`] iff automatic reordering is enabled and
     /// the allocated-node count exceeds the trigger threshold; re-arms the
-    /// threshold at twice the post-reorder live size.  Also applies any
-    /// deferred cache growth — this is the designated exclusive-phase
-    /// housekeeping hook.  Call at safe points only (no apply recursion in
-    /// flight; `&mut self` proves it) — the simulator calls it between
-    /// gates.  Returns `true` if a reordering ran.
+    /// threshold at twice the post-reorder live size.  Then applies any
+    /// deferred cache growth (after the sift, which retires the cache
+    /// epoch) — this is the designated exclusive-phase housekeeping hook.
+    /// Call at safe points only (no apply recursion in flight; `&mut self`
+    /// proves it) — the simulator calls it between gates.  Returns `true`
+    /// if a reordering ran.
     pub fn maybe_reorder(&mut self) -> bool {
-        self.maybe_grow_caches();
-        if !self.auto_reorder || self.allocated_nodes() <= self.reorder_threshold {
-            return false;
+        let due = self.auto_reorder && self.allocated_nodes() > self.reorder_threshold;
+        if due {
+            self.reorder();
+            self.reorder_threshold = (2 * self.allocated_nodes()).max(self.reorder_threshold_floor);
         }
-        self.reorder();
-        self.reorder_threshold = (2 * self.allocated_nodes()).max(self.reorder_threshold_floor);
-        true
+        self.maybe_grow_caches();
+        due
     }
 
     // ----------------------------------------------------------------- //
@@ -2081,7 +2039,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------ //
-    // Kernel specifics: lossy caches, epochs, auto-tuning, unique table
+    // Kernel specifics: lossy caches, epochs, cache growth, unique table
     // ------------------------------------------------------------------ //
 
     #[test]
@@ -2146,31 +2104,63 @@ mod tests {
         assert!(mgr.stats().xor_cache.misses >= 2);
     }
 
-    #[test]
-    fn cache_cap_auto_tunes_on_sustained_evictions() {
-        let mut mgr = Manager::new(2);
-        assert_eq!(mgr.stats().cache_cap_log2, CACHE_DEFAULT_MAX_LOG2);
-        // One noisy interval (too few stores) does nothing.
-        mgr.tune_cache_cap(100, 90);
-        assert_eq!(mgr.stats().cache_cap_log2, CACHE_DEFAULT_MAX_LOG2);
-        // One high-eviction interval arms the streak, the second raises the
-        // cap by one power of two.
-        mgr.tune_cache_cap(10_000, 4_000);
-        assert_eq!(mgr.stats().cache_cap_log2, CACHE_DEFAULT_MAX_LOG2);
-        mgr.tune_cache_cap(10_000, 4_000);
-        assert_eq!(mgr.stats().cache_cap_log2, CACHE_DEFAULT_MAX_LOG2 + 1);
-        assert_eq!(mgr.stats().cache_cap_raises, 1);
-        assert_eq!(mgr.caches[AND].max_log2, CACHE_DEFAULT_MAX_LOG2 + 1);
-        // A quiet interval resets the streak.
-        mgr.tune_cache_cap(10_000, 4_000);
-        mgr.tune_cache_cap(10_000, 10);
-        mgr.tune_cache_cap(10_000, 4_000);
-        assert_eq!(mgr.stats().cache_cap_raises, 1);
-        // The cap never exceeds the hard maximum.
-        for _ in 0..64 {
-            mgr.tune_cache_cap(10_000, 9_999);
+    /// One `which`-cache lookup of `key`, made the way an apply makes it:
+    /// a hit counts a hit, a miss counts a miss and stores.
+    fn lookup(mgr: &Manager, which: usize, key: u64) {
+        let epoch = mgr.epoch();
+        if mgr.caches[which].probe2(epoch, key).is_some() {
+            bump(&mgr.hot.caches[which].hits);
+        } else {
+            bump(&mgr.hot.caches[which].misses);
+            mgr.cache_store2(which, epoch, key, NodeId::TRUE);
         }
-        assert_eq!(mgr.stats().cache_cap_log2, CACHE_HARD_MAX_LOG2);
+    }
+
+    #[test]
+    fn op_caches_grow_only_when_they_hit() {
+        use crate::shard::{CACHE_INITIAL_LOG2, CACHE_MAX_LOG2};
+        let mut mgr = Manager::new(2);
+        let initial = 1usize << CACHE_INITIAL_LOG2;
+        let mut key = 0u64;
+        // A cache with no hits stays at its initial size however many
+        // misses it takes.
+        for _ in 0..8 {
+            for _ in 0..initial {
+                key += 1;
+                lookup(&mgr, XOR, key);
+            }
+            mgr.maybe_grow_caches();
+        }
+        let stats = mgr.stats();
+        assert_eq!(stats.xor_cache.hits, 0);
+        assert_eq!(stats.xor_cache.entries, initial);
+        // A cache above the 30 % hit rate (here every key twice: 50 %)
+        // doubles at the next exclusive phase, not before.
+        for _ in 0..initial {
+            key += 1;
+            lookup(&mgr, AND, key);
+            lookup(&mgr, AND, key);
+        }
+        assert_eq!(mgr.stats().and_cache.entries, initial);
+        mgr.maybe_grow_caches();
+        assert_eq!(mgr.stats().and_cache.entries, 2 * initial);
+        // No cache grows past 2^16 entries.
+        for _ in 0..2 * (CACHE_MAX_LOG2 - CACHE_INITIAL_LOG2) {
+            for _ in 0..1usize << CACHE_MAX_LOG2 {
+                key += 1;
+                lookup(&mgr, AND, key);
+                lookup(&mgr, AND, key);
+            }
+            mgr.maybe_grow_caches();
+            assert!(mgr.stats().and_cache.entries <= 1 << CACHE_MAX_LOG2);
+        }
+        let stats = mgr.stats();
+        assert_eq!(stats.and_cache.entries, 1 << CACHE_MAX_LOG2);
+        // Only the AND cache grew.
+        assert_eq!(
+            stats.total_cache().entries,
+            (1 << CACHE_MAX_LOG2) + 6 * initial
+        );
     }
 
     #[test]

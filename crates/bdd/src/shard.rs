@@ -113,9 +113,10 @@
 //! The operation caches are lossy: each entry is just its key words and a
 //! result word stamped with the cache epoch.  A colliding store overwrites
 //! the old entry (an *eviction*), and losing an entry only costs
-//! recomputation.  Growth is deferred: misses decrement a budget, and the
-//! manager doubles any cache whose budget ran out at the next exclusive
-//! phase, so a cache never reallocates under an apply.
+//! recomputation.  Growth is deferred and hit-driven: misses decrement a
+//! budget, and at the next exclusive phase the manager doubles a cache whose
+//! budget ran out only if enough of its lookups hit, so a cache never
+//! reallocates under an apply and a cache that never hits never grows.
 
 use crate::hash::mix64;
 use crate::manager::{pack_children, NodeId};
@@ -840,10 +841,11 @@ impl SubTable {
 
 /// Initial entry count (log2) of the direct-mapped caches.
 pub(crate) const CACHE_INITIAL_LOG2: u32 = 12;
-/// Default growth cap (log2): a fully grown cache stays at a couple of MiB.
-pub(crate) const CACHE_DEFAULT_MAX_LOG2: u32 = 16;
-/// Absolute cap (log2) the GC-time auto-tuner may raise the limit to.
-pub(crate) const CACHE_HARD_MAX_LOG2: u32 = 20;
+/// Growth cap (log2): a fully grown cache stays at a couple of MiB.
+pub(crate) const CACHE_MAX_LOG2: u32 = 16;
+/// The share of lookups (in percent) that must have hit since a cache's last
+/// resize for it to double (CUDD's minimum hit rate).
+pub(crate) const CACHE_MIN_HIT_PERCENT: u64 = 30;
 
 /// A lossy direct-mapped memoisation cache.
 ///
@@ -855,10 +857,12 @@ pub(crate) const CACHE_HARD_MAX_LOG2: u32 = 20;
 /// stored key words and epoch match, so entries never lie.  An all-zero
 /// result word marks a never-written entry (epochs start at 1).
 ///
-/// Growth is *deferred*: misses decrement `grow_budget`, and the manager
-/// doubles exhausted caches during the next exclusive phase
-/// ([`crate::Manager::maybe_grow_caches`]); until then the cache keeps
-/// serving at its current size.
+/// Growth is *deferred* and *hit-driven*: misses decrement `grow_budget`,
+/// and at the next exclusive phase ([`crate::Manager::maybe_grow_caches`])
+/// a cache whose budget ran out doubles only if at least
+/// [`CACHE_MIN_HIT_PERCENT`] of its lookups since its last resize hit;
+/// otherwise its budget is re-armed at the same size.  A cache whose
+/// lookups never repeat therefore stays at its initial size.
 #[derive(Debug, Clone)]
 pub(crate) struct DirectCache {
     words: Box<[Cell<u64>]>,
@@ -867,11 +871,13 @@ pub(crate) struct DirectCache {
     mask: usize,
     /// Words per entry (2 or 3).
     stride: usize,
-    /// Misses remaining until the next doubling is requested; at most 0
-    /// means "grow at the next exclusive phase".
+    /// Misses remaining until the growth rule is applied again; at most 0
+    /// means "decide at the next exclusive phase".
     grow_budget: Cell<i64>,
-    /// Current growth cap (log2 entries); raised by the GC auto-tuner.
-    pub(crate) max_log2: u32,
+    /// The cache's hit and miss counters at its last resize: the growth
+    /// rule judges the hit rate over the lookups since then.
+    hits_at_resize: u64,
+    misses_at_resize: u64,
 }
 
 #[inline]
@@ -901,7 +907,8 @@ impl DirectCache {
             mask: entries - 1,
             stride,
             grow_budget: Cell::new(entries as i64),
-            max_log2: CACHE_DEFAULT_MAX_LOG2,
+            hits_at_resize: 0,
+            misses_at_resize: 0,
         }
     }
 
@@ -910,51 +917,61 @@ impl DirectCache {
         self.words.len() * 8
     }
 
+    /// The current entry count.
+    pub(crate) fn entries(&self) -> usize {
+        self.mask + 1
+    }
+
     #[inline]
     fn base(&self, hash: u64) -> usize {
         (hash as usize & self.mask) * self.stride
     }
 
-    /// Called once per store (= once per miss): requests a doubling when
-    /// the miss volume since the last resize exceeds the current capacity.
+    /// Called once per store (= once per miss): spends one unit of the
+    /// budget that paces the growth rule.
     #[inline]
     fn note_miss(&self) {
         self.grow_budget.set(self.grow_budget.get() - 1);
     }
 
-    /// Whether the miss budget ran out (the exclusive phase grows then).
-    pub(crate) fn wants_growth(&self) -> bool {
-        self.grow_budget.get() <= 0 && self.mask + 1 < (1usize << self.max_log2)
-    }
-
-    /// Raises the growth cap (GC-time auto-tuning).  A cache that had
-    /// saturated its previous cap gets its miss budget re-armed so renewed
-    /// pressure can trigger the next doubling.
-    pub(crate) fn raise_cap(&mut self, max_log2: u32) {
-        if max_log2 > self.max_log2 {
-            self.max_log2 = max_log2;
-            if self.grow_budget.get() == i64::MAX {
-                self.grow_budget.set((self.mask + 1) as i64);
-            }
+    /// The growth rule, applied at an exclusive phase: once the miss budget
+    /// ran out, the cache should double if it is below the cap and at least
+    /// [`CACHE_MIN_HIT_PERCENT`] of the lookups `counters` saw since its
+    /// last resize hit.  A cache that does not earn growth re-arms its
+    /// budget at the same size.
+    pub(crate) fn wants_growth(&self, counters: &CacheCounters) -> bool {
+        if self.grow_budget.get() > 0 {
+            return false;
         }
+        let hits = counters.hits.get() - self.hits_at_resize;
+        let misses = counters.misses.get() - self.misses_at_resize;
+        if self.entries() < 1 << CACHE_MAX_LOG2
+            && hits * 100 >= (hits + misses) * CACHE_MIN_HIT_PERCENT
+        {
+            return true;
+        }
+        self.rearm();
+        false
     }
 
-    /// Doubles the entry count (exclusive phase), rehashing live entries
-    /// into the new array (every entry stores its full key, so nothing warm
-    /// is lost; colliding pairs resolve lossily as usual).
+    /// Re-arms the miss budget at the current size.
+    fn rearm(&self) {
+        self.grow_budget.set(self.entries() as i64);
+    }
+
+    /// Doubles the entry count (exclusive phase), rehashing the entries of
+    /// the current `epoch` into the new array (every entry stores its full
+    /// key, so nothing warm is lost; colliding pairs resolve lossily as
+    /// usual).  Stale entries are dropped, not copied.  Opens a new hit-rate
+    /// window at the counts in `counters`.
     #[cold]
-    pub(crate) fn grow(&mut self) {
-        let entries = self.mask + 1;
-        if entries >= (1usize << self.max_log2) {
-            self.grow_budget.set(i64::MAX);
-            return;
-        }
+    pub(crate) fn grow(&mut self, epoch: u32, counters: &CacheCounters) {
         let stride = self.stride;
-        let doubled = entries * 2;
+        let doubled = self.entries() * 2;
         let mask = doubled - 1;
         let words = zero_words(doubled * stride);
         for entry in self.words.chunks_exact(stride) {
-            if entry[stride - 1].get() == 0 {
+            if meta_epoch(entry[stride - 1].get()) != epoch {
                 continue;
             }
             let k0 = entry[0].get();
@@ -970,7 +987,9 @@ impl DirectCache {
         }
         self.words = words;
         self.mask = mask;
-        self.grow_budget.set(doubled as i64);
+        self.hits_at_resize = counters.hits.get();
+        self.misses_at_resize = counters.misses.get();
+        self.rearm();
     }
 
     /// Zeroes every entry (exclusive phase; epoch-wrap fallback).
@@ -1321,5 +1340,17 @@ mod tests {
         cache.store3(&stats, 1, 7, 9, NodeId::FALSE);
         assert_eq!(cache.probe3(1, 7, 9), Some(NodeId::FALSE));
         assert_eq!(cache.probe3(1, 7, 8), None);
+    }
+
+    #[test]
+    fn growth_keeps_only_entries_of_the_current_epoch() {
+        let stats = CacheCounters::default();
+        let mut cache = DirectCache::new(3);
+        cache.store3(&stats, 1, 7, 9, NodeId::FALSE);
+        cache.store3(&stats, 2, 8, 9, NodeId::TRUE);
+        cache.grow(2, &stats);
+        assert_eq!(cache.entries(), 2 << CACHE_INITIAL_LOG2);
+        assert_eq!(cache.probe3(2, 8, 9), Some(NodeId::TRUE));
+        assert_eq!(cache.probe3(1, 7, 9), None, "the stale entry is dropped");
     }
 }

@@ -204,10 +204,11 @@ pub fn kernel_stats_report(stats: &sliq_bdd::ManagerStats) -> String {
     let mut out = String::new();
     let mut line = |name: &str, c: &sliq_bdd::CacheStats| {
         out.push_str(&format!(
-            "  {name:<9} hits {:>10}  misses {:>10}  evictions {:>9}  hit-rate {:>5.1}%\n",
+            "  {name:<9} hits {:>10}  misses {:>10}  evictions {:>9}  entries {:>7}  hit-rate {:>5.1}%\n",
             c.hits,
             c.misses,
             c.evictions,
+            c.entries,
             100.0 * c.hit_rate()
         ));
     };
@@ -227,8 +228,8 @@ pub fn kernel_stats_report(stats: &sliq_bdd::ManagerStats) -> String {
         stats.chunks_reclaimed
     ));
     out.push_str(&format!(
-        "  O(1) negations {}  complement canonical flips {}  cache-cap 2^{} (raised {}x)\n",
-        stats.not_ops, stats.complement_flips, stats.cache_cap_log2, stats.cache_cap_raises
+        "  O(1) negations {}  complement canonical flips {}\n",
+        stats.not_ops, stats.complement_flips
     ));
     if stats.reorders > 0 {
         out.push_str(&format!(

@@ -45,6 +45,36 @@ fn ghz_at_five_hundred_qubits_has_half_probability_everywhere() {
 }
 
 #[test]
+fn op_caches_that_never_hit_keep_their_initial_size() {
+    // A GHZ chain's controlled flips and an all-ones BV's adder steps never
+    // repeat a lookup.  An op cache doubles only once enough of its lookups
+    // hit, so these stay at their initial 2^12 entries however many misses
+    // they take.
+    let cases = [
+        (algorithms::entanglement(300), &["flip"][..]),
+        (
+            algorithms::bernstein_vazirani_all_ones(100),
+            &["xor3", "maj"][..],
+        ),
+    ];
+    for (circuit, cold) in &cases {
+        let config = SessionConfig::with_backend(BackendKind::BitSlice);
+        let mut session = Session::for_circuit(circuit, config).unwrap();
+        session.run(circuit).unwrap();
+        let stats = session.stats().bdd.expect("bit-sliced kernel counters");
+        for (name, cache) in stats.caches() {
+            if cold.contains(&name) {
+                assert_eq!(cache.hits, 0, "{name}");
+                assert!(cache.misses > 1 << 12, "{name}: {} misses", cache.misses);
+                assert_eq!(cache.entries, 1 << 12, "{name}");
+            }
+        }
+        let sim = session.bitslice_mut().expect("bit-sliced session");
+        assert!(sim.is_exactly_normalized());
+    }
+}
+
+#[test]
 fn adder_in_superposition_encodes_every_sum_exactly() {
     let bits = 5;
     let bench = revlib_like::ripple_carry_adder(bits);
