@@ -28,9 +28,11 @@
 //!   `AND`/`XOR` (with `OR` and `NOT` folded onto them through the
 //!   complement bit), the full-adder `XOR3`/`MAJ`, the controlled flip
 //!   ([`Manager::controlled_flip`], the row permutation of X, CNOT and
-//!   Toffoli) and the cube multiplexer ([`Manager::mux`]), all backed by
-//!   lossy direct-mapped operation caches that grow only while at least
-//!   30 % of their lookups hit,
+//!   Toffoli), the cube multiplexer ([`Manager::mux`]) and the Hadamard
+//!   step ([`Manager::hadamard_step`], one slice of the H/Ry(π/2) adder:
+//!   sum and carry in one two-output traversal), all backed by lossy
+//!   direct-mapped operation caches that grow only while at least 30 % of
+//!   their lookups hit,
 //! * cofactors (by one variable or a cube of literals) and cubes,
 //! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
 //!   127 counted variables, arbitrary precision above, and a memo shared

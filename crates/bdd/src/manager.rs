@@ -15,14 +15,14 @@
 //! comes from independent sessions, each with its own manager.
 //!
 //! Every apply recursion (`and`, `xor`, `xor3`, `maj`, `controlled_flip`,
-//! `mux`, `cofactor`) and the node constructor take **`&self`** and
-//! write through cells, so read-only helpers that borrow the manager — a
-//! [`ModelCounter`] memo, the sampler's conditioned views — stay usable
-//! while new nodes are built.  Garbage collection, variable reordering,
-//! cache growth and root-registry updates take **`&mut self`**, so the
-//! borrow checker guarantees that none of them overlaps an apply recursion
-//! or outlives a borrowed helper.  See [`crate::shard`] for the storage
-//! this rests on.
+//! `mux`, `hadamard_step`, `cofactor`) and the node constructor take
+//! **`&self`** and write through cells, so read-only helpers that borrow
+//! the manager — a [`ModelCounter`] memo, the sampler's conditioned views —
+//! stay usable while new nodes are built.  Garbage collection, variable
+//! reordering, cache growth and root-registry updates take **`&mut self`**,
+//! so the borrow checker guarantees that none of them overlaps an apply
+//! recursion or outlives a borrowed helper.  See [`crate::shard`] for the
+//! storage this rests on.
 //!
 //! # Complement edges
 //!
@@ -65,10 +65,12 @@
 //!   the gate formulas get single-pass recursions for their dominant
 //!   shapes: [`Manager::xor3`] (the full-adder sum), [`Manager::maj`] (the
 //!   full-adder carry), [`Manager::controlled_flip`] (the row permutation
-//!   of X, CNOT and Toffoli, which SWAP and Fredkin compose three times)
-//!   and [`Manager::mux`] (the multiplexer on a cube of positive literals),
-//!   each replacing a chain of two to four generic applies with one
-//!   traversal.  There is no generic if-then-else.
+//!   of X, CNOT and Toffoli, which SWAP and Fredkin compose three times),
+//!   [`Manager::mux`] (the multiplexer on a cube of positive literals) and
+//!   [`Manager::hadamard_step`] (one slice of the H/Ry(π/2) adder: the
+//!   cofactor pair, the row sign and the full adder in one two-output
+//!   traversal), each replacing a chain of two to five generic applies
+//!   with one traversal.  There is no generic if-then-else.
 //!
 //! * **Lossy direct-mapped operation caches.**  Each operation memoises into
 //!   a power-of-two array of entries indexed by a strong 64-bit mix of the
@@ -359,6 +361,9 @@ pub struct ManagerStats {
     /// Counters of the [`Manager::mux`] cache (the cube multiplexer of the
     /// phase gates and of controls below a flipped target).
     pub mux_cache: CacheStats,
+    /// Counters of the [`Manager::hadamard_step`] cache (one entry holds a
+    /// slice's sum and carry).
+    pub hadamard_cache: CacheStats,
 }
 
 impl ManagerStats {
@@ -367,7 +372,7 @@ impl ManagerStats {
     /// `or` and `not` no longer appear: OR folds into the AND cache via
     /// De Morgan and NOT is a cache-free bit flip (see
     /// [`ManagerStats::not_ops`]).
-    pub fn caches(&self) -> [(&'static str, &CacheStats); 7] {
+    pub fn caches(&self) -> [(&'static str, &CacheStats); 8] {
         [
             ("and", &self.and_cache),
             ("xor", &self.xor_cache),
@@ -376,6 +381,7 @@ impl ManagerStats {
             ("maj", &self.maj_cache),
             ("flip", &self.flip_cache),
             ("mux", &self.mux_cache),
+            ("hadamard", &self.hadamard_cache),
         ]
     }
 
@@ -427,6 +433,7 @@ const XOR3: usize = 3;
 const MAJ: usize = 4;
 const FLIP: usize = 5;
 const MUX: usize = 6;
+const HADAMARD: usize = 7;
 
 /// A reduced ordered BDD manager with complement edges.
 ///
@@ -491,8 +498,8 @@ pub struct Manager {
     /// Caller-configured lower bound the re-armed threshold never drops
     /// below (defaults to [`DEFAULT_REORDER_THRESHOLD`]).
     reorder_threshold_floor: usize,
-    /// The seven operation caches, indexed by the `AND..MUX` constants.
-    caches: [DirectCache; 7],
+    /// The eight operation caches, indexed by the `AND..HADAMARD` constants.
+    caches: [DirectCache; 8],
     /// Generation stamp giving O(1) cache clear: entries whose `epoch` field
     /// differs are stale.
     cache_epoch: u32,
@@ -541,6 +548,7 @@ impl Manager {
                 DirectCache::new(3), // maj
                 DirectCache::new(3), // flip
                 DirectCache::new(3), // mux
+                DirectCache::new(3), // hadamard
             ],
             cache_epoch: 1,
             num_vars: num_vars as u32,
@@ -642,6 +650,7 @@ impl Manager {
             maj_cache: cache(MAJ),
             flip_cache: cache(FLIP),
             mux_cache: cache(MUX),
+            hadamard_cache: cache(HADAMARD),
         }
     }
 
@@ -702,9 +711,21 @@ impl Manager {
         self.caches[which].store2(&self.hot.caches[which], epoch, key, result);
     }
 
+    /// Looks up a one-result stride-3 entry, counting the hit or miss.
     #[inline]
-    fn cache_store3(&self, which: usize, epoch: u32, key_fg: u64, key_h: u64, result: NodeId) {
-        self.caches[which].store3(&self.hot.caches[which], epoch, key_fg, key_h, result);
+    fn cache_probe3(&self, which: usize, epoch: u32, key: u64, key2: u32) -> Option<NodeId> {
+        let found = self.caches[which].probe3(epoch, key, key2);
+        let counter = match found {
+            Some(_) => &self.hot.caches[which].hits,
+            None => &self.hot.caches[which].misses,
+        };
+        bump(counter);
+        found.map(|payload| NodeId(payload as u32))
+    }
+
+    #[inline]
+    fn cache_store3(&self, which: usize, epoch: u32, key: u64, key2: u32, result: NodeId) {
+        self.caches[which].store3(&self.hot.caches[which], epoch, key, key2, result.0 as u64);
     }
 
     // ----------------------------------------------------------------- //
@@ -1151,13 +1172,10 @@ impl Manager {
             return self.xor(b, c).complement().xor_mask(parity);
         }
         let key_ab = ((a.0 as u64) << 32) | b.0 as u64;
-        let key_c = c.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[XOR3].probe3(epoch, key_ab, key_c) {
-            bump(&self.hot.caches[XOR3].hits);
+        if let Some(result) = self.cache_probe3(XOR3, epoch, key_ab, c.0) {
             return result.xor_mask(parity);
         }
-        bump(&self.hot.caches[XOR3].misses);
         let (la, lb, lc) = (self.level(a), self.level(b), self.level(c));
         let top = la.min(lb).min(lc);
         let (a0, a1) = self.split_at(a, la, top);
@@ -1166,7 +1184,7 @@ impl Manager {
         let low = self.xor3(a0, b0, c0);
         let high = self.xor3(a1, b1, c1);
         let result = self.mk_level(top, low, high);
-        self.cache_store3(XOR3, epoch, key_ab, key_c, result);
+        self.cache_store3(XOR3, epoch, key_ab, c.0, result);
         result.xor_mask(parity)
     }
 
@@ -1232,13 +1250,10 @@ impl Manager {
             std::mem::swap(&mut a, &mut b);
         }
         let key_ab = ((a.0 as u64) << 32) | b.0 as u64;
-        let key_c = c.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[MAJ].probe3(epoch, key_ab, key_c) {
-            bump(&self.hot.caches[MAJ].hits);
+        if let Some(result) = self.cache_probe3(MAJ, epoch, key_ab, c.0) {
             return result.xor_mask(out_c);
         }
-        bump(&self.hot.caches[MAJ].misses);
         let (la, lb, lc) = (self.level(a), self.level(b), self.level(c));
         let top = la.min(lb).min(lc);
         let (a0, a1) = self.split_at(a, la, top);
@@ -1247,7 +1262,7 @@ impl Manager {
         let low = self.maj(a0, b0, c0);
         let high = self.maj(a1, b1, c1);
         let result = self.mk_level(top, low, high);
-        self.cache_store3(MAJ, epoch, key_ab, key_c, result);
+        self.cache_store3(MAJ, epoch, key_ab, c.0, result);
         result.xor_mask(out_c)
     }
 
@@ -1296,13 +1311,10 @@ impl Manager {
             return self.mk(t, high, low).xor_mask(out_c);
         }
         let key_fc = ((fr.0 as u64) << 32) | cube.0 as u64;
-        let key_t = t as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[FLIP].probe3(epoch, key_fc, key_t) {
-            bump(&self.hot.caches[FLIP].hits);
+        if let Some(result) = self.cache_probe3(FLIP, epoch, key_fc, t) {
             return result.xor_mask(out_c);
         }
-        bump(&self.hot.caches[FLIP].misses);
         let result = if clevel <= flevel {
             // The cube's top control: rows where it is 0 keep `f`.
             let (f0, f1) = self.split_at(fr, flevel, clevel);
@@ -1321,7 +1333,7 @@ impl Manager {
             let high = self.controlled_flip_rec(f1, cube, clevel, t, tlevel);
             self.mk_level(flevel, low, high)
         };
-        self.cache_store3(FLIP, epoch, key_fc, key_t, result);
+        self.cache_store3(FLIP, epoch, key_fc, t, result);
         result.xor_mask(out_c)
     }
 
@@ -1351,13 +1363,10 @@ impl Manager {
             return self.mk_level(clevel, h, g).xor_mask(out_c);
         }
         let key_gh = ((g.0 as u64) << 32) | h.0 as u64;
-        let key_cube = cube.0 as u64;
         let epoch = self.epoch();
-        if let Some(result) = self.caches[MUX].probe3(epoch, key_gh, key_cube) {
-            bump(&self.hot.caches[MUX].hits);
+        if let Some(result) = self.cache_probe3(MUX, epoch, key_gh, cube.0) {
             return result.xor_mask(out_c);
         }
-        bump(&self.hot.caches[MUX].misses);
         let result = if top < clevel {
             let (g0, g1) = self.split_at(g, lg, top);
             let (h0, h1) = self.split_at(h, lh, top);
@@ -1372,8 +1381,144 @@ impl Manager {
             let high = self.mux_rec(rest, self.level(rest), g1, h1);
             self.mk_level(clevel, h0, high)
         };
-        self.cache_store3(MUX, epoch, key_gh, key_cube, result);
+        self.cache_store3(MUX, epoch, key_gh, cube.0, result);
         result.xor_mask(out_c)
+    }
+
+    /// One slice of the Hadamard adder (Proposition 1 of the paper): the
+    /// sum and carry of `F|₀ + (F|₁ ⊕ s) + carry`, where `F|₀` and `F|₁` are
+    /// `f`'s cofactors by variable `t` and the row sign `s` marks the rows
+    /// on which `F|₁` is subtracted: `s = x_t` when `negate_on` is `true`
+    /// (H) and `s = ¬x_t` when it is `false` (Ry(π/2)).  Seeding the carry
+    /// of the least significant slice with `s` completes the
+    /// two's-complement subtraction.
+    ///
+    /// One traversal replaces the two cofactors, the sign XOR and the
+    /// full-adder pair: above `t` it walks `f` and `carry` together; at `t`
+    /// it takes `f`'s cofactors, applies the sign to each branch and calls
+    /// [`Manager::xor3`] and [`Manager::maj`] on them; where neither operand
+    /// reaches `t` the result has a closed form.  One cache entry holds
+    /// both results.  The step is self-dual (`(¬f, ¬carry)` gives
+    /// `(¬sum, ¬carry_out)`), so the cache is keyed on the regular `f`.
+    /// [`Manager::hadamard_sum`] is the same step without the carry-out.
+    ///
+    /// ```
+    /// use sliq_bdd::Manager;
+    /// let mgr = Manager::new(2);
+    /// let (x0, x1) = (mgr.var(0), mgr.var(1));
+    /// // f = x0 ∧ x1, so F|₀ = 0 and F|₁ = x1 (cofactors by x0).  With the
+    /// // H sign s = x0 and carry-in s: the low bit of 0 + (x1 ⊕ x0) + x0.
+    /// let f = mgr.and(x0, x1);
+    /// let (sum, carry) = mgr.hadamard_step(f, x0, 0, true);
+    /// for bits in 0..4u32 {
+    ///     let a = [bits & 1 == 1, bits & 2 == 2];
+    ///     let total = (a[1] ^ a[0]) as u32 + a[0] as u32;
+    ///     assert_eq!(mgr.eval(sum, &a), total & 1 == 1);
+    ///     assert_eq!(mgr.eval(carry, &a), total >> 1 == 1);
+    /// }
+    /// ```
+    pub fn hadamard_step(
+        &self,
+        f: NodeId,
+        carry: NodeId,
+        t: usize,
+        negate_on: bool,
+    ) -> (NodeId, NodeId) {
+        assert!(t < self.num_vars as usize, "variable {t} out of range");
+        self.hadamard_rec(f, carry, t as u32, self.var_to_level[t], negate_on, true)
+    }
+
+    /// The sum of [`Manager::hadamard_step`] alone, for the most
+    /// significant slice, whose carry-out nobody reads: the same traversal
+    /// without the majority calls, answering from an entry of the full step
+    /// where one exists.
+    pub fn hadamard_sum(&self, f: NodeId, carry: NodeId, t: usize, negate_on: bool) -> NodeId {
+        assert!(t < self.num_vars as usize, "variable {t} out of range");
+        self.hadamard_rec(f, carry, t as u32, self.var_to_level[t], negate_on, false)
+            .0
+    }
+
+    /// [`Manager::hadamard_step`] with the target's level at hand; without
+    /// `want_carry` the returned carry is meaningless and builds nothing.
+    fn hadamard_rec(
+        &self,
+        f: NodeId,
+        carry: NodeId,
+        t: u32,
+        tlevel: u32,
+        negate_on: bool,
+        want_carry: bool,
+    ) -> (NodeId, NodeId) {
+        let out_c = f.cmask();
+        let (f, c) = (f.xor_mask(out_c), carry.xor_mask(out_c));
+        let (lf, lc) = (self.level(f), self.level(c));
+        let top = lf.min(lc);
+        if top > tlevel {
+            // F|₀ = F|₁ = f: rows with sign 0 add f − f (sum c, carry f),
+            // rows with sign 1 add f + ¬f = −1 (sum ¬c, carry c).
+            let by_sign = |at0: NodeId, at1: NodeId| {
+                if negate_on {
+                    self.mk(t, at0, at1)
+                } else {
+                    self.mk(t, at1, at0)
+                }
+            };
+            let sum = by_sign(c, c.complement());
+            let carry = if want_carry {
+                by_sign(f, c)
+            } else {
+                NodeId::FALSE
+            };
+            return (sum.xor_mask(out_c), carry.xor_mask(out_c));
+        }
+        let key = ((f.0 as u64) << 32) | c.0 as u64;
+        let sum_only = t | (negate_on as u32) << 31;
+        let with_carry = sum_only | 1 << 30;
+        let key2 = if want_carry { with_carry } else { sum_only };
+        let epoch = self.epoch();
+        let cache = &self.caches[HADAMARD];
+        let counters = &self.hot.caches[HADAMARD];
+        // A sum-only call can also use an entry that holds both results.
+        let found = match cache.probe3(epoch, key, with_carry) {
+            None if !want_carry => cache.probe3(epoch, key, sum_only),
+            found => found,
+        };
+        if let Some(pair) = found {
+            bump(&counters.hits);
+            let (sum, carry) = (NodeId((pair >> 32) as u32), NodeId(pair as u32));
+            return (sum.xor_mask(out_c), carry.xor_mask(out_c));
+        }
+        bump(&counters.misses);
+        let (sum, carry) = if top < tlevel {
+            let (f0, f1) = self.split_at(f, lf, top);
+            let (c0, c1) = self.split_at(c, lc, top);
+            let (sum0, carry0) = self.hadamard_rec(f0, c0, t, tlevel, negate_on, want_carry);
+            let (sum1, carry1) = self.hadamard_rec(f1, c1, t, tlevel, negate_on, want_carry);
+            let sum = self.mk_level(top, sum0, sum1);
+            let carry = if want_carry {
+                self.mk_level(top, carry0, carry1)
+            } else {
+                NodeId::FALSE
+            };
+            (sum, carry)
+        } else {
+            // The target: `F|₁ ⊕ s` is `F|₁` on one branch and `¬F|₁` on
+            // the other.
+            let (f0, f1) = self.split_at(f, lf, tlevel);
+            let (c0, c1) = self.split_at(c, lc, tlevel);
+            let b0 = if negate_on { f1 } else { f1.complement() };
+            let b1 = b0.complement();
+            let sum = self.mk(t, self.xor3(f0, b0, c0), self.xor3(f0, b1, c1));
+            let carry = if want_carry {
+                self.mk(t, self.maj(f0, b0, c0), self.maj(f0, b1, c1))
+            } else {
+                NodeId::FALSE
+            };
+            (sum, carry)
+        };
+        let pair = ((sum.0 as u64) << 32) | carry.0 as u64;
+        cache.store3(counters, epoch, key, key2, pair);
+        (sum.xor_mask(out_c), carry.xor_mask(out_c))
     }
 
     /// The variables of `cube` if it is a conjunction of positive literals
@@ -2159,7 +2304,7 @@ mod tests {
         // Only the AND cache grew.
         assert_eq!(
             stats.total_cache().entries,
-            (1 << CACHE_MAX_LOG2) + 6 * initial
+            (1 << CACHE_MAX_LOG2) + (stats.caches().len() - 1) * initial
         );
     }
 

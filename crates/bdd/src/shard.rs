@@ -110,13 +110,14 @@
 //! empty slot.  Entries are only ever *added* by apply operations; deletion
 //! (backward shift, for reordering) and rebuilds (GC) are exclusive-phase.
 //!
-//! The operation caches are lossy: each entry is just its key words and a
-//! result word stamped with the cache epoch.  A colliding store overwrites
-//! the old entry (an *eviction*), and losing an entry only costs
-//! recomputation.  Growth is deferred and hit-driven: misses decrement a
-//! budget, and at the next exclusive phase the manager doubles a cache whose
-//! budget ran out only if enough of its lookups hit, so a cache never
-//! reallocates under an apply and a cache that never hits never grows.
+//! The operation caches are lossy: each entry is just its key words, its
+//! result (or the Hadamard step's result pair) and the cache epoch.  A
+//! colliding store overwrites the old entry (an *eviction*), and losing an
+//! entry only costs recomputation.  Growth is deferred and hit-driven:
+//! misses decrement a budget, and at the next exclusive phase the manager
+//! doubles a cache whose budget ran out only if enough of its lookups hit,
+//! so a cache never reallocates under an apply and a cache that never hits
+//! never grows.
 
 use crate::hash::mix64;
 use crate::manager::{pack_children, NodeId};
@@ -851,11 +852,15 @@ pub(crate) const CACHE_MIN_HIT_PERCENT: u64 = 30;
 ///
 /// Entry layouts (`stride` words per entry):
 /// * stride 2 (`and`/`xor`, `cofactor`): `[key, epoch<<32|result]`
-/// * stride 3 (`xor3`, `maj`, `flip`, `mux`): `[k0, k1, epoch<<32|result]`
+/// * stride 3 (`xor3`, `maj`, `flip`, `mux`, `hadamard`):
+///   `[key, epoch<<32|key2, payload]`, where the payload is one result in
+///   its low half, or both results of the Hadamard step (sum high, carry
+///   low), which is why the epoch sits next to the 32-bit second key.
 ///
-/// A store overwrites whatever the entry held; a probe hits only when the
-/// stored key words and epoch match, so entries never lie.  An all-zero
-/// result word marks a never-written entry (epochs start at 1).
+/// Every layout keeps the epoch in the high half of word 1.  A store
+/// overwrites whatever the entry held; a probe hits only when the stored key
+/// words and epoch match, so entries never lie.  An all-zero word 1 marks a
+/// never-written entry (epochs start at 1).
 ///
 /// Growth is *deferred* and *hit-driven*: misses decrement `grow_budget`,
 /// and at the next exclusive phase ([`crate::Manager::maybe_grow_caches`])
@@ -880,9 +885,11 @@ pub(crate) struct DirectCache {
     misses_at_resize: u64,
 }
 
+/// Word 1 of an entry: the epoch stamp over a 32-bit value (the result of
+/// a stride-2 entry, the second key of a stride-3 one).
 #[inline]
-fn meta(epoch: u32, result: NodeId) -> u64 {
-    ((epoch as u64) << 32) | result.to_bits() as u64
+fn meta(epoch: u32, low: u32) -> u64 {
+    ((epoch as u64) << 32) | low as u64
 }
 
 #[inline]
@@ -890,9 +897,10 @@ fn meta_epoch(word: u64) -> u32 {
     (word >> 32) as u32
 }
 
+/// The slot hash of a stride-3 entry's key words.
 #[inline]
-fn meta_result(word: u64) -> NodeId {
-    NodeId::from_bits(word as u32)
+fn hash3(key: u64, key2: u32) -> u64 {
+    mix64(key ^ mix64(key2 as u64))
 }
 
 fn zero_words(words: usize) -> Box<[Cell<u64>]> {
@@ -971,14 +979,15 @@ impl DirectCache {
         let mask = doubled - 1;
         let words = zero_words(doubled * stride);
         for entry in self.words.chunks_exact(stride) {
-            if meta_epoch(entry[stride - 1].get()) != epoch {
+            let word1 = entry[1].get();
+            if meta_epoch(word1) != epoch {
                 continue;
             }
             let k0 = entry[0].get();
             let hash = if stride == 2 {
                 mix64(k0)
             } else {
-                mix64(k0 ^ mix64(entry[1].get()))
+                hash3(k0, word1 as u32)
             };
             let new_base = (hash as usize & mask) * stride;
             for (offset, word) in entry.iter().enumerate() {
@@ -1005,7 +1014,7 @@ impl DirectCache {
         let base = self.base(mix64(key));
         let found_meta = self.words[base + 1].get();
         if self.words[base].get() == key && meta_epoch(found_meta) == epoch {
-            Some(meta_result(found_meta))
+            Some(NodeId::from_bits(found_meta as u32))
         } else {
             None
         }
@@ -1021,19 +1030,15 @@ impl DirectCache {
             bump(&stats.evictions);
         }
         self.words[base].set(key);
-        self.words[base + 1].set(meta(epoch, result));
+        self.words[base + 1].set(meta(epoch, result.to_bits()));
     }
 
-    /// Looks up a stride-3 entry.
+    /// Looks up a stride-3 entry, returning its payload word.
     #[inline]
-    pub(crate) fn probe3(&self, epoch: u32, key_fg: u64, key_h: u64) -> Option<NodeId> {
-        let base = self.base(mix64(key_fg ^ mix64(key_h)));
-        let found_meta = self.words[base + 2].get();
-        if self.words[base].get() == key_fg
-            && self.words[base + 1].get() == key_h
-            && meta_epoch(found_meta) == epoch
-        {
-            Some(meta_result(found_meta))
+    pub(crate) fn probe3(&self, epoch: u32, key: u64, key2: u32) -> Option<u64> {
+        let base = self.base(hash3(key, key2));
+        if self.words[base].get() == key && self.words[base + 1].get() == meta(epoch, key2) {
+            Some(self.words[base + 2].get())
         } else {
             None
         }
@@ -1045,21 +1050,21 @@ impl DirectCache {
         &self,
         stats: &CacheCounters,
         epoch: u32,
-        key_fg: u64,
-        key_h: u64,
-        result: NodeId,
+        key: u64,
+        key2: u32,
+        payload: u64,
     ) {
-        let base = self.base(mix64(key_fg ^ mix64(key_h)));
+        let base = self.base(hash3(key, key2));
         self.note_miss();
-        let old_meta = self.words[base + 2].get();
+        let old_meta = self.words[base + 1].get();
         if meta_epoch(old_meta) == epoch
-            && (self.words[base].get() != key_fg || self.words[base + 1].get() != key_h)
+            && (self.words[base].get() != key || old_meta as u32 != key2)
         {
             bump(&stats.evictions);
         }
-        self.words[base].set(key_fg);
-        self.words[base + 1].set(key_h);
-        self.words[base + 2].set(meta(epoch, result));
+        self.words[base].set(key);
+        self.words[base + 1].set(meta(epoch, key2));
+        self.words[base + 2].set(payload);
     }
 }
 
@@ -1086,8 +1091,8 @@ pub(crate) struct CacheCounters {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct HotCounters {
     /// Indexed like [`crate::ManagerStats::caches`]: and, xor, cofactor,
-    /// xor3, maj, flip, mux.
-    pub(crate) caches: [CacheCounters; 7],
+    /// xor3, maj, flip, mux, hadamard.
+    pub(crate) caches: [CacheCounters; 8],
     pub(crate) not_ops: Cell<u64>,
     pub(crate) complement_flips: Cell<u64>,
     pub(crate) created_nodes: Cell<u64>,
@@ -1337,20 +1342,45 @@ mod tests {
         // A different epoch is a miss, not a stale hit.
         assert_eq!(cache.probe2(2, 42), None);
         let cache = DirectCache::new(3);
-        cache.store3(&stats, 1, 7, 9, NodeId::FALSE);
-        assert_eq!(cache.probe3(1, 7, 9), Some(NodeId::FALSE));
+        cache.store3(&stats, 1, 7, 9, u64::MAX);
+        assert_eq!(cache.probe3(1, 7, 9), Some(u64::MAX));
         assert_eq!(cache.probe3(1, 7, 8), None);
+        assert_eq!(cache.probe3(2, 7, 9), None);
     }
 
     #[test]
     fn growth_keeps_only_entries_of_the_current_epoch() {
         let stats = CacheCounters::default();
         let mut cache = DirectCache::new(3);
-        cache.store3(&stats, 1, 7, 9, NodeId::FALSE);
-        cache.store3(&stats, 2, 8, 9, NodeId::TRUE);
+        // Payloads whose high halves read as the other entry's epoch: the
+        // epoch lives in word 1, never in the payload.
+        cache.store3(&stats, 1, 7, 9, 2 << 32);
+        cache.store3(&stats, 2, 8, 9, 1 << 32);
         cache.grow(2, &stats);
         assert_eq!(cache.entries(), 2 << CACHE_INITIAL_LOG2);
-        assert_eq!(cache.probe3(2, 8, 9), Some(NodeId::TRUE));
+        assert_eq!(cache.probe3(2, 8, 9), Some(1 << 32));
         assert_eq!(cache.probe3(1, 7, 9), None, "the stale entry is dropped");
+        assert_eq!(
+            cache.probe3(2, 7, 9),
+            None,
+            "and not revived by its payload"
+        );
+    }
+
+    #[test]
+    fn stride3_evictions_read_the_epoch_next_to_the_key() {
+        let stats = CacheCounters::default();
+        let cache = DirectCache::new(3);
+        let slot = |key2: u32| cache.base(hash3(7, key2));
+        let other = (10..).find(|&key2| slot(key2) == slot(9)).unwrap();
+        // Overwriting a stale entry is no eviction, even when its payload's
+        // high half reads as the current epoch.
+        cache.store3(&stats, 1, 7, 9, 2 << 32);
+        cache.store3(&stats, 2, 7, other, 0);
+        assert_eq!(stats.evictions.get(), 0);
+        // Overwriting a live entry with another key is.
+        cache.store3(&stats, 2, 7, 9, 0);
+        assert_eq!(stats.evictions.get(), 1);
+        assert_eq!(cache.probe3(2, 7, other), None);
     }
 }

@@ -744,15 +744,36 @@ fn assert_low_edges_regular(mgr: &Manager, f: NodeId) -> Result<(), String> {
 /// One step of a random Clifford+T-shaped workload over a pool of slice
 /// functions, expressed in the kernel ops the gate formulas of
 /// `sliq-core::gates` actually use (the controlled flip for X, CX and CCX,
-/// XOR for the conditional phase flip, cofactor + XOR3/MAJ full-adder
-/// steps for H).
+/// XOR for the conditional phase flip, the Hadamard step for H and
+/// Ry(π/2)).
 #[derive(Debug, Clone)]
 enum CtOp {
-    X { t: usize },
-    Cx { c: usize, t: usize },
-    Ccx { c1: usize, c2: usize, t: usize },
-    Phase { t: usize, slice: usize },
-    H { t: usize, slice: usize },
+    X {
+        t: usize,
+    },
+    Cx {
+        c: usize,
+        t: usize,
+    },
+    Ccx {
+        c1: usize,
+        c2: usize,
+        t: usize,
+    },
+    Phase {
+        t: usize,
+        slice: usize,
+    },
+    /// One adder step on slice `slice` with the incoming carry taken from
+    /// slice `carry`; bit 0 of `complement` negates the slice operand and
+    /// bit 1 the carry.
+    H {
+        t: usize,
+        slice: usize,
+        carry: usize,
+        negate_on: bool,
+        complement: u8,
+    },
 }
 
 fn ct_op_strategy() -> impl Strategy<Value = CtOp> {
@@ -764,7 +785,15 @@ fn ct_op_strategy() -> impl Strategy<Value = CtOp> {
         distinct.prop_map(|(c, t)| CtOp::Cx { c, t }),
         distinct3.prop_map(|(c1, c2, t)| CtOp::Ccx { c1, c2, t }),
         (0..NVARS, 0..4usize).prop_map(|(t, slice)| CtOp::Phase { t, slice }),
-        (0..NVARS, 0..4usize).prop_map(|(t, slice)| CtOp::H { t, slice }),
+        (0..NVARS, 0..4usize, 0..4usize, any::<bool>(), 0..4u8).prop_map(
+            |(t, slice, carry, negate_on, complement)| CtOp::H {
+                t,
+                slice,
+                carry,
+                negate_on,
+                complement
+            }
+        ),
     ]
 }
 
@@ -813,74 +842,86 @@ proptest! {
 
     #[test]
     fn clifford_t_shaped_workload_matches_reference(
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..8),
         ops in proptest::collection::vec(ct_op_strategy(), 1..24)
     ) {
         // A pool of four "slice" functions seeded with the literals the
         // bit-sliced state starts from, evolved by the same kernel-op
         // recipes the gate layer uses, mirrored onto the reference manager
-        // with ITE-only regular-edge operations.
-        let mgr = Manager::new(NVARS);
+        // with ITE-only regular-edge operations.  The kernel runs at a
+        // random variable order, so the reference is built in level space.
+        let mut mgr = Manager::new(NVARS);
+        for &level in &swaps {
+            mgr.swap_adjacent_levels(level);
+        }
+        let level_of: Vec<usize> = (0..NVARS).map(|v| mgr.level_of_var(v)).collect();
         let mut r = RefManager::new();
         let mut pool: Vec<NodeId> = Vec::new();
         let mut rpool: Vec<usize> = Vec::new();
         for v in 0..4 {
             pool.push(mgr.var(v % NVARS));
-            rpool.push(r.var(v % NVARS));
+            rpool.push(r.var(level_of[v % NVARS]));
         }
         for op in &ops {
             match *op {
                 CtOp::X { t } => {
                     for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
                         *f = mgr.controlled_flip(*f, NodeId::TRUE, t);
-                        *rf = r.controlled_flip(*rf, R_TRUE, t);
+                        *rf = r.controlled_flip(*rf, R_TRUE, level_of[t]);
                     }
                 }
                 CtOp::Cx { c, t } => {
                     let cube = mgr.var(c);
-                    let rcube = r.var(c);
+                    let rcube = r.var(level_of[c]);
                     for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
                         *f = mgr.controlled_flip(*f, cube, t);
-                        *rf = r.controlled_flip(*rf, rcube, t);
+                        *rf = r.controlled_flip(*rf, rcube, level_of[t]);
                     }
                 }
                 CtOp::Ccx { c1, c2, t } => {
                     let cube = mgr.cube(&[(c1, true), (c2, true)]);
-                    let (rc1, rc2) = (r.var(c1), r.var(c2));
+                    let (rc1, rc2) = (r.var(level_of[c1]), r.var(level_of[c2]));
                     let rcube = r.and(rc1, rc2);
                     for (f, rf) in pool.iter_mut().zip(rpool.iter_mut()) {
                         *f = mgr.controlled_flip(*f, cube, t);
-                        *rf = r.controlled_flip(*rf, rcube, t);
+                        *rf = r.controlled_flip(*rf, rcube, level_of[t]);
                     }
                 }
                 CtOp::Phase { t, slice } => {
                     let i = slice % pool.len();
                     let qt = mgr.var(t);
                     pool[i] = mgr.xor(pool[i], qt);
-                    let rqt = r.var(t);
+                    let rqt = r.var(level_of[t]);
                     rpool[i] = r.xor(rpool[i], rqt);
                 }
-                CtOp::H { t, slice } => {
+                CtOp::H { t, slice, carry, negate_on, complement } => {
                     // One full-adder step of the Hadamard formula: sum and
-                    // carry of (F|₀, F|₁ ⊕ qₜ, qₜ).
-                    let i = slice % pool.len();
-                    let qt = mgr.var(t);
-                    let f0 = mgr.cofactor(pool[i], t, false);
-                    let f1 = mgr.cofactor(pool[i], t, true);
-                    let second = mgr.xor(f1, qt);
-                    let sum = mgr.xor3(f0, second, qt);
-                    let carry = mgr.maj(f0, second, qt);
+                    // carry of (F|₀, F|₁ ⊕ s, carry) with the row sign
+                    // s = qₜ (H) or ¬qₜ (Ry), against the reference's
+                    // composition from restrictions, XOR, AND and OR.
+                    let (i, j) = (slice, carry);
+                    let f = if complement & 1 == 1 { pool[i].complement() } else { pool[i] };
+                    let c = if complement & 2 == 2 { pool[j].complement() } else { pool[j] };
+                    // The sum-only form first, so it recurses on its own.
+                    let sum_only = mgr.hadamard_sum(f, c, t, negate_on);
+                    let (sum, carry) = mgr.hadamard_step(f, c, t, negate_on);
+                    prop_assert_eq!(sum_only, sum);
                     pool[i] = sum;
                     pool[(i + 1) % 4] = carry;
 
-                    let rqt = r.var(t);
-                    let rf0 = r.restrict(rpool[i], t, false);
-                    let rf1 = r.restrict(rpool[i], t, true);
-                    let rsecond = r.xor(rf1, rqt);
+                    let rf = if complement & 1 == 1 { r.not(rpool[i]) } else { rpool[i] };
+                    let rc = if complement & 2 == 2 { r.not(rpool[j]) } else { rpool[j] };
+                    let rt = level_of[t];
+                    let rqt = r.var(rt);
+                    let sign = if negate_on { rqt } else { r.not(rqt) };
+                    let rf0 = r.restrict(rf, rt, false);
+                    let rf1 = r.restrict(rf, rt, true);
+                    let rsecond = r.xor(rf1, sign);
                     let s1 = r.xor(rf0, rsecond);
-                    let rsum = r.xor(s1, rqt);
+                    let rsum = r.xor(s1, rc);
                     let ab = r.and(rf0, rsecond);
                     let ab_or = r.or(rf0, rsecond);
-                    let prop_c = r.and(ab_or, rqt);
+                    let prop_c = r.and(ab_or, rc);
                     let rcarry = r.or(ab, prop_c);
                     rpool[i] = rsum;
                     rpool[(i + 1) % 4] = rcarry;

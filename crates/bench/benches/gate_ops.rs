@@ -26,6 +26,12 @@ fn bench_single_gates(c: &mut Criterion) {
     let gates: Vec<(&str, Gate)> = vec![
         ("x", Gate::X(3)),
         ("h", Gate::H(3)),
+        // The Hadamard step's other sign (Ry), the adder H no longer uses
+        // (Rx), and a target below most of the diagram, where the step
+        // walks far above it before it meets the target.
+        ("ry", Gate::RyPi2(3)),
+        ("rx", Gate::RxPi2(3)),
+        ("h_low", Gate::H(12)),
         ("t", Gate::T(3)),
         ("s", Gate::S(3)),
         ("y", Gate::Y(3)),

@@ -12,10 +12,14 @@
 //! subtracted operand) folded into the initial carry — exactly the
 //! construction the paper derives for the Hadamard gate in Proposition 1.
 //!
-//! Only the adder-shaped stages live here.  Row permutations and the
-//! phase gates' family selection call the kernel's
-//! [`sliq_bdd::Manager::controlled_flip`], [`sliq_bdd::Manager::mux`] and
-//! [`sliq_bdd::Manager::cofactor`] directly.
+//! The adders of H and Ry(π/2) do not live here: the kernel's
+//! [`sliq_bdd::Manager::hadamard_step`] computes one slice's cofactor pair,
+//! row sign, sum and carry in a single pass, and the gate layer chains it.
+//! What is left is the general two-operand adder ([`add_sliced`], used by
+//! Rx(π/2)) and the conditional negation ([`negate_where`], used by Z, CZ,
+//! Y and the S/T family).  Row permutations and the phase gates' family
+//! selection call the kernel's [`sliq_bdd::Manager::controlled_flip`] and
+//! [`sliq_bdd::Manager::mux`] directly.
 
 use sliq_bdd::{Manager, NodeId};
 

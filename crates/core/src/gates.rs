@@ -22,15 +22,22 @@
 //!
 //! * **permutation-shaped stages** (the controlled flips of
 //!   X/CNOT/Toffoli/Fredkin and of the half-swaps inside Y and Rx, the
-//!   cofactor stage of H/Ry, the family multiplexer of S/S†/T/T†) update
-//!   each of the `4·r` slices on its own;
+//!   family multiplexer of S/S†/T/T†) update each of the `4·r` slices on
+//!   its own;
 //! * **adder-shaped stages** (the ripple-carry chains of H/Ry/Rx and the
 //!   conditional negations of Z/CZ/Y/S-family) carry a dependency across
 //!   the slices of one family but none across families.
 //!
-//! Both run family-major, least significant slice first, so a gate always
-//! issues the same sequence of kernel operations — which is what makes the
-//! kernel's work counters repeat exactly from run to run.
+//! H and Ry(π/2) make one kernel pass per slice: the kernel's
+//! [`Manager::hadamard_step`] takes the slice's cofactors by the target,
+//! applies the row sign and returns the adder's sum and carry together, so
+//! the chain is one call per slice.  Rx(π/2) adds a swapped copy through
+//! [`arith::add_sliced`], and the conditional negations run
+//! [`arith::negate_where`].
+//!
+//! Both shapes run family-major, least significant slice first, so a gate
+//! always issues the same sequence of kernel operations — which is what
+//! makes the kernel's work counters repeat exactly from run to run.
 
 use crate::arith;
 use crate::state::{BitSliceState, Family};
@@ -235,31 +242,27 @@ enum HadamardKind {
 
 fn apply_hadamard_like(state: &mut BitSliceState, t: usize, kind: HadamardKind) {
     state.extend(1);
-    let qt = state.mgr.var(t);
-    let not_qt = state.mgr.not(qt);
     // H:      new = F|₀ + F|₁ on qₜ=0 rows, F|₀ − F|₁ on qₜ=1 rows.
     // Ry(π/2): new = F|₀ − F|₁ on qₜ=0 rows, F|₀ + F|₁ on qₜ=1 rows.
-    let negate_cond = match kind {
-        HadamardKind::H => qt,
-        HadamardKind::RyPi2 => not_qt,
+    // The subtraction complements F|₁ on the rows of the sign literal, and
+    // the sign literal is also the least significant slice's carry-in.
+    let negate_on = matches!(kind, HadamardKind::H);
+    let sign = if negate_on {
+        state.mgr.var(t)
+    } else {
+        state.mgr.nvar(t)
     };
     let mgr = &state.mgr;
-    // Stage 1: per-slice cofactor pair + sign fold.
-    let pairs: [(Vec<NodeId>, Vec<NodeId>); 4] = std::array::from_fn(|family| {
-        state.slices[family]
-            .iter()
-            .map(|&f| {
-                let f0 = mgr.cofactor(f, t, false);
-                let f1 = mgr.cofactor(f, t, true);
-                (f0, mgr.xor(f1, negate_cond))
-            })
-            .unzip()
-    });
-    // Stage 2: the ripple-carry addition — one carry chain per family.
-    state.slices = std::array::from_fn(|family| {
-        let (f0, second) = &pairs[family];
-        arith::add_sliced(mgr, f0, second, negate_cond)
-    });
+    // One ripple-carry chain per family, one kernel pass per slice; the
+    // most significant slice needs no carry-out.
+    for family in state.slices.iter_mut() {
+        let (top, below) = family.split_last_mut().expect("a state has slices");
+        let mut carry = sign;
+        for slice in below {
+            (*slice, carry) = mgr.hadamard_step(*slice, carry, t, negate_on);
+        }
+        *top = mgr.hadamard_sum(*top, carry, t, negate_on);
+    }
     state.k += 1;
     state.shrink();
 }

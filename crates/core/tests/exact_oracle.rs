@@ -5,9 +5,11 @@
 //! every gate, and with a garbage collection after every gate.  Random
 //! circuits cover the whole gate set over up to six qubits, including
 //! Toffoli with 0–3 controls and SWAP/Fredkin with 0–2 controls placed
-//! above, between and below the targets.  In the same three modes a
-//! snapshot is taken at a random cut, a random qubit is measured there, and
-//! both the collapsed run and the restored snapshot must stay exact.
+//! above, between and below the targets.  A Hadamard-heavy case draws only
+//! H, Ry(π/2), T, S, CX and CZ over longer circuits, so the adder's carries
+//! ripple across more slices.  In the same three modes a snapshot is taken
+//! at a random cut, a random qubit is measured there, and both the
+//! collapsed run and the restored snapshot must stay exact.
 
 use proptest::prelude::*;
 use sliq_circuit::{Gate, Simulator};
@@ -186,6 +188,9 @@ fn settle(sim: &mut BitSliceSimulator, mode: Mode) {
     }
 }
 
+/// The kinds of the Hadamard-heavy case: H, Ry(π/2), T, S, CX and CZ.
+const HADAMARD_HEAVY: [u8; 6] = [3, 9, 6, 4, 10, 11];
+
 fn random_gates(n: usize, draws: &[(u8, u64)]) -> Vec<Gate> {
     draws
         .iter()
@@ -199,6 +204,20 @@ fn reference_after(n: usize, gates: &[Gate]) -> ExactState {
         reference.apply(gate);
     }
     reference
+}
+
+/// Runs `gates` in every mode and requires the exact reference's
+/// amplitudes at the end.
+fn assert_exact_in_every_mode(n: usize, gates: &[Gate]) {
+    let reference = reference_after(n, gates);
+    for mode in MODES {
+        let mut sim = BitSliceSimulator::new(n);
+        run_in_mode(&mut sim, gates, mode);
+        let got = sim.state_mut().to_algebraic_vector();
+        if let Some(what) = mismatch(&got, &reference.amps) {
+            panic!("{mode:?}, {what}\ncircuit: {gates:?}");
+        }
+    }
 }
 
 /// Whether `got` equals `expected` exactly, entry by entry; the first
@@ -221,16 +240,19 @@ proptest! {
         n in 4..7usize,
         draws in proptest::collection::vec((0..14u8, any::<u64>()), 0..32),
     ) {
-        let gates = random_gates(n, &draws);
-        let reference = reference_after(n, &gates);
-        for mode in MODES {
-            let mut sim = BitSliceSimulator::new(n);
-            run_in_mode(&mut sim, &gates, mode);
-            let got = sim.state_mut().to_algebraic_vector();
-            if let Some(what) = mismatch(&got, &reference.amps) {
-                prop_assert!(false, "{:?}, {}\ncircuit: {:?}", mode, what, gates);
-            }
-        }
+        assert_exact_in_every_mode(n, &random_gates(n, &draws));
+    }
+
+    #[test]
+    fn hadamard_heavy_circuits_equal_the_exact_reference(
+        n in 4..7usize,
+        draws in proptest::collection::vec((0..HADAMARD_HEAVY.len(), any::<u64>()), 0..49),
+    ) {
+        let draws: Vec<(u8, u64)> = draws
+            .into_iter()
+            .map(|(kind, seed)| (HADAMARD_HEAVY[kind], seed))
+            .collect();
+        assert_exact_in_every_mode(n, &random_gates(n, &draws));
     }
 
     #[test]
