@@ -15,22 +15,29 @@
 //! variables at or below its own level.  That value depends on the node and
 //! the variable order only, not on the root it was reached from, so one
 //! [`ModelCounter`] can count many roots and every node shared between them
-//! is visited once.  The entries stay valid for the counter's whole life:
+//! is visited once.
 //!
-//! * the counter borrows `&Manager`, while garbage collection and
-//!   reordering need `&mut Manager` — the borrow checker rules out a freed
-//!   (and later recycled) node id or a changed order while the memo exists;
-//! * apply operations (`and`, `cofactor`, …) may run between counts through
-//!   the same shared borrow; a node they create gets an id no memoised node
-//!   holds, and the stored nodes they reuse never change.
+//! The counter owns its memo and takes the manager by `&Manager` on every
+//! count, so a memo can outlive one borrow: a bit-sliced state keeps one
+//! counter for all the readings of one state, from the first probability
+//! query after a gate to the end of the sampling descent.  Why an entry
+//! stays valid:
 //!
-//! The memo holds one entry per regular node the counter has visited, so a
-//! counter is as long-lived as the set of nodes it should share.  A
-//! probability query keeps one for the query; the sampling descent keeps one
-//! for a whole sample, and its memo is bounded by the nodes the descent
-//! touches — nodes the kernel holds anyway until the garbage collection
-//! after sampling, which needs `&mut Manager` and so runs only after the
-//! counter is dropped.
+//! * between two counts the manager may only build nodes (`and`,
+//!   `cofactor`, …) or run an exclusive phase.  A node it builds gets an
+//!   id that no memoised node holds, and the stored nodes it reuses never
+//!   change;
+//! * an exclusive phase that may free a node (whose id a later node could
+//!   reuse) or change the order (which moves the levels a count was taken
+//!   over) advances [`Manager::generation`].  The counter records the
+//!   generation it was built at, and the first count after it moved starts
+//!   from an empty memo, so a stale entry is never read.
+//!
+//! The memo holds one entry per regular node the counter has visited, and
+//! it is freed only with the counter.
+//!
+//! A counter is tied to the manager it was built from; counting a node of
+//! another manager through it is a logic error the generation cannot see.
 
 use crate::hash::FxHashMap;
 use crate::manager::{Manager, NodeId};
@@ -41,21 +48,30 @@ use sliq_bignum::UBig;
 const NARROW_MAX_VARS: u32 = 127;
 
 /// An exact model counter over the variables `0..nvars` of one manager,
-/// with a memo that persists across [`ModelCounter::count`] calls (see the
-/// module docs for why that is sound).
+/// with a memo that persists across [`ModelCounter::count`] calls until the
+/// manager's [`Manager::generation`] moves (see the module docs for why
+/// that is sound).
 ///
 /// ```
 /// use sliq_bdd::{Manager, ModelCounter};
-/// let mgr = Manager::new(3);
+/// let mut mgr = Manager::new(3);
 /// let (a, b) = (mgr.var(0), mgr.var(1));
 /// let f = mgr.and(a, b);
 /// let mut counter = ModelCounter::new(&mgr, 3);
-/// assert_eq!(counter.count(f), sliq_bignum::UBig::from(2u64));
+/// assert_eq!(counter.count(&mgr, f), sliq_bignum::UBig::from(2u64));
 /// // The second root reuses the memoised nodes of the first.
-/// assert_eq!(counter.count(mgr.not(f)), sliq_bignum::UBig::from(6u64));
+/// assert_eq!(counter.count(&mgr, mgr.not(f)), sliq_bignum::UBig::from(6u64));
+/// // A garbage collection frees every node here, so the next count
+/// // starts from an empty memo, whatever ids the new nodes reuse.
+/// mgr.collect_garbage(&[]);
+/// let g = mgr.or(mgr.var(0), mgr.var(1));
+/// assert_eq!(counter.count(&mgr, g), sliq_bignum::UBig::from(6u64));
 /// ```
-pub struct ModelCounter<'m> {
-    mgr: &'m Manager,
+#[derive(Debug, Clone)]
+pub struct ModelCounter {
+    nvars: usize,
+    /// The manager generation that `prefix` and `memo` belong to.
+    generation: u64,
     /// `prefix[l]` = number of counted variables (index `< nvars`) at
     /// levels `< l`; the exponent of a level gap `[a, b)` is
     /// `prefix[b] − prefix[a]`.
@@ -64,15 +80,16 @@ pub struct ModelCounter<'m> {
 }
 
 /// The memo, in the count width chosen once from the counted-variable total.
+#[derive(Debug, Clone)]
 enum Memo {
     Narrow(FxHashMap<NodeId, u128>),
     Wide(FxHashMap<NodeId, UBig>),
 }
 
-impl<'m> ModelCounter<'m> {
+impl ModelCounter {
     /// A counter over the variables `0..nvars` of `mgr` in its current
     /// order.  The counted variables need not occupy contiguous levels.
-    pub fn new(mgr: &'m Manager, nvars: usize) -> Self {
+    pub fn new(mgr: &Manager, nvars: usize) -> Self {
         let n = mgr.num_vars();
         let mut prefix = vec![0u32; n + 1];
         for l in 0..n {
@@ -83,24 +100,40 @@ impl<'m> ModelCounter<'m> {
         } else {
             Memo::Wide(FxHashMap::default())
         };
-        Self { mgr, prefix, memo }
+        Self {
+            nvars,
+            generation: mgr.generation(),
+            prefix,
+            memo,
+        }
+    }
+
+    /// Drops the memo if `mgr` may have freed a node or changed the order
+    /// since it was built.
+    fn refresh(&mut self, mgr: &Manager) {
+        if self.generation != mgr.generation() {
+            *self = Self::new(mgr, self.nvars);
+        }
     }
 
     /// The number of satisfying assignments of `f` over the counted
-    /// variables.  `f` must not depend on variables `≥ nvars`.
-    pub fn count(&mut self, f: NodeId) -> UBig {
+    /// variables.  `f` must be a node of the manager the counter was built
+    /// from, and must not depend on variables `≥ nvars`.
+    pub fn count(&mut self, mgr: &Manager, f: NodeId) -> UBig {
+        self.refresh(mgr);
         match &mut self.memo {
-            Memo::Narrow(memo) => UBig::from(count_edge(self.mgr, f, 0, &self.prefix, memo)),
-            Memo::Wide(memo) => count_edge(self.mgr, f, 0, &self.prefix, memo),
+            Memo::Narrow(memo) => UBig::from(count_edge(mgr, f, 0, &self.prefix, memo)),
+            Memo::Wide(memo) => count_edge(mgr, f, 0, &self.prefix, memo),
         }
     }
 
     /// The same exact count as [`ModelCounter::count`] as a `u128`, or
     /// `None` when the counter runs on [`UBig`] (more than 127 counted
     /// variables).  Lets callers sum counts on machine words.
-    pub fn count_narrow(&mut self, f: NodeId) -> Option<u128> {
+    pub fn count_narrow(&mut self, mgr: &Manager, f: NodeId) -> Option<u128> {
+        self.refresh(mgr);
         match &mut self.memo {
-            Memo::Narrow(memo) => Some(count_edge(self.mgr, f, 0, &self.prefix, memo)),
+            Memo::Narrow(memo) => Some(count_edge(mgr, f, 0, &self.prefix, memo)),
             Memo::Wide(_) => None,
         }
     }

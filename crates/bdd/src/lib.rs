@@ -13,11 +13,12 @@
 //!   canonical by never storing a complemented low edge,
 //! * **a single-owner kernel**: a [`Manager`] is `Send` but not `Sync`, so
 //!   it always runs on one thread and needs no synchronisation.  Apply
-//!   operations take `&Manager` (so counting memos and views can borrow it
-//!   while nodes are built) and write through cells; GC and reordering take
-//!   `&mut Manager`, so the borrow checker keeps them apart from every
-//!   apply (see the `shard` module docs).  Parallelism comes from
-//!   independent managers, one per session,
+//!   operations take `&Manager` (so views can borrow it while nodes are
+//!   built) and write through cells; GC and reordering take `&mut Manager`,
+//!   so the borrow checker keeps them apart from every apply (see the
+//!   `shard` module docs), and they advance [`Manager::generation`], which
+//!   state kept across borrows checks.  Parallelism comes from independent
+//!   managers, one per session,
 //! * **dynamic variable reordering**: an in-place adjacent-level swap and
 //!   Rudell-style sifting (one pass per run, with an automatic trigger),
 //!   plus a root registry so external [`NodeId`] handles survive
@@ -36,7 +37,7 @@
 //! * cofactors (by one variable or a cube of literals) and cubes,
 //! * exact SAT counting ([`ModelCounter`]): machine-word arithmetic up to
 //!   127 counted variables, arbitrary precision above, and a memo shared
-//!   by all the counts of one query or one sampling descent,
+//!   by every count until the manager's generation moves,
 //! * mark-and-sweep garbage collection with caller-provided roots and O(1)
 //!   epoch-based cache invalidation,
 //! * node and complement-edge counting,

@@ -17,12 +17,14 @@
 //! Every apply recursion (`and`, `xor`, `xor3`, `maj`, `controlled_flip`,
 //! `mux`, `hadamard_step`, `cofactor`) and the node constructor take
 //! **`&self`** and write through cells, so read-only helpers that borrow
-//! the manager — a [`ModelCounter`] memo, the sampler's conditioned views —
-//! stay usable while new nodes are built.  Garbage collection, variable
-//! reordering, cache growth and root-registry updates take **`&mut self`**,
-//! so the borrow checker guarantees that none of them overlaps an apply
-//! recursion or outlives a borrowed helper.  See [`crate::shard`] for the
-//! storage this rests on.
+//! the manager — the sampler's conditioned views — stay usable while new
+//! nodes are built.  Garbage collection, variable reordering, cache growth
+//! and root-registry updates take **`&mut self`**, so the borrow checker
+//! guarantees that none of them overlaps an apply recursion or outlives a
+//! borrowed helper.  State kept across borrows, such as a
+//! [`ModelCounter`] memo, checks [`Manager::generation`] instead, which
+//! GC and reordering advance.  See [`crate::shard`] for the storage this
+//! rests on.
 //!
 //! # Complement edges
 //!
@@ -86,8 +88,8 @@
 //!   entries, but only if at least 30 % of its lookups since its last
 //!   resize hit (CUDD's rule); otherwise it stays at its size, so a cache
 //!   whose lookups never repeat costs no more than its initial 2¹² entries.
-//!   All caches are cleared in O(1) at GC time by bumping a generation
-//!   counter (`cache_epoch`).
+//!   All caches are cleared in O(1) at GC time by bumping an epoch stamp
+//!   (`cache_epoch`).
 //!
 //! * **Per-variable unique subtables.**  Hash consing uses one open-addressed
 //!   linear-probed subtable *per variable* whose slots store the node id
@@ -503,6 +505,9 @@ pub struct Manager {
     /// Generation stamp giving O(1) cache clear: entries whose `epoch` field
     /// differs are stale.
     cache_epoch: u32,
+    /// Advanced with the cache epoch, but never wraps: see
+    /// [`Manager::generation`].
+    generation: u64,
     num_vars: u32,
     gc_threshold: usize,
     /// Hard allocated-node budget (`None` = unbounded); checked by
@@ -551,6 +556,7 @@ impl Manager {
                 DirectCache::new(3), // hadamard
             ],
             cache_epoch: 1,
+            generation: 0,
             num_vars: num_vars as u32,
             gc_threshold: 1 << 16,
             node_limit: None,
@@ -698,6 +704,17 @@ impl Manager {
     /// The configured byte budget, if any.
     pub fn max_bytes(&self) -> Option<usize> {
         self.arena.mem().limit()
+    }
+
+    /// The node generation: it advances whenever the manager may have freed
+    /// a node or changed the variable order (garbage collection, a level
+    /// swap, sifting), and at no other time.  A memo keyed by node ids —
+    /// a [`ModelCounter`]'s, or a list of unregistered nodes kept across
+    /// calls — is valid only while the generation it was built at is
+    /// current: a freed id may come back as a different function, and an
+    /// order change moves the levels a count was taken over.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The current cache epoch (changes only in the exclusive phases).
@@ -1633,14 +1650,13 @@ impl Manager {
     ///   on.
     /// * **Memo.**  Complemented edges count by subtraction,
     ///   `|¬f| = 2^(remaining vars) − |f|`, and each regular node is
-    ///   counted once, memoised for the length of this call.  The memo
-    ///   borrows `&self`, so no garbage collection or reordering (both
-    ///   `&mut self`) can invalidate an entry while it exists.
+    ///   counted once, memoised for the length of this call.
     ///
     /// To count many functions of one manager, keep one [`ModelCounter`]
-    /// instead: its memo is shared across the counts.
+    /// instead: its memo is shared across the counts, and it survives
+    /// everything but a change of [`Manager::generation`].
     pub fn sat_count(&self, f: NodeId, nvars: usize) -> UBig {
-        ModelCounter::new(self, nvars).count(f)
+        ModelCounter::new(self, nvars).count(self, f)
     }
 
     /// The number of BDD nodes reachable from `f` (the terminal excluded).
@@ -1769,8 +1785,10 @@ impl Manager {
     /// extremely rare wrap so no stale entry can alias the restarted
     /// counter.  Called at GC time and after reordering (level swaps free
     /// dead nodes whose ids may be recycled, which would otherwise leave
-    /// the caches pointing at different functions).
+    /// the caches pointing at different functions) — exactly the points
+    /// that advance [`Manager::generation`].
     pub(crate) fn invalidate_caches(&mut self) {
+        self.generation += 1;
         self.cache_epoch = self.cache_epoch.wrapping_add(1);
         if self.cache_epoch == 0 {
             for cache in self.caches.iter_mut() {

@@ -22,16 +22,19 @@
 //! * **Apply operations** (`&Manager`): every apply recursion (`and`, `xor`,
 //!   `xor3`, `maj`, `controlled_flip`, `mux`, `cofactor`) and the node
 //!   constructor `mk` take `&self`, so read-only helpers that borrow the
-//!   manager — a [`crate::ModelCounter`] memo, the sampler's conditioned
-//!   views — stay usable while new nodes are built.  Apply operations only
-//!   ever *add*: they bump the allocator, store into empty subtable slots,
-//!   overwrite cache entries and count.
+//!   manager — the sampler's conditioned views — stay usable while new
+//!   nodes are built.  Apply operations only ever *add*: they bump the
+//!   allocator, store into empty subtable slots, overwrite cache entries
+//!   and count.
 //! * **Exclusive phases** (`&mut Manager`): garbage collection, variable
 //!   reordering, cache growth/invalidation and root-registry updates.
 //!   Holding `&mut Manager` proves that no apply recursion is in flight and
 //!   that no borrowed helper still refers to a node id, so these phases may
-//!   free nodes, relabel them, release chunks and resize caches.  The
-//!   simulator enters them only at gate boundaries.
+//!   free nodes, relabel them, release chunks and resize caches.  The ones
+//!   that may free a node or change the order advance
+//!   [`crate::Manager::generation`], so state kept across borrows (a
+//!   [`crate::ModelCounter`] memo) can tell it is stale.  The simulator
+//!   enters them only at gate boundaries.
 //!
 //! ## The compact level-segregated layout
 //!

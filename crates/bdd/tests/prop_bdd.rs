@@ -413,8 +413,8 @@ proptest! {
             // Both polarities, twice: the second pass is answered from the
             // memo filled by every earlier root.
             for _ in 0..2 {
-                prop_assert_eq!(counter.count(f), expected.clone());
-                prop_assert_eq!(counter.count(f.complement()), complement.clone());
+                prop_assert_eq!(counter.count(&mgr, f), expected.clone());
+                prop_assert_eq!(counter.count(&mgr, f.complement()), complement.clone());
             }
             prop_assert_eq!(mgr.sat_count(f, NVARS), expected.clone());
             prop_assert_eq!(mgr.sat_count(f.complement(), NVARS), complement);
@@ -426,9 +426,9 @@ proptest! {
             for var in 0..NVARS {
                 for value in [false, true] {
                     let g = mgr.cofactor(f, var, value);
-                    prop_assert_eq!(counter.count(g), mgr.sat_count(g, NVARS));
+                    prop_assert_eq!(counter.count(&mgr, g), mgr.sat_count(g, NVARS));
                     prop_assert_eq!(
-                        counter.count(g.complement()),
+                        counter.count(&mgr, g.complement()),
                         mgr.sat_count(g.complement(), NVARS)
                     );
                 }
@@ -462,10 +462,51 @@ proptest! {
         prop_assert!(mgr.var_at_level(0) < NVARS && mgr.var_at_level(1) >= NVARS);
         let expected = truth_table_count(&e);
         let mut counter = ModelCounter::new(&mgr, NVARS);
-        prop_assert_eq!(counter.count(f), expected.clone());
-        prop_assert_eq!(counter.count(f.complement()), UBig::pow2(NVARS).sub(&expected));
+        prop_assert_eq!(counter.count(&mgr, f), expected.clone());
+        prop_assert_eq!(counter.count(&mgr, f.complement()), UBig::pow2(NVARS).sub(&expected));
         // The same function counted over all variables scales by 2^3.
         prop_assert_eq!(mgr.sat_count(f, NVARS + 3), expected.shl(3));
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_counter_kept_across_gc_and_reordering_counts_like_a_fresh_one(
+        e1 in expr_strategy(),
+        e2 in expr_strategy(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 1..6),
+    ) {
+        // Fill the memo with `e1`'s nodes, free them, and build `e2` in
+        // the recycled ids: the kept counter must count it like a fresh
+        // one.  Then every level swap and a sift move the levels its
+        // memo was taken over.
+        let mut mgr = Manager::new(NVARS);
+        let mut counter = ModelCounter::new(&mgr, NVARS);
+        let f = build_bdd(&mgr, &e1);
+        prop_assert_eq!(counter.count(&mgr, f), truth_table_count(&e1));
+        prop_assert_eq!(counter.count(&mgr, f.complement()), mgr.sat_count(f.complement(), NVARS));
+        let generation = mgr.generation();
+        // Apply operations only add nodes: the memo stays current.
+        let _ = mgr.cofactor(f, 0, true);
+        prop_assert_eq!(mgr.generation(), generation);
+        mgr.collect_garbage(&[]);
+        prop_assert!(mgr.generation() > generation);
+        let g = build_bdd(&mgr, &e2);
+        let expected = truth_table_count(&e2);
+        prop_assert_eq!(counter.count(&mgr, g), expected.clone());
+        mgr.register_root(g);
+        for &level in &swaps {
+            let generation = mgr.generation();
+            mgr.swap_adjacent_levels(level);
+            prop_assert!(mgr.generation() > generation);
+            prop_assert_eq!(counter.count(&mgr, g), expected.clone());
+            let h = mgr.cofactor(g, level, false);
+            prop_assert_eq!(counter.count(&mgr, h), mgr.sat_count(h, NVARS));
+        }
+        let generation = mgr.generation();
+        mgr.reorder();
+        prop_assert!(mgr.generation() > generation);
+        prop_assert_eq!(counter.count(&mgr, g.complement()), UBig::pow2(NVARS).sub(&expected));
     }
 }
 
@@ -485,21 +526,21 @@ fn counter_width_boundaries_match_power_of_two_arithmetic() {
         bubble_up(&mut mgr, nvars + 1, 0);
         let all = UBig::pow2(nvars);
         let mut counter = ModelCounter::new(&mgr, nvars);
-        assert_eq!(counter.count(NodeId::TRUE), all, "TRUE over {nvars}");
-        assert_eq!(counter.count(NodeId::FALSE), UBig::zero());
+        assert_eq!(counter.count(&mgr, NodeId::TRUE), all, "TRUE over {nvars}");
+        assert_eq!(counter.count(&mgr, NodeId::FALSE), UBig::zero());
         assert_eq!(
-            counter.count(mid),
+            counter.count(&mgr, mid),
             UBig::pow2(nvars - 1),
             "literal over {nvars}"
         );
         assert_eq!(
-            counter.count(mid.complement()),
+            counter.count(&mgr, mid.complement()),
             all.sub(&UBig::pow2(nvars - 1)),
             "complemented literal over {nvars}"
         );
-        assert_eq!(counter.count(both), UBig::pow2(nvars - 2));
+        assert_eq!(counter.count(&mgr, both), UBig::pow2(nvars - 2));
         assert_eq!(
-            counter.count(both.complement()),
+            counter.count(&mgr, both.complement()),
             all.sub(&UBig::pow2(nvars - 2))
         );
         assert_eq!(mgr.sat_count(mid, nvars), UBig::pow2(nvars - 1));

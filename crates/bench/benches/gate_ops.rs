@@ -1,6 +1,10 @@
 //! Micro-benchmarks of individual gate applications (the cost model behind
 //! Table II): permutation gates vs symbolic-adder gates on the bit-sliced
 //! backend, compared with the QMDD and dense baselines on the same state.
+//! The `readings` group times the probability queries a CLI run makes on
+//! the bit-sliced state: eight `Pr[q = 1]` and a total, once cold (right
+//! after a gate, which drops the state's term list and count memo) and
+//! once warm (both kept from an earlier reading).
 //!
 //! Every backend applies a gate on one thread: the bit-sliced kernel has a
 //! single owner, so these are single-thread timings on any machine.
@@ -17,6 +21,22 @@ const QUBITS: usize = 14;
 fn prepared_circuit() -> sliq_circuit::Circuit {
     // A moderately entangled, non-trivial state to apply single gates to.
     random::random_clifford_t(QUBITS, 7)
+}
+
+/// The bit-sliced simulator after the preparation circuit.
+/// SLIQ_AUTO_REORDER=1 (the CI bench-smoke job sets it) runs the whole
+/// preparation and every timed operation with automatic sifting armed, so
+/// the reorder path is exercised end-to-end on every push.
+fn prepared_bitslice() -> BitSliceSimulator {
+    let mut bitslice =
+        BitSliceSimulator::new(QUBITS).with_auto_reorder(sliq_bench::auto_reorder_env());
+    bitslice.run(&prepared_circuit()).unwrap();
+    bitslice
+}
+
+/// The CLI's queries: `Pr[q = 1]` on the first eight qubits and the total.
+fn read_probabilities(sim: &mut BitSliceSimulator) -> f64 {
+    (0..8).map(|q| sim.probability_of_one(q)).sum::<f64>() + sim.total_probability()
 }
 
 fn bench_single_gates(c: &mut Criterion) {
@@ -91,12 +111,7 @@ fn bench_single_gates(c: &mut Criterion) {
         ),
     ];
 
-    // SLIQ_AUTO_REORDER=1 (the CI bench-smoke job sets it) runs the whole
-    // preparation and every timed gate with automatic sifting armed, so the
-    // reorder path is exercised end-to-end on every push.
-    let mut bitslice =
-        BitSliceSimulator::new(QUBITS).with_auto_reorder(sliq_bench::auto_reorder_env());
-    bitslice.run(&prep).unwrap();
+    let bitslice = prepared_bitslice();
     let mut qmdd = QmddSimulator::new(QUBITS);
     qmdd.run(&prep).unwrap();
     let mut dense = DenseSimulator::new(QUBITS);
@@ -157,5 +172,36 @@ fn bench_single_gates(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_single_gates);
+fn bench_readings(c: &mut Criterion) {
+    let mut group = c.benchmark_group("readings");
+    group.sample_size(20);
+    let bitslice = prepared_bitslice();
+    // Cold: the gate in the set-up leaves no term list or memo behind, so
+    // the first query builds them and the other eight reuse them.
+    group.bench_function("cold", |b| {
+        b.iter_batched(
+            || {
+                let mut sim = bitslice.clone();
+                sim.state_mut().collect_garbage();
+                sim.apply_gate(&Gate::H(3)).unwrap();
+                sim
+            },
+            |mut sim| read_probabilities(&mut sim),
+            BatchSize::SmallInput,
+        );
+    });
+    // Warm: the clone keeps the term list and memo of an earlier reading.
+    let mut warm = bitslice.clone();
+    read_probabilities(&mut warm);
+    group.bench_function("warm", |b| {
+        b.iter_batched(
+            || warm.clone(),
+            |mut sim| read_probabilities(&mut sim),
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_single_gates, bench_readings);
 criterion_main!(benches);

@@ -20,25 +20,44 @@
 //!
 //! With two's-complement slices, `Σᵢ uᵢ·vᵢ = Σⱼ,ₗ ±2ʲ⁺ˡ·|uⱼ ∧ vₗ|`, where
 //! the sign is negative when exactly one of `j`, `l` is the sign slice.  A
-//! reading first builds the *term list*: one entry per non-FALSE
-//! conjunction `uⱼ ∧ vₗ` of the eight products, with its weight `±2ʲ⁺ˡ`
-//! (negated once more for the `a·d` product) and a flag for the integer or
-//! the `√2` part.  A reading restricted by `R` is then
-//! `Σ weight · |term ∧ R|`.
+//! state's *term list* holds one entry per non-FALSE conjunction `uⱼ ∧ vₗ`
+//! of the eight products, with its weight `±2ʲ⁺ˡ` (negated once more for
+//! the `a·d` product) and a flag for the integer or the `√2` part.  The
+//! total probability is `Σ weight · |term|`.
 //!
 //! # Conditioned views
 //!
-//! The sampling descent reads one state under growing prefixes of
-//! conditions `q₀ = v₀, q₁ = v₁, …`.  Since `(u ∧ P) ∧ (v ∧ P) = (u ∧ v) ∧
-//! P`, the terms do not depend on the prefix `P`: a [`ConditionedView`]
-//! builds them once and conditions by replacing every term with its
-//! cofactor `term|_{q=v}`, which in an unsifted state is a child pointer.
-//! A cofactor no longer depends on its variable, so over all `n` variables
-//! it has two models for every model of `term ∧ literal`: a view conditioned
-//! on `f` qubits divides its counts by `2^(k+f)` instead of `2ᵏ`.  The
-//! integers agree up to that power of two and the float conversion is
-//! correctly rounded at every scale, so the readings are bit-identical to
-//! conjoining the literals.
+//! Since `(u ∧ P) ∧ (v ∧ P) = (u ∧ v) ∧ P`, the terms do not depend on a
+//! restriction `P`: a [`ConditionedView`] conditions the list on
+//! `q = v` by replacing every term with its cofactor `term|_{q=v}`, which
+//! in an unsifted state is a child pointer.  A cofactor no longer depends
+//! on its variable, so over all `n` variables it has two models for every
+//! model of `term ∧ literal`: a view conditioned on `f` qubits divides its
+//! counts by `2^(k+f)` instead of `2ᵏ`.  The integers agree up to that
+//! power of two and the float conversion is correctly rounded at every
+//! scale, so the readings are bit-identical to conjoining the literals.
+//! `Pr[q = v]` reads the state's view through one cofactor per term, a basis
+//! state through the terms' values at it (constants with `2ⁿ` models each),
+//! and the sampling descent conditions views on growing prefixes
+//! `q₀ = v₀, q₁ = v₁, …`.
+//!
+//! # One view and one memo per state
+//!
+//! A state keeps its unconditioned view and one [`ModelCounter`] between
+//! changes ([`BitSliceState::view`]).  The first reading after a change
+//! builds the `8·r²` conjunctions; every later reading of the same state —
+//! the total, each `Pr[q = v]`, a basis state, the exactness check, the
+//! probability inside [`BitSliceState::measure_with`] and the root of the
+//! sampling descent — starts from that list and counts through that memo,
+//! so a node shared by their terms and cofactors is counted once.
+//!
+//! The view's terms are unregistered nodes, which a garbage collection may
+//! free, and the memo is keyed by node ids and taken over the current
+//! order.  So the cache is dropped by every change to the slices (a gate,
+//! a collapse, a `restore`: each ends in
+//! [`BitSliceState::sync_registered_roots`]) and is stale once
+//! [`Manager::generation`] moves (a garbage collection or a sift); the next
+//! reading builds it afresh.
 //!
 //! # Counting
 //!
@@ -50,19 +69,6 @@
 //! * **Machine-word sums.**  The weighted counts are summed in `i128` with
 //!   checked arithmetic; on an overflow, or above 127 counted variables,
 //!   the reading is summed again in [`IBig`].
-//! * **One memo per query, or per descent.**  The terms of a reading share
-//!   most of their nodes, and a [`ModelCounter`]'s memo counts each shared
-//!   node once.  A state query keeps one counter for the query; the
-//!   sampling descent keeps one for the whole sample and passes it to every
-//!   view's reading, so each node of the term DAGs — and of their cofactors
-//!   — is counted once per sample.
-//! * **Why the memo stays valid.**  A memo entry is keyed by a node and
-//!   depends only on that node and the variable order.  The counter borrows
-//!   `&Manager`; garbage collection and reordering need `&mut Manager`, so
-//!   neither can free a node or change the order while it lives.  The
-//!   `and` and `cofactor` calls that build terms mid-count share the
-//!   borrow, and the nodes they create get fresh ids that no memo entry
-//!   holds.
 
 use crate::state::BitSliceState;
 use sliq_bdd::{Manager, ModelCounter, NodeId};
@@ -123,18 +129,19 @@ fn terms_of(mgr: &Manager, slices: &[Vec<NodeId>; 4], r: usize) -> Vec<Term> {
 
 /// `Σ weight · |restrict(term)|` over `terms` as an exact `x + y·√2`.
 fn weighted_count(
-    counter: &mut ModelCounter<'_>,
+    mgr: &Manager,
+    counter: &mut ModelCounter,
     terms: &[Term],
     mut restrict: impl FnMut(NodeId) -> NodeId,
 ) -> Sqrt2Big {
-    if let Some(sum) = narrow_weighted_count(counter, terms, &mut restrict) {
+    if let Some(sum) = narrow_weighted_count(mgr, counter, terms, &mut restrict) {
         return sum;
     }
     let mut parts = [IBig::zero(), IBig::zero()];
     for term in terms {
         let node = restrict(term.node);
         if !node.is_false() {
-            let count = IBig::from_sign_magnitude(term.negative, counter.count(node));
+            let count = IBig::from_sign_magnitude(term.negative, counter.count(mgr, node));
             parts[usize::from(term.sqrt2)] += count.shl(term.shift as usize);
         }
     }
@@ -145,7 +152,8 @@ fn weighted_count(
 /// [`weighted_count`] on machine words: `None` if a count needs more than
 /// 127 variables or any product or partial sum overflows `i128`.
 fn narrow_weighted_count(
-    counter: &mut ModelCounter<'_>,
+    mgr: &Manager,
+    counter: &mut ModelCounter,
     terms: &[Term],
     restrict: &mut impl FnMut(NodeId) -> NodeId,
 ) -> Option<Sqrt2Big> {
@@ -155,7 +163,7 @@ fn narrow_weighted_count(
         if node.is_false() {
             continue;
         }
-        let count = i128::try_from(counter.count_narrow(node)?).ok()?;
+        let count = i128::try_from(counter.count_narrow(mgr, node)?).ok()?;
         let weight = (term.shift < 127).then(|| 1i128 << term.shift)?;
         let weighted = count.checked_mul(weight)?;
         let part = &mut parts[usize::from(term.sqrt2)];
@@ -169,25 +177,6 @@ fn narrow_weighted_count(
     Some(Sqrt2Big::new(IBig::from(int), IBig::from(sqrt2)))
 }
 
-/// The exact value of `2ᵏ · Σ |αᵢ|²` over the selected basis states as an
-/// `x + y·√2` pair (before the `1/2ᵏ` scaling and the `s²` factor): the
-/// term list restricted by conjunction with `restriction` (no restriction
-/// when `None`), counted through one [`ModelCounter`] dropped on return.
-fn unscaled_probability_of(
-    mgr: &Manager,
-    slices: &[Vec<NodeId>; 4],
-    r: usize,
-    n: usize,
-    restriction: Option<NodeId>,
-) -> Sqrt2Big {
-    let terms = terms_of(mgr, slices, r);
-    let mut counter = ModelCounter::new(mgr, n);
-    weighted_count(&mut counter, &terms, |node| match restriction {
-        Some(restriction) => mgr.and(node, restriction),
-        None => node,
-    })
-}
-
 /// An immutable, unregistered view of a bit-sliced state under a prefix of
 /// measurement conditions: the term list of its probability formula with
 /// every term cofactored by the conditions, plus the scalars.  The
@@ -196,8 +185,9 @@ fn unscaled_probability_of(
 /// — so a descent can keep every view on its path while it builds
 /// cofactors through the kernel's `&Manager` operations.
 ///
-/// The readings take a [`ModelCounter`] over the state's qubits, which the
-/// descent shares across every view it reads (see the module docs).
+/// The unconditioned view of a state comes from [`BitSliceState::view`],
+/// together with the [`ModelCounter`] that every reading of the state
+/// shares; the readings take that counter (see the module docs).
 ///
 /// Each qubit may be conditioned at most once, and a view is read only on
 /// unconditioned qubits: a cofactor by an already conditioned variable
@@ -220,8 +210,8 @@ pub struct ConditionedView {
 }
 
 impl ConditionedView {
-    /// A view of the state as it currently is (no conditions).
-    pub fn of_state(state: &BitSliceState) -> Self {
+    /// The view of the state as it currently is (no conditions).
+    fn of_state(state: &BitSliceState) -> Self {
         Self {
             terms: terms_of(&state.mgr, &state.slices, state.r),
             conditioned: 0,
@@ -250,24 +240,31 @@ impl ConditionedView {
         }
     }
 
-    /// The joint probability `Pr[conditions ∧ qubit = 1]` (an exact SAT
+    /// The joint probability `Pr[conditions ∧ qubit = value]` (an exact SAT
     /// count, rounded only at the final conversion).  `counter` counts the
     /// state's qubits; `qubit` must not be conditioned.
-    pub fn joint_probability_of_one(
+    pub fn joint_probability(
         &self,
         mgr: &Manager,
-        counter: &mut ModelCounter<'_>,
+        counter: &mut ModelCounter,
         qubit: usize,
+        value: bool,
     ) -> f64 {
-        let unscaled = weighted_count(counter, &self.terms, |node| mgr.cofactor(node, qubit, true));
+        let unscaled = weighted_count(mgr, counter, &self.terms, |node| {
+            mgr.cofactor(node, qubit, value)
+        });
         self.reading(&unscaled, self.conditioned + 1)
     }
 
     /// The joint probability of every condition applied so far.  `counter`
     /// counts the state's qubits.
-    pub fn total_probability(&self, counter: &mut ModelCounter<'_>) -> f64 {
-        let unscaled = weighted_count(counter, &self.terms, |node| node);
-        self.reading(&unscaled, self.conditioned)
+    pub fn total_probability(&self, mgr: &Manager, counter: &mut ModelCounter) -> f64 {
+        self.reading(&self.unscaled_total(mgr, counter), self.conditioned)
+    }
+
+    /// `2^(k + f) · Pr[conditions]` before the `s²` factor, exactly.
+    fn unscaled_total(&self, mgr: &Manager, counter: &mut ModelCounter) -> Sqrt2Big {
+        weighted_count(mgr, counter, &self.terms, |node| node)
     }
 
     /// `s² · unscaled / 2^(k + freed)`, where `freed` cofactored variables
@@ -277,54 +274,82 @@ impl ConditionedView {
     }
 }
 
+/// What a [`BitSliceState`] keeps between changes: its unconditioned view
+/// and the counter every reading shares, valid while the manager stays at
+/// `generation`.
+#[derive(Debug, Clone)]
+pub(crate) struct ReadingCache {
+    view: ConditionedView,
+    counter: ModelCounter,
+    generation: u64,
+}
+
 impl BitSliceState {
-    /// The exact value of `2ᵏ · Σ |αᵢ|²` over the selected basis states.
-    fn unscaled_probability(&self, restriction: Option<NodeId>) -> Sqrt2Big {
-        unscaled_probability_of(
-            &self.mgr,
-            &self.slices,
-            self.r,
-            self.num_qubits,
-            restriction,
-        )
+    /// The state's unconditioned [`ConditionedView`] and the
+    /// [`ModelCounter`] that every reading of this state shares, with the
+    /// manager they belong to.  The first call after a change builds them
+    /// (the `8·r²` slice conjunctions of the probability formula and an
+    /// empty memo); later calls return the same view and the memo as the
+    /// earlier readings left it, until a gate, a collapse, a `restore`, a
+    /// garbage collection or a sift (see the module docs).
+    pub fn view(&mut self) -> (&Manager, &ConditionedView, &mut ModelCounter) {
+        let generation = self.mgr.generation();
+        if self
+            .reading
+            .as_ref()
+            .is_none_or(|cache| cache.generation != generation)
+        {
+            self.reading = Some(ReadingCache {
+                view: ConditionedView::of_state(self),
+                counter: ModelCounter::new(&self.mgr, self.num_qubits),
+                generation,
+            });
+        }
+        let cache = self.reading.as_mut().expect("built above");
+        (&self.mgr, &cache.view, &mut cache.counter)
     }
 
     /// The probability that measuring `qubit` yields `value`.
-    pub fn probability_of(&self, qubit: usize, value: bool) -> f64 {
-        let literal = if value {
-            self.mgr.var(qubit)
-        } else {
-            self.mgr.nvar(qubit)
-        };
-        let unscaled = self.unscaled_probability(Some(literal));
-        unscaled.to_f64_div_pow2(self.k) * self.norm_factor * self.norm_factor
+    pub fn probability_of(&mut self, qubit: usize, value: bool) -> f64 {
+        let (mgr, view, counter) = self.view();
+        view.joint_probability(mgr, counter, qubit, value)
     }
 
-    /// The probability of observing the complete basis state `bits`,
-    /// computed from the exact weighted SAT count restricted to the minterm
-    /// of `bits` (valid for any coefficient width).
-    pub fn probability_of_basis(&self, bits: &[bool]) -> f64 {
-        let literals: Vec<(usize, bool)> = bits.iter().enumerate().map(|(q, &b)| (q, b)).collect();
-        let minterm = self.mgr.cube(&literals);
-        let unscaled = self.unscaled_probability(Some(minterm));
-        unscaled.to_f64_div_pow2(self.k) * self.norm_factor * self.norm_factor
+    /// The probability of observing the complete basis state `bits`
+    /// (`bits[q]` is the value of qubit `q`), from the terms' values at
+    /// `bits` (valid for any coefficient width).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len() != num_qubits()`.
+    pub fn probability_of_basis(&mut self, bits: &[bool]) -> f64 {
+        assert_eq!(bits.len(), self.num_qubits, "wrong number of qubit values");
+        let n = self.num_qubits as i64;
+        let (mgr, view, counter) = self.view();
+        // Restricted to one basis state every term is a constant, and TRUE
+        // has 2ⁿ models over the n qubits.
+        let unscaled = weighted_count(mgr, counter, &view.terms, |node| {
+            mgr.constant(mgr.eval(node, bits))
+        });
+        view.reading(&unscaled, n)
     }
 
     /// The total probability `Σᵢ Pr[i]`, computed exactly and converted to
     /// `f64` at the very end.  Equal to 1 up to the float conversion for any
     /// state produced by unitary evolution.
-    pub fn total_probability(&self) -> f64 {
-        let unscaled = self.unscaled_probability(None);
-        unscaled.to_f64_div_pow2(self.k) * self.norm_factor * self.norm_factor
+    pub fn total_probability(&mut self) -> f64 {
+        let (mgr, view, counter) = self.view();
+        view.total_probability(mgr, counter)
     }
 
     /// Exactness check: returns `true` iff the sum of all squared amplitude
     /// magnitudes is *exactly* `2ᵏ` (i.e. the state is exactly normalised as
     /// an algebraic identity — no tolerance involved).  Only meaningful while
     /// no measurement has been performed (`normalization_factor() == 1`).
-    pub fn is_exactly_normalized(&self) -> bool {
-        let unscaled = self.unscaled_probability(None);
-        self.k >= 0 && unscaled.eq_pow2(self.k as usize)
+    pub fn is_exactly_normalized(&mut self) -> bool {
+        let k = self.k;
+        let (mgr, view, counter) = self.view();
+        k >= 0 && view.unscaled_total(mgr, counter).eq_pow2(k as usize)
     }
 
     /// Measures `qubit`, using `u ∈ [0, 1)` to pick the outcome, collapses
@@ -384,7 +409,7 @@ mod tests {
 
     #[test]
     fn basis_state_probabilities() {
-        let state = BitSliceState::with_initial_bits(&[true, false]);
+        let mut state = BitSliceState::with_initial_bits(&[true, false]);
         assert!(close(state.probability_of(0, true), 1.0));
         assert!(close(state.probability_of(1, true), 0.0));
         assert!(close(state.probability_of_basis(&[true, false]), 1.0));
@@ -598,7 +623,7 @@ mod tests {
                             state.mgr.swap_adjacent_levels(0);
                         }
                     }
-                    check_against_brute_force(&state, &format!("n={n} seed={seed}"));
+                    check_against_brute_force(&mut state, &format!("n={n} seed={seed}"));
                 }
             }
         }
@@ -646,7 +671,10 @@ mod tests {
                 state.mgr.swap_adjacent_levels(1);
                 state.reorder();
             }
-            check_against_brute_force(&state, &format!("full gate set, reorder {forced_reorder}"));
+            check_against_brute_force(
+                &mut state,
+                &format!("full gate set, reorder {forced_reorder}"),
+            );
         }
     }
 
@@ -660,9 +688,9 @@ mod tests {
             gates::apply(&mut state, gate);
         }
         state.measure_with(0, 0.2);
-        check_against_brute_force(&state, "one collapse");
+        check_against_brute_force(&mut state, "one collapse");
         state.measure_with(3, 0.7);
-        check_against_brute_force(&state, "two collapses");
+        check_against_brute_force(&mut state, "two collapses");
 
         // A GHZ-style correlation: collapsing qubit 0 decides qubit 2.
         let mut ghz = BitSliceState::new(3);
@@ -675,27 +703,27 @@ mod tests {
             },
         );
         let outcome = ghz.measure_with(0, 0.2);
-        check_against_brute_force(&ghz, "ghz collapse");
+        check_against_brute_force(&mut ghz, "ghz collapse");
         assert_eq!(ghz.probability_of(2, !outcome), 0.0);
         assert!(close(ghz.probability_of(2, outcome), 1.0));
     }
 
-    fn check_against_brute_force(state: &BitSliceState, case: &str) {
-        let (mgr, slices, r, n, k, s) = (
-            &state.mgr,
-            &state.slices,
-            state.r,
-            state.num_qubits,
-            state.k,
-            state.norm_factor,
-        );
-        let exact = |restriction| unscaled_probability_of(mgr, slices, r, n, restriction);
+    /// Checks every reading of `state` against [`brute_force`]: the exact
+    /// sums through the state's view and memo, and the public readings bit
+    /// for bit.
+    fn check_against_brute_force(state: &mut BitSliceState, case: &str) {
+        let (r, n, k, s) = (state.r, state.num_qubits, state.k, state.norm_factor);
+        let slices = state.slices.clone();
+        let brute = |state: &BitSliceState, select: &dyn Fn(&[bool]) -> bool| {
+            brute_force(&state.mgr, &slices, r, n, select)
+        };
         // The public readings: the exact value rounded once, times s².
         let reading = |exact: &Sqrt2Big| exact.to_f64_div_pow2(k) * s * s;
 
         // No restriction; the public readings round the same exact value.
-        let all = brute_force(mgr, slices, r, n, |_| true);
-        assert_eq!(exact(None), all, "{case}: total");
+        let all = brute(state, &|_| true);
+        let (mgr, view, counter) = state.view();
+        assert_eq!(view.unscaled_total(mgr, counter), all, "{case}: total");
         if s == 1.0 {
             assert!(
                 state.is_exactly_normalized() && all.eq_pow2(k as usize),
@@ -704,12 +732,16 @@ mod tests {
         }
         assert_eq!(state.total_probability(), reading(&all), "{case}");
 
-        // Every single-qubit literal.
+        // Every single-qubit literal: a cofactor has two models for every
+        // model of the conjunction with the literal.
         for q in 0..n {
             for value in [false, true] {
-                let literal = if value { mgr.var(q) } else { mgr.nvar(q) };
-                let expected = brute_force(mgr, slices, r, n, |bits| bits[q] == value);
-                assert_eq!(exact(Some(literal)), expected, "{case}: q{q}={value}");
+                let expected = brute(state, &|bits| bits[q] == value);
+                let (mgr, view, counter) = state.view();
+                let cofactored = weighted_count(mgr, counter, &view.terms, |node| {
+                    mgr.cofactor(node, q, value)
+                });
+                assert_eq!(cofactored, expected.shl(1), "{case}: q{q}={value}");
                 assert_eq!(
                     state.probability_of(q, value),
                     reading(&expected),
@@ -718,11 +750,14 @@ mod tests {
             }
         }
 
-        // One full minterm.
+        // One full basis state: every term is a constant with 2ⁿ models.
         let minterm_bits: Vec<bool> = (0..n).map(|q| q % 3 != 1).collect();
-        let minterm = mgr.cube(&minterm_bits.iter().copied().enumerate().collect::<Vec<_>>());
-        let expected = brute_force(mgr, slices, r, n, |bits| bits == minterm_bits.as_slice());
-        assert_eq!(exact(Some(minterm)), expected, "{case}: minterm");
+        let expected = brute(state, &|bits| bits == minterm_bits.as_slice());
+        let (mgr, view, counter) = state.view();
+        let at_minterm = weighted_count(mgr, counter, &view.terms, |node| {
+            mgr.constant(mgr.eval(node, &minterm_bits))
+        });
+        assert_eq!(at_minterm, expected.shl(n), "{case}: minterm");
         assert_eq!(
             state.probability_of_basis(&minterm_bits),
             reading(&expected),
@@ -730,40 +765,139 @@ mod tests {
         );
 
         // Every view of the sampling descent: each prefix of qubits 0..d in
-        // descent order (1 before 0), with one counter over the whole walk.
-        // A view conditioned on d qubits counts 2^d times the conditioned
-        // sum exactly, and its public readings equal the state's.
-        let mut counter = ModelCounter::new(mgr, n);
-        let mut walk = vec![(ConditionedView::of_state(state), Vec::<bool>::new())];
+        // descent order (1 before 0), through the state's one counter.  A
+        // view conditioned on d qubits counts 2^d times the conditioned sum
+        // exactly, and its public readings equal the state's.
+        let (mgr, root, counter) = state.view();
+        let mut walk = vec![(root.clone(), Vec::<bool>::new())];
         while let Some((view, prefix)) = walk.pop() {
             let d = prefix.len();
             let on_prefix = |bits: &[bool]| bits[..d] == prefix[..];
-            let expected = brute_force(mgr, slices, r, n, on_prefix);
+            let expected = brute_force(mgr, &slices, r, n, on_prefix);
             assert_eq!(
-                weighted_count(&mut counter, &view.terms, |node| node),
+                view.unscaled_total(mgr, counter),
                 expected.shl(d),
                 "{case}: view total under {prefix:?}"
             );
             assert_eq!(
-                view.total_probability(&mut counter),
+                view.total_probability(mgr, counter),
                 reading(&expected),
                 "{case}: view total probability under {prefix:?}"
             );
             if d == n {
                 continue;
             }
-            let expected = brute_force(mgr, slices, r, n, |bits| on_prefix(bits) && bits[d]);
-            assert_eq!(
-                view.joint_probability_of_one(mgr, &mut counter, d),
-                reading(&expected),
-                "{case}: view joint q{d}=1 under {prefix:?}"
-            );
             for value in [false, true] {
+                let expected = brute_force(mgr, &slices, r, n, |bits| {
+                    on_prefix(bits) && bits[d] == value
+                });
+                assert_eq!(
+                    view.joint_probability(mgr, counter, d, value),
+                    reading(&expected),
+                    "{case}: view joint q{d}={value} under {prefix:?}"
+                );
                 let mut next = prefix.clone();
                 next.push(value);
                 walk.push((view.condition(mgr, d, value), next));
             }
         }
+    }
+
+    /// Every public reading of `state`, bit for bit: the total, `Pr[q = v]`
+    /// for every qubit and value, one basis state and the exactness flag.
+    fn readings(state: &mut BitSliceState) -> Vec<u64> {
+        let n = state.num_qubits();
+        let mut all = vec![state.total_probability().to_bits()];
+        for q in 0..n {
+            for value in [false, true] {
+                all.push(state.probability_of(q, value).to_bits());
+            }
+        }
+        let bits: Vec<bool> = (0..n).map(|q| q % 3 != 1).collect();
+        all.push(state.probability_of_basis(&bits).to_bits());
+        all.push(u64::from(state.is_exactly_normalized()));
+        all
+    }
+
+    #[test]
+    fn no_reading_survives_a_change_of_the_state_or_its_manager() {
+        // The readings of a new state built by `gates` and an optional
+        // collapse.
+        let n = 5;
+        let fresh = |gates: &[Gate], collapse: Option<(usize, f64)>| {
+            let mut state = BitSliceState::new(n);
+            for gate in gates {
+                gates::apply(&mut state, gate);
+            }
+            if let Some((qubit, u)) = collapse {
+                state.measure_with(qubit, u);
+            }
+            readings(&mut state)
+        };
+        let mut history = random_clifford_t(n, 40, 17);
+        let mut state = BitSliceState::new(n);
+        for gate in &history {
+            gates::apply(&mut state, gate);
+        }
+        let before = readings(&mut state);
+        assert_eq!(before, fresh(&history, None), "before any change");
+
+        // A gate.
+        history.push(Gate::H(0));
+        gates::apply(&mut state, &Gate::H(0));
+        let after_gate = readings(&mut state);
+        assert_ne!(after_gate, before, "the gate must move a reading");
+        assert_eq!(after_gate, fresh(&history, None), "after a gate");
+
+        // A collapse of a qubit that is not yet decided.
+        let snapshot = state.snapshot();
+        let qubit = (0..n)
+            .find(|&q| {
+                let p = state.probability_of(q, true);
+                p > 0.0 && p < 1.0
+            })
+            .expect("an undecided qubit");
+        state.measure_with(qubit, 0.5);
+        let collapsed = readings(&mut state);
+        assert_ne!(collapsed, after_gate, "the collapse must move a reading");
+        assert_eq!(
+            collapsed,
+            fresh(&history, Some((qubit, 0.5))),
+            "after measure_with"
+        );
+
+        // Back to the snapshot.
+        state.restore(&snapshot);
+        assert_eq!(readings(&mut state), after_gate, "after restore");
+
+        // A forced garbage collection frees the view's unregistered terms.
+        state.collect_garbage();
+        assert_eq!(readings(&mut state), after_gate, "after collect_garbage");
+
+        // A forced sift, moved off the identity order if it stayed there.
+        state.reorder();
+        if state.mgr.current_order() == (0..n).collect::<Vec<_>>() {
+            state.mgr.swap_adjacent_levels(0);
+        }
+        assert_eq!(readings(&mut state), after_gate, "after reorder");
+
+        // Sampling: a descent through the state's view and counter, then
+        // the garbage collection that the sampler runs when it is due.
+        {
+            let (mgr, root, counter) = state.view();
+            let mut view = root.clone();
+            for q in 0..n - 1 {
+                view.joint_probability(mgr, counter, q, true);
+                view = view.condition(mgr, q, q % 2 == 0);
+            }
+        }
+        state.collect_garbage();
+        assert_eq!(
+            readings(&mut state),
+            after_gate,
+            "after sampling and its GC"
+        );
+        state.release_snapshot(snapshot);
     }
 
     #[test]

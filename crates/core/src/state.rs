@@ -12,6 +12,7 @@
 //! the full state occupies `4·r` BDDs over `n` variables plus one machine
 //! integer — never an explicit `2ⁿ`-element array.
 
+use crate::measure::ReadingCache;
 use sliq_bdd::{Manager, NodeId, ReorderStats, RootSlot};
 use sliq_math::Algebraic;
 
@@ -50,6 +51,9 @@ pub struct BitSliceState {
     /// Floating-point normalisation factor accumulated by measurements
     /// (`s` in Eq. 13 of the paper); exactly 1.0 until the first collapse.
     pub(crate) norm_factor: f64,
+    /// The term list and count memo the readings share, built by the first
+    /// reading after a change (see [`BitSliceState::view`]).
+    pub(crate) reading: Option<ReadingCache>,
 }
 
 /// The minimum representable bit width (value +1 needs a sign bit).
@@ -118,6 +122,7 @@ impl BitSliceState {
             slices,
             root_slots: Vec::new(),
             norm_factor: 1.0,
+            reading: None,
         };
         state.sync_registered_roots();
         state
@@ -183,10 +188,13 @@ impl BitSliceState {
     }
 
     /// Re-registers the current `4·r` slice roots with the manager's root
-    /// registry (growing or shrinking the slot block as the width changed).
-    /// Called after every state mutation, so the manager always knows the
-    /// live root set — for garbage collection and for reordering.
+    /// registry (growing or shrinking the slot block as the width changed)
+    /// and drops the readings' term list and memo, which describe the
+    /// slices before the change.  Called after every state mutation, so the
+    /// manager always knows the live root set — for garbage collection and
+    /// for reordering.
     pub(crate) fn sync_registered_roots(&mut self) {
+        self.reading = None;
         let roots = self.all_roots();
         while self.root_slots.len() < roots.len() {
             let slot = self.mgr.register_root(NodeId::FALSE);
@@ -211,9 +219,9 @@ impl BitSliceState {
         }
     }
 
-    /// Forces a garbage collection (rooted at the registered slice roots).
+    /// Forces a garbage collection (rooted at the registered slice roots,
+    /// which every mutation path keeps in sync).
     pub fn collect_garbage(&mut self) -> usize {
-        self.sync_registered_roots();
         self.mgr.collect_garbage_registered()
     }
 
@@ -282,7 +290,6 @@ impl BitSliceState {
 
     /// Sifts the qubit variable order now, returning the run's statistics.
     pub fn reorder(&mut self) -> ReorderStats {
-        self.sync_registered_roots();
         self.mgr.reorder()
     }
 

@@ -162,6 +162,40 @@ mod tests {
     }
 
     #[test]
+    fn basis_states_of_the_wrong_length_panic_on_every_backend() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // H(0) H(1) CX(1→2): four equally likely basis states.  Too few
+        // bits would read a different quantity on each backend (a marginal,
+        // an amplitude, a partial path weight), so every backend refuses
+        // them, and too many, at the session boundary.
+        let mut circuit = Circuit::new(3);
+        circuit.h(0).h(1).cx(1, 2);
+        for kind in BackendKind::ALL {
+            let mut session = Session::new(3, SessionConfig::with_backend(kind)).unwrap();
+            session.run(&circuit).unwrap();
+            for bits in [&[true][..], &[true; 4][..]] {
+                let query = catch_unwind(AssertUnwindSafe(|| {
+                    session.probability_of_basis_state(bits)
+                }));
+                let payload = query.expect_err("a wrong-length basis state must panic");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert!(
+                    message.contains(&format!("needs 3 bits, got {}", bits.len())),
+                    "{kind}: {message}"
+                );
+            }
+            let p = session.probability_of_basis_state(&[true, true, true]);
+            assert!((p - 0.25).abs() < 1e-12, "{kind}: {p}");
+            assert_eq!(
+                session.probability_of_basis_state(&[true, false, true]),
+                0.0
+            );
+        }
+    }
+
+    #[test]
     fn snapshots_roll_back_every_backend() {
         for kind in BackendKind::ALL {
             let mut session = Session::new(2, SessionConfig::with_backend(kind)).unwrap();

@@ -9,13 +9,16 @@
 //! prefix, so the cost scales with the number of *distinct* outcome
 //! prefixes rather than with `shots × circuit`:
 //!
-//! * **bit-sliced BDD** — a stack of [`sliq_core::ConditionedView`]s: the
-//!   slice conjunctions of the probability formula are built once per
-//!   sample, conditioning a view replaces each of them by its cofactor
-//!   (without renormalising), and conditional probabilities are exact
-//!   weighted SAT counts of those cofactors, all through one model counter
-//!   whose memo lives for the whole descent.  The views are unregistered
-//!   transients, so the state is never modified and nothing is pinned.
+//! * **bit-sliced BDD** — a stack of [`sliq_core::ConditionedView`]s whose
+//!   root is the state's own view ([`sliq_core::BitSliceState::view`]):
+//!   the slice conjunctions of the probability formula are built once per
+//!   state, by its first reading, and shared with the probability queries.
+//!   Conditioning a view replaces each of them by its cofactor (without
+//!   renormalising), and conditional probabilities are exact weighted SAT
+//!   counts of those cofactors, all through the state's one model counter,
+//!   whose memo the queries have already filled.  The conditioned views
+//!   are unregistered transients, so the slices are never modified and
+//!   nothing is pinned.
 //! * **dense** — a single pass over the state vector builds the probability
 //!   vector and its per-level subtree sums (a CDF tree); the descent then
 //!   only reads precomputed sums.
@@ -315,12 +318,12 @@ fn run_descent<C: ConditionalChain>(
 /// A stack of unregistered conditioned views of the state, each with the
 /// joint probability of the conditions that produced it.  `push` conditions
 /// the top view through the kernel's `&Manager` cofactors and `pop` drops
-/// it, so the state is never modified and no root is pinned.  Every
-/// reading goes through the one `counter`, so a node shared by the views of
-/// a descent is counted once.
+/// it, so the slices are never modified and no root is pinned.  Every
+/// reading goes through the state's one `counter`, so a node shared by the
+/// views of a descent, or already counted by a query, is counted once.
 struct BitSliceChain<'a> {
     mgr: &'a Manager,
-    counter: ModelCounter<'a>,
+    counter: &'a mut ModelCounter,
     stack: Vec<(ConditionedView, f64)>,
     /// `Pr[conditions ∧ qubit = 1]` from `conditional_one`, for the `push`
     /// that follows.
@@ -330,7 +333,7 @@ struct BitSliceChain<'a> {
 impl ConditionalChain for BitSliceChain<'_> {
     fn conditional_one(&mut self, qubit: usize) -> f64 {
         let (view, p_current) = self.stack.last().expect("the root view is never popped");
-        let joint = view.joint_probability_of_one(self.mgr, &mut self.counter, qubit);
+        let joint = view.joint_probability(self.mgr, self.counter, qubit, true);
         self.joint_one[qubit] = joint;
         if *p_current <= 0.0 {
             0.0
@@ -359,21 +362,19 @@ impl ConditionalChain for BitSliceChain<'_> {
 pub(crate) fn sample_bitslice(sim: &mut BitSliceSimulator, draws: Vec<f64>) -> Histogram {
     let num_qubits = sim.num_qubits();
     let histogram = {
-        let state = sim.state();
-        let mgr = state.manager();
-        let mut counter = ModelCounter::new(mgr, num_qubits);
-        let view = ConditionedView::of_state(state);
-        let p_total = view.total_probability(&mut counter);
+        let (mgr, view, counter) = sim.state_mut().view();
+        let p_total = view.total_probability(mgr, counter);
         let mut chain = BitSliceChain {
             mgr,
+            stack: vec![(view.clone(), p_total)],
             counter,
-            stack: vec![(view, p_total)],
             joint_one: vec![0.0; num_qubits],
         };
         run_descent(&mut chain, num_qubits, draws)
     };
-    // The descent hash-consed transient terms and cofactors that no root
-    // registers; reclaim them if the manager considers it worthwhile.
+    // The descent hash-consed transient cofactors that no root registers;
+    // reclaim them if the manager considers it worthwhile (which also
+    // retires the state's view and memo).
     sim.state_mut().maybe_collect_garbage();
     histogram
 }

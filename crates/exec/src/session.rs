@@ -648,8 +648,21 @@ impl Session {
         self.sim().probability_of_one(qubit)
     }
 
-    /// The probability of observing the full basis state `bits`.
+    /// The probability of observing the full basis state `bits` (`bits[q]`
+    /// is the value of qubit `q`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len() != num_qubits()`, on every backend.
     pub fn probability_of_basis_state(&mut self, bits: &[bool]) -> f64 {
+        assert_eq!(
+            bits.len(),
+            self.num_qubits,
+            "a basis state of a {}-qubit session needs {} bits, got {}",
+            self.num_qubits,
+            self.num_qubits,
+            bits.len()
+        );
         self.materialize();
         self.sim().probability_of_basis_state(bits)
     }
